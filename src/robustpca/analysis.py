@@ -122,10 +122,11 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     exactly ``iters`` iterations (the stopping tolerance is unreachable)
     and is repeated ``repeats`` times, keeping the median to damp scheduler
     noise.  Generation happens outside the timed section; the timed section
-    is the solver call alone and uses the random-orthonormal start so its
-    cost stays proportional to d*n*k (the truncated-SVD start would add a
-    full factorization of x, which scales superlinearly and is not what
-    the per-iteration claim is about).
+    is the solver call alone and uses the random-orthonormal start, so
+    the timing is the iterations' d*n*k cost and nothing else (the default
+    start, a seeded randomized truncated SVD, is also O(d*n*k) but adds
+    its own passes over x, which are not what the per-iteration claim is
+    about).
 
     Returns a list of ``(size, seconds)`` rows, one per factor.
     """

@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives and the shrinkage operators the solvers are built from.
 
 Everything here is a pure function of its inputs: arguments are never
-modified, and a fixed sign convention on the SVD factors makes repeated
-calls bit-reproducible.
+modified (apart from an explicit ``out=`` buffer), and a fixed sign
+convention on the SVD factors makes repeated calls bit-reproducible.
 """
 
 from typing import NamedTuple
@@ -70,11 +70,17 @@ def thin_svd(a):
     """
     a = _as_matrix(a, "a")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T
+    u, v = _fix_signs(u, vt.T)
+    return ThinSvd(u, s, v)
+
+
+def _fix_signs(u, v):
+    """Flip paired columns of ``u`` and ``v`` so each column of ``u`` has a
+    positive largest-magnitude entry (the first one on ties)."""
     cols = np.arange(u.shape[1])
     anchor = np.abs(u).argmax(axis=0)
     signs = np.where(u[anchor, cols] < 0.0, -1.0, 1.0)
-    return ThinSvd(u * signs, s, v * signs)
+    return u * signs, v * signs
 
 
 def polar_orthogonal(a):
@@ -93,15 +99,25 @@ def polar_orthogonal(a):
     return f.u @ f.v.T
 
 
-def soft_threshold(m, tau):
+def soft_threshold(m, tau, out=None):
     """Elementwise shrinkage toward zero, ``sign(m) * max(|m| - tau, 0)``.
 
     This is the proximal map of ``tau * sum(|m_ij|)``; entries with
-    magnitude at most ``tau`` become exactly zero.
+    magnitude at most ``tau`` become exactly zero.  Computed as
+    ``m - clip(m, -tau, tau)`` in two passes over ``m``.
+
+    ``out``, if given, is a float64 array of the shape of ``m`` that
+    receives the result and is returned; it must not overlap ``m``.
     """
     tau = _check_tau(tau)
     m = np.asarray(m, dtype=np.float64)
-    return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+    if out is None:
+        out = np.empty_like(m)
+    elif out.shape != m.shape or out.dtype != np.float64 or np.may_share_memory(out, m):
+        raise ValueError("out must be a float64 array of shape %r that does not overlap m"
+                         % (m.shape,))
+    np.clip(m, -tau, tau, out=out)
+    return np.subtract(m, out, out=out)
 
 
 def ld_shrink(d, tau):

@@ -17,13 +17,14 @@ A single solve is sequential; distinct solves may run concurrently.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     _as_matrix,
+    _fix_signs,
     ld_shrink,
     log_det_surrogate,
     polar_orthogonal,
@@ -51,6 +52,12 @@ __all__ = [
 INIT_STRATEGIES = ("truncated-svd", "random-orthonormal")
 
 RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count as zero
+
+# randomized range finder of the "truncated-svd" init (Halko, Martinsson & Tropp 2011)
+RANGE_OVERSAMPLE = 10  # test-matrix columns beyond k
+RANGE_POWER_STEPS = 4  # power iterations, each re-orthonormalized by QR
+
+ORTHO_TOL = 1e-8  # Frobenius-norm bound on u.T @ u - I checked every iteration
 
 
 class DivergenceError(RuntimeError):
@@ -101,7 +108,9 @@ class SolverConfig:
     rho_cap  : ceiling on the penalty weight (unbounded geometric growth
                would overflow after a few hundred iterations)
     init     : "truncated-svd" or "random-orthonormal"
-    seed     : seed for the random-orthonormal initialization
+    seed     : seed of the Gaussian draws behind either initialization
+               (the randomized truncated SVD's test matrix, or the
+               random-orthonormal factors)
     """
 
     k: int
@@ -159,7 +168,8 @@ class SolveReport:
 class IterationState(NamedTuple):
     """End-of-iteration snapshot passed to ``on_iteration`` callbacks.
 
-    Arrays are the solver's live buffers: copy anything you keep.  ``rho``
+    Arrays are the solver's live buffers: copy anything you keep.  ``s``
+    and ``theta`` are overwritten in place on the next iteration.  ``rho``
     is the value after the end-of-iteration growth step.
     """
 
@@ -198,22 +208,32 @@ def _spectrum_rank(sigma):
 def init_factors(x, k, strategy="truncated-svd", seed=0):
     """Build starting factors (u, c, v) for the factored solvers.
 
-    "truncated-svd" takes the top-k singular triplets of ``x`` and puts the
-    singular values on the diagonal of ``c``; "random-orthonormal" draws
-    seeded Gaussian matrices, orthonormalizes them, and sets
-    ``c = u.T @ x @ v``.  Both are deterministic for fixed inputs.
+    "truncated-svd" is a seeded randomized truncated SVD: a randomized
+    range finder (Halko, Martinsson & Tropp 2011) draws a Gaussian test
+    matrix with ``k + RANGE_OVERSAMPLE`` columns (at most ``min(d, n)``),
+    runs ``RANGE_POWER_STEPS`` power steps re-orthonormalized by QR, and
+    takes the top-k singular triplets of ``x`` projected onto that basis.
+    The singular values go on the diagonal of ``c``, and the columns
+    follow the sign convention of :func:`thin_svd`.  The cost is
+    O(d * n * k); no (d, n) matrix is factorized.  "random-orthonormal"
+    draws seeded Gaussian matrices, orthonormalizes them, and sets
+    ``c = u.T @ x @ v``.  Both are deterministic for fixed inputs and seed.
     """
     x = _as_matrix(x, "x")
     d, n = x.shape
     if not 1 <= k <= min(d, n):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
+    rng = np.random.default_rng(seed)
     if strategy == "truncated-svd":
-        f = thin_svd(x)
-        u = np.ascontiguousarray(f.u[:, :k])
-        v = np.ascontiguousarray(f.v[:, :k])
+        width = min(k + RANGE_OVERSAMPLE, d, n)
+        q, _ = np.linalg.qr(x @ rng.standard_normal((n, width)))
+        for _ in range(RANGE_POWER_STEPS):
+            z, _ = np.linalg.qr(x.T @ q)
+            q, _ = np.linalg.qr(x @ z)
+        f = thin_svd(q.T @ x)
+        u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
         c = np.diag(f.s[:k])
     elif strategy == "random-orthonormal":
-        rng = np.random.default_rng(seed)
         u = _orthonormalize(rng.standard_normal((d, k)))
         v = _orthonormalize(rng.standard_normal((n, k)))
         c = (u.T @ x) @ v
@@ -235,19 +255,25 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _solve_factored(x, cfg, lam_ld, on_iteration=None):
+def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     """Shared loop of the two factored solvers.
 
     lam_ld is None for the fixed-rank model (plain core update) and the
     surrogate weight for the unfixed-rank model (core update shrunk by
-    ``ld_shrink`` at threshold lam_ld / rho).
+    ``ld_shrink`` at threshold lam_ld / rho).  ``init``, if given, is the
+    result of ``init_factors(x, cfg.k, cfg.init, cfg.seed)`` computed once
+    by the caller; it is only read.
+
+    The d x n work runs in four buffers allocated up front (``theta``,
+    ``s``, ``low_rank`` and the scratch ``work``), updated in place; the
+    loop allocates no other array of size d x n.
     """
     x = _as_matrix(x, "x")
     d, n = x.shape
     cfg.validate(d, n)
     t_start = time.perf_counter()
 
-    factors = init_factors(x, cfg.k, cfg.init, cfg.seed)
+    factors = init_factors(x, cfg.k, cfg.init, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
     theta = np.zeros_like(x)
     rho = float(cfg.rho0)
@@ -255,6 +281,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None):
     eye = np.eye(cfg.k)
 
     low_rank = (u @ c) @ v.T
+    work = np.empty_like(x)
     residuals = []
     svd_count = 0
     converged = False
@@ -264,8 +291,13 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None):
     for t in range(1, cfg.max_iter + 1):
         iterations = t
         try:
-            s = soft_threshold(x - low_rank + theta / rho, 1.0 / rho)
-            m = x - s + theta / rho
+            # work = x + theta/rho, shared by the misfit and m
+            np.divide(theta, rho, out=work)
+            work += x
+            # the misfit overwrites low_rank, which is rebuilt below
+            np.subtract(work, low_rank, out=low_rank)
+            soft_threshold(low_rank, 1.0 / rho, out=s)
+            m = np.subtract(work, s, out=work)
             v = polar_orthogonal(m.T @ (u @ c))
             u = polar_orthogonal(m @ (v @ c.T))
             svd_count += 2
@@ -277,17 +309,21 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None):
                     svd_count += 1
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        low_rank = (u @ c) @ v.T
-        r = x - low_rank - s
-        theta = theta + rho * r
+        np.matmul(u @ c, v.T, out=low_rank)
+        # r = x - low_rank - s, then theta += rho * r, both in the scratch buffer
+        r = np.subtract(x, low_rank, out=work)
+        r -= s
         res_norm = np.linalg.norm(r)
+        r *= rho
+        theta += r
         residual = float(res_norm / norm_x) if norm_x > 0.0 else float(res_norm)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
         rho = min(rho * cfg.kappa, cfg.rho_cap)
-        assert np.linalg.norm(u.T @ u - eye) <= 1e-8
-        assert np.linalg.norm(v.T @ v - eye) <= 1e-8
+        if (np.linalg.norm(u.T @ u - eye) > ORTHO_TOL
+                or np.linalg.norm(v.T @ v - eye) > ORTHO_TOL):
+            raise DivergenceError("factors lost orthonormality at iteration %d" % t)
         if on_iteration is not None:
             on_iteration(IterationState(t, s, u, c, v, theta, rho, residual))
         if residual <= cfg.tol:
@@ -327,19 +363,21 @@ def solve_fffp(x, cfg, on_iteration=None):
     return _solve_factored(x, cfg, None, on_iteration)
 
 
-def solve_uffp(x, cfg, on_iteration=None):
+def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     """Rank-discovering variant of :func:`solve_fffp`.
 
     Identical loop except the core update is shrunk by :func:`ld_shrink`
     at threshold ``cfg.lam / rho``, so superfluous directions inside the
     width-k factorization are driven to exactly zero.  ``cfg.lam`` must be
-    set; ``lam = 0`` reproduces solve_fffp bit for bit.
+    set; ``lam = 0`` reproduces solve_fffp bit for bit.  ``_init`` is
+    private: :func:`lambda_sweep` passes the starting factors it shares
+    across its grid.
 
     Returns ``(factors, s, report)``.
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
-    return _solve_factored(x, cfg, float(cfg.lam), on_iteration)
+    return _solve_factored(x, cfg, float(cfg.lam), on_iteration, _init)
 
 
 def solve_ialm(x, cfg):
@@ -453,8 +491,10 @@ def lambda_sweep(x, cfg, grid=None, n_jobs=1):
     (shrinkage bias on the surviving directions grows with the weight).
     If every run failed, the smallest final residual wins.
 
-    ``n_jobs`` > 1 solves grid points in independent worker threads; the
-    result is identical to the sequential sweep.
+    Every run starts from the same factors, built once (the init is
+    seeded, so this matches building it per run bit for bit).  ``n_jobs``
+    > 1 solves grid points in independent worker threads; the result is
+    identical to the sequential sweep.
     """
     x = _as_matrix(x, "x")
     grid = default_lambda_grid(x) if grid is None else np.asarray(grid, dtype=np.float64)
@@ -463,13 +503,11 @@ def lambda_sweep(x, cfg, grid=None, n_jobs=1):
     if np.any(grid < 0):
         raise ValueError("grid weights must be nonnegative")
     grid = np.sort(grid)
+    init = init_factors(x, cfg.k, cfg.init, cfg.seed)
 
     def run(lam):
-        run_cfg = SolverConfig(
-            k=cfg.k, lam=float(lam), rho0=cfg.rho0, kappa=cfg.kappa, tol=cfg.tol,
-            max_iter=cfg.max_iter, rho_cap=cfg.rho_cap, init=cfg.init, seed=cfg.seed,
-        )
-        factors, s, report = solve_uffp(x, run_cfg)
+        run_cfg = replace(cfg, lam=float(lam))
+        factors, s, report = solve_uffp(x, run_cfg, _init=init)
         return SweepEntry(float(lam), factors, s, report)
 
     if n_jobs > 1:

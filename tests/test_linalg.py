@@ -137,6 +137,19 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.ones((2, 2)), -0.1)
 
+    def test_out_buffer(self):
+        m = np.random.default_rng(8).standard_normal((6, 5))
+        out = np.full_like(m, np.nan)
+        got = soft_threshold(m, 0.4, out=out)
+        assert got is out
+        assert np.array_equal(out, np.sign(m) * np.maximum(np.abs(m) - 0.4, 0.0))
+
+    def test_out_overlapping_input_rejected(self):
+        m = np.ones((3, 3))
+        for out in (m, m[:, :], np.ones((3, 2)), np.ones((3, 3), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                soft_threshold(m, 0.1, out=out)
+
 
 class TestLdShrink:
     def test_zero_tau_is_identity(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import robustpca.solvers as solvers
 from robustpca.datagen import make_problem
+from robustpca.linalg import polar_orthogonal
 from robustpca.solvers import (
     DivergenceError,
     SolverConfig,
@@ -17,6 +19,11 @@ from robustpca.solvers import (
 
 def recovery_error(l, l_star):
     return np.linalg.norm(l - l_star) / np.linalg.norm(l_star)
+
+
+def sin_subspace_angle(a, b):
+    """Sine of the largest principal angle between two orthonormal column spans."""
+    return np.linalg.norm(b - a @ (a.T @ b), 2)
 
 
 class TestConfig:
@@ -67,6 +74,35 @@ class TestInitFactors:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
             init_factors(np.ones((4, 6)), 5)
+
+    def test_randomized_truncated_svd_matches_full_svd(self):
+        x = make_problem(400, 400, 5, 0.05).x
+        f = init_factors(x, 5, "truncated-svd")
+        u, sigma, vt = np.linalg.svd(x)
+        assert np.allclose(np.diag(f.c), sigma[:5], rtol=1e-8, atol=0.0)
+        assert np.count_nonzero(f.c - np.diag(np.diag(f.c))) == 0
+        assert sin_subspace_angle(u[:, :5], f.u) <= 1e-4
+        assert sin_subspace_angle(vt[:5].T, f.v) <= 1e-4
+
+    def test_truncated_svd_is_bit_reproducible(self):
+        x = make_problem(120, 90, 3, 0.05, seed=3).x
+        f1 = init_factors(x, 3, "truncated-svd", seed=5)
+        f2 = init_factors(x, 3, "truncated-svd", seed=5)
+        assert np.array_equal(f1.u, f2.u)
+        assert np.array_equal(f1.c, f2.c)
+        assert np.array_equal(f1.v, f2.v)
+
+    @pytest.mark.parametrize("shape", [(300, 8), (8, 300)])
+    def test_oversampling_capped_at_min_dimension(self, shape):
+        # k + oversampling exceeds min(d, n): the range finder spans the whole
+        # column (or row) space, so the init is the exact rank-k truncation
+        x = np.random.default_rng(9).standard_normal(shape)
+        f = init_factors(x, 3, "truncated-svd")
+        u, sigma, vt = np.linalg.svd(x, full_matrices=False)
+        best = (u[:, :3] * sigma[:3]) @ vt[:3]
+        assert f.u.shape == (shape[0], 3) and f.v.shape == (shape[1], 3)
+        assert np.allclose(np.diag(f.c), sigma[:3], rtol=1e-12, atol=0.0)
+        assert np.linalg.norm(f.dense() - best) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestRelativeResidual:
@@ -122,6 +158,36 @@ class TestFffp:
         assert np.array_equal(a[0].u, b[0].u)
         assert np.array_equal(a[0].c, b[0].c)
         assert np.array_equal(a[1], b[1])
+
+    def test_buffered_loop_matches_out_of_place_reference(self):
+        prob = make_problem(150, 150, 3, 0.05, seed=12)
+        cfg = SolverConfig(k=3)
+        x = prob.x
+        # the F-FFP iteration written out of place, one fresh array per step
+        f = init_factors(x, cfg.k, cfg.init, cfg.seed)
+        u, c, v = f.u, f.c, f.v
+        theta, rho = np.zeros_like(x), cfg.rho0
+        for t in range(1, cfg.max_iter + 1):
+            misfit = x - (u @ c) @ v.T + theta / rho
+            s_ref = np.sign(misfit) * np.maximum(np.abs(misfit) - 1.0 / rho, 0.0)
+            m = x - s_ref + theta / rho
+            v = polar_orthogonal(m.T @ (u @ c))
+            u = polar_orthogonal(m @ (v @ c.T))
+            c = (u.T @ m) @ v
+            r = x - (u @ c) @ v.T - s_ref
+            theta = theta + rho * r
+            rho = min(rho * cfg.kappa, cfg.rho_cap)
+            if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
+                break
+        _, s, report = solve_fffp(x, cfg)
+        assert report.converged and report.iterations == t
+        assert np.max(np.abs(s - s_ref)) <= 1e-12
+
+    def test_lost_orthonormality_raises(self, monkeypatch):
+        prob = make_problem(40, 30, 2, 0.05, seed=13)
+        monkeypatch.setattr(solvers, "polar_orthogonal", lambda a: 2.0 * polar_orthogonal(a))
+        with pytest.raises(DivergenceError, match="orthonormality at iteration 1"):
+            solve_fffp(prob.x, SolverConfig(k=2))
 
     def test_divergence_error_names_iteration(self):
         x = np.full((6, 6), 1e300)
@@ -250,6 +316,20 @@ class TestUffp:
         ]
         assert hits
         assert entries[selected].report.final_rank == 5
+
+    def test_sweep_builds_init_once(self, monkeypatch):
+        prob = make_problem(60, 60, 2, 0.05, seed=8)
+        cfg = SolverConfig(k=6)
+        calls = []
+        real = solvers.init_factors
+        monkeypatch.setattr(solvers, "init_factors", lambda *a: calls.append(a) or real(*a))
+        entries, _ = lambda_sweep(prob.x, cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the shared init is the one each solve would build on its own
+        _, s, report = solve_uffp(prob.x, SolverConfig(k=6, lam=entries[4].lam))
+        assert np.array_equal(entries[4].s, s)
+        assert entries[4].report.iterations == report.iterations
 
     def test_sweep_parallel_matches_sequential(self):
         prob = make_problem(60, 60, 2, 0.05, seed=8)
