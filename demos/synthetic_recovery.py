@@ -43,8 +43,9 @@ def main():
     describe("ialm", problem.x, l, s, report, problem.l_star)
 
     print("\nthe factored solvers cap the rank at k by construction; the convex")
-    print("baseline reaches a similar recovery here but needs a full-size SVD")
-    print("every iteration, which is what the factorization avoids.")
+    print("baseline reaches a similar recovery here but thresholds the spectrum")
+    print("of the whole d x n iterate every iteration (a partial SVD whose width")
+    print("follows the rank), which is what the factorization avoids.")
 
 
 if __name__ == "__main__":

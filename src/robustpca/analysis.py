@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import make_problem
-from .solvers import SolverConfig, solve_fffp, solve_ialm, solve_uffp
+from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, solve_fffp, solve_ialm, \
+    solve_uffp
 
 __all__ = [
     "Metrics",
@@ -40,19 +41,17 @@ class AnomalyResult:
     flagged: np.ndarray
 
 
-def numerical_rank(m, rel_tol=1e-6):
+def numerical_rank(m, rel_tol=RANK_REL_TOL):
     """Number of singular values above ``rel_tol`` times the largest one.
 
     The zero matrix has rank 0.  The default cutoff separates genuinely
-    zeroed directions from round-off.
+    zeroed directions from round-off; it is the rule behind every
+    solver's ``report.final_rank``.  Costs a full SVD of ``m``.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1), got %r" % rel_tol)
     m = np.asarray(m, dtype=np.float64)
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    return int((sigma > rel_tol * sigma[0]).sum())
+    return _spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
 
 
 def sparsity_ratio(s, abs_tol=0.0):
@@ -68,8 +67,13 @@ def sparsity_ratio(s, abs_tol=0.0):
     return float((np.abs(s) > abs_tol).sum()) / s.size
 
 
-def compute_metrics(x, l, s, l_star=None, rank_rel_tol=1e-6, sparsity_abs_tol=0.0):
-    """Bundle rank, sparsity, residual and (optionally) recovery error."""
+def compute_metrics(x, l, s, l_star=None, rank_l=None, sparsity_abs_tol=0.0):
+    """Bundle rank, sparsity, residual and (optionally) recovery error.
+
+    ``rank_l`` is the rank of ``l`` when already known, such as a solve's
+    ``report.final_rank``; otherwise :func:`numerical_rank` computes it
+    with a full SVD of ``l``.
+    """
     x = np.asarray(x, dtype=np.float64)
     norm_x = np.linalg.norm(x)
     residual = float(np.linalg.norm(x - l - s) / norm_x) if norm_x > 0 else 0.0
@@ -80,7 +84,7 @@ def compute_metrics(x, l, s, l_star=None, rank_rel_tol=1e-6, sparsity_abs_tol=0.
             raise ValueError("l_star is zero; recovery error is undefined")
         recovery = float(np.linalg.norm(l - l_star) / norm_l)
     return Metrics(
-        rank_l=numerical_rank(l, rank_rel_tol),
+        rank_l=numerical_rank(l) if rank_l is None else rank_l,
         sparsity_ratio=sparsity_ratio(s, sparsity_abs_tol),
         residual=residual,
         recovery_error=recovery,

@@ -129,7 +129,7 @@ def cmd_decompose(args):
     outputs.append(s_path)
 
     l_star = read_matrix(args.truth) if args.truth else None
-    metrics = compute_metrics(x, l, s, l_star=l_star)
+    metrics = compute_metrics(x, l, s, l_star=l_star, rank_l=report.final_rank)
     report_path = out / "report.json"
     write_report(report_path, report, config=cfg, metrics=metrics, extra=extra)
     outputs.append(report_path)
@@ -160,7 +160,8 @@ def cmd_background(args):
 
     report_path = out / "report.json"
     write_report(report_path, report, config=cfg,
-                 metrics=compute_metrics(stack.matrix, l, s), extra=extra)
+                 metrics=compute_metrics(stack.matrix, l, s, rank_l=report.final_rank),
+                 extra=extra)
     outputs.append(report_path)
     config = dict(vars(args))
     config.pop("func")
@@ -174,10 +175,11 @@ def cmd_anomaly(args):
     x = read_matrix(args.input)
     cfg = _config_from_args(args, args.k)
     factors, s, report = solve_fffp(x, cfg)
-    scores = np.linalg.norm(s, axis=0)
     if args.threshold is not None:
-        flagged = anomaly_detect(s, args.threshold).flagged
+        result = anomaly_detect(s, args.threshold)
+        scores, flagged = result.scores, result.flagged
     else:
+        scores = np.linalg.norm(s, axis=0)
         flagged = top_m_columns(scores, min(args.top_m, scores.size))
 
     out = _out_dir(args)

@@ -69,8 +69,16 @@ def thin_svd(a):
     ThinSvd
     """
     a = _as_matrix(a, "a")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    u, v = _fix_signs(u, vt.T)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer driver can fail to converge on finite
+        # input with a cluster of tiny singular values; the transpose takes
+        # a different path through it
+        v, s, ut = np.linalg.svd(a.T, full_matrices=False)
+        u = ut.T
+    u, v = _fix_signs(u, v)
     return ThinSvd(u, s, v)
 
 
@@ -81,6 +89,24 @@ def _fix_signs(u, v):
     anchor = np.abs(u).argmax(axis=0)
     signs = np.where(u[anchor, cols] < 0.0, -1.0, 1.0)
     return u * signs, v * signs
+
+
+def _range_basis(a, width, power_steps, rng, start=None):
+    """Orthonormal (m, width) basis for the dominant column space of ``a``.
+
+    The randomized range finder of Halko, Martinsson & Tropp (2011): the
+    test block is ``start`` (an (n, j) array, j <= width) followed by
+    ``width - j`` Gaussian columns drawn from ``rng``; its image under
+    ``a`` is orthonormalized and refined by ``power_steps`` power steps,
+    each re-orthonormalized by QR.  The cost is O(m * n * width) per step.
+    """
+    fresh = rng.standard_normal((a.shape[1], width - (0 if start is None else start.shape[1])))
+    omega = fresh if start is None else np.hstack([start, fresh])
+    q, _ = np.linalg.qr(a @ omega)
+    for _ in range(power_steps):
+        z, _ = np.linalg.qr(a.T @ q)
+        q, _ = np.linalg.qr(a @ z)
+    return q
 
 
 def polar_orthogonal(a):

@@ -25,11 +25,11 @@ import numpy as np
 from .linalg import (
     _as_matrix,
     _fix_signs,
+    _range_basis,
     ld_shrink,
     log_det_surrogate,
     polar_orthogonal,
     soft_threshold,
-    svt,
     thin_svd,
 )
 
@@ -56,6 +56,15 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 # randomized range finder of the "truncated-svd" init (Halko, Martinsson & Tropp 2011)
 RANGE_OVERSAMPLE = 10  # test-matrix columns beyond k
 RANGE_POWER_STEPS = 4  # power iterations, each re-orthonormalized by QR
+
+# partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
+SVT_START_RANK = 10  # predicted rank of the first iteration
+SVT_RANK_GROWTH = 0.05  # share of min(d, n) added to the rank when every value is kept
+# From this share of min(d, n) on, a range-finder width takes the full thin SVD
+# instead: with 4 power steps the partial step measured faster than the full
+# SVD up to 0.15 at 400x400, 800x800, 1000x400 and 400x1000, and slower at
+# 0.25 except at 800x800 (parity).
+SVT_FULL_SHARE = 0.15
 
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on u.T @ u - I checked every iteration
 
@@ -149,7 +158,9 @@ class SolveReport:
     svd_count is the raw number of thin-SVD invocations inside the
     iteration loop (the factor-orthogonalization and core updates for the
     factored solvers, the singular-value thresholding for the baseline);
-    initialization is not counted.  svd_per_iter is the per-iteration
+    initialization is not counted.  A widened retry of the baseline's
+    partial thresholding counts as a further SVD, so its svd_count can
+    exceed its iteration count.  svd_per_iter is the nominal per-iteration
     breakdown (2 or 3 for the factored solvers, 1 for the baseline).
     """
 
@@ -199,10 +210,12 @@ def _orthonormalize(a):
     return q * signs
 
 
-def _spectrum_rank(sigma):
+def _spectrum_rank(sigma, rel_tol=RANK_REL_TOL):
+    """Number of entries of the nonincreasing spectrum ``sigma`` above
+    ``rel_tol`` times its first; an empty or zero spectrum has rank 0."""
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    return int((sigma > RANK_REL_TOL * sigma[0]).sum())
+    return int((sigma > rel_tol * sigma[0]).sum())
 
 
 def init_factors(x, k, strategy="truncated-svd", seed=0):
@@ -225,11 +238,7 @@ def init_factors(x, k, strategy="truncated-svd", seed=0):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     if strategy == "truncated-svd":
-        width = min(k + RANGE_OVERSAMPLE, d, n)
-        q, _ = np.linalg.qr(x @ rng.standard_normal((n, width)))
-        for _ in range(RANGE_POWER_STEPS):
-            z, _ = np.linalg.qr(x.T @ q)
-            q, _ = np.linalg.qr(x @ z)
+        q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), RANGE_POWER_STEPS, rng)
         f = thin_svd(q.T @ x)
         u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
         c = np.diag(f.s[:k])
@@ -380,14 +389,67 @@ def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     return _solve_factored(x, cfg, float(cfg.lam), on_iteration, _init)
 
 
+def _svt_step(m, tau, rank, start, rng, out):
+    """Singular-value thresholding of ``m`` at ``tau``, written into ``out``.
+
+    Only the top singular triplets are computed.  ``rank`` is the
+    predicted number of singular values above tau, and ``start`` holds the
+    right singular vectors the previous step kept (or None).  A randomized
+    range finder of width ``rank + RANGE_OVERSAMPLE``, started from
+    ``start`` and padded with Gaussian columns from ``rng``, yields the
+    Ritz triplets.  If every Ritz value exceeds tau, some value above tau
+    may lie outside the basis, so the rank grows and the step is redone.
+    A width of at least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin
+    SVD instead, which is exact and, at that width, no slower.
+
+    Returns ``(shrunk, v, rank, svds)``: the kept singular values minus
+    tau (nonincreasing), their right singular vectors, the predicted rank
+    of the next step (Lin, Chen & Ma's rule) and the number of thin SVDs
+    computed.
+    """
+    full = min(m.shape)
+    growth = max(1, round(SVT_RANK_GROWTH * full))
+    svds = 0
+    while True:
+        width = min(rank + RANGE_OVERSAMPLE, full)
+        svds += 1
+        if width >= SVT_FULL_SHARE * full:
+            f = thin_svd(m)
+            kept = int((f.s > tau).sum())
+            u = f.u[:, :kept]
+            break
+        q = _range_basis(m, width, RANGE_POWER_STEPS, rng, start)
+        f = thin_svd(q.T @ m)
+        kept = int((f.s > tau).sum())
+        if kept < width:
+            u = q @ f.u[:, :kept]
+            break
+        rank = kept + growth
+    shrunk = f.s[:kept] - tau
+    v = f.v[:, :kept]
+    np.matmul(u * shrunk, v.T, out=out)
+    return shrunk, v, kept + 1 if kept < rank else kept + growth, svds
+
+
 def solve_ialm(x, cfg):
     """Convex baseline: nuclear norm plus ``lam`` times the l1 norm.
 
     Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
     ``s = soft_threshold(x - l + theta/rho, lam/rho)`` under the same
     multiplier and penalty schedule as the factored solvers.  ``cfg.lam``
-    defaults to 1/sqrt(max(d, n)).  Each iteration factorizes the full
-    (d, n) matrix, so this is the slow reference, not the scalable path.
+    defaults to 1/sqrt(max(d, n)).  As in Lin, Chen & Ma's inexact ALM,
+    the singular-value step computes only a partial SVD: the number of
+    singular values above the threshold is predicted from the previous
+    iteration (starting at ``SVT_START_RANK``), a seeded randomized range
+    finder warm-started from the previous right singular vectors finds
+    the top triplets, and the step is redone wider when every computed
+    value survives the threshold.  Once the predicted width reaches
+    ``SVT_FULL_SHARE`` times min(d, n) the full thin SVD is used instead,
+    so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
+    seeds the Gaussian columns; the solve is deterministic.
+
+    The d x n work runs in five buffers allocated up front (``l``, ``s``,
+    ``theta``, the shift ``theta/rho`` and the scratch ``work``).
 
     Returns ``(l, s, report)``.
     """
@@ -397,11 +459,15 @@ def solve_ialm(x, cfg):
     t_start = time.perf_counter()
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(d, n))
-    l = np.zeros_like(x)
+    l = np.empty_like(x)
     s = np.zeros_like(x)
     theta = np.zeros_like(x)
+    shift = np.empty_like(x)
+    work = np.empty_like(x)
     rho = float(cfg.rho0)
     norm_x = np.linalg.norm(x)
+    rng = np.random.default_rng(cfg.seed)
+    rank, v_kept = SVT_START_RANK, None
 
     residuals = []
     svd_count = 0
@@ -411,14 +477,23 @@ def solve_ialm(x, cfg):
     for t in range(1, cfg.max_iter + 1):
         iterations = t
         try:
-            l = svt(x - s + theta / rho, 1.0 / rho)
-            svd_count += 1
-            s = soft_threshold(x - l + theta / rho, lam / rho)
+            # shift = theta/rho, shared by both subproblems
+            np.divide(theta, rho, out=shift)
+            m = np.subtract(x, s, out=work)
+            m += shift
+            shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng, l)
+            svd_count += svds
+            np.subtract(x, l, out=work)
+            work += shift
+            soft_threshold(work, lam / rho, out=s)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        r = x - l - s
-        theta = theta + rho * r
+        # r = x - l - s, then theta += rho * r, both in the scratch buffer
+        r = np.subtract(x, l, out=work)
+        r -= s
         res_norm = np.linalg.norm(r)
+        r *= rho
+        theta += r
         residual = float(res_norm / norm_x) if norm_x > 0.0 else float(res_norm)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
@@ -428,17 +503,16 @@ def solve_ialm(x, cfg):
             converged = True
             break
 
-    sigma = np.linalg.svd(l, compute_uv=False)
     report = SolveReport(
         iterations=iterations,
         svd_count=svd_count,
         svd_per_iter=1,
         per_iter_residual=residuals,
-        final_rank=_spectrum_rank(sigma),
+        final_rank=_spectrum_rank(shrunk),
         sparsity_ratio=float(np.count_nonzero(s)) / s.size,
         final_residual=residuals[-1],
         wall_time=time.perf_counter() - t_start,
-        final_objective=float(sigma.sum() + lam * np.abs(s).sum()),
+        final_objective=float(shrunk.sum() + lam * np.abs(s).sum()),
         converged=converged,
     )
     return l, s, report

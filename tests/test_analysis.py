@@ -109,6 +109,11 @@ class TestComputeMetrics:
         assert np.isclose(metrics.residual, report.final_residual)
         assert np.isclose(metrics.sparsity_ratio, report.sparsity_ratio)
 
+    def test_known_rank_is_taken_as_given(self):
+        x = np.eye(3)
+        assert compute_metrics(x, x, np.zeros((3, 3)), rank_l=2).rank_l == 2
+        assert compute_metrics(x, x, np.zeros((3, 3))).rank_l == 3
+
     def test_recovery_optional(self):
         x = np.eye(3)
         metrics = compute_metrics(x, x, np.zeros((3, 3)))

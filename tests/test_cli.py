@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import robustpca.analysis as analysis
 from robustpca.cli import main
 from robustpca.dataio import read_matrix, read_pgm, write_matrix, write_pgm
 
@@ -92,6 +93,21 @@ class TestDecompose:
                    "--out", out)
         assert code == 0
         assert (out / "L.ffpm").exists() and not (out / "U.ffpm").exists()
+
+    @pytest.mark.parametrize("method", ["fffp", "ialm"])
+    def test_rank_comes_from_the_solve_report(self, problem_dir, tmp_path, monkeypatch,
+                                              method):
+        # the metrics reuse report.final_rank instead of a full SVD of L
+        def no_full_svd(*args, **kwargs):
+            raise AssertionError("numerical_rank called")
+
+        monkeypatch.setattr(analysis, "numerical_rank", no_full_svd)
+        out = tmp_path / method
+        code = run("decompose", problem_dir / "X.ffpm", "--method", method, "--k", "3",
+                   "--out", out)
+        assert code == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["metrics"]["rank_l"] == payload["report"]["final_rank"] == 3
 
     def test_iteration_cap_exits_3_with_outputs(self, problem_dir, tmp_path):
         out = tmp_path / "cap"

@@ -62,6 +62,23 @@ class TestThinSvd:
         anchors = np.abs(f1.u).argmax(axis=0)
         assert np.all(f1.u[anchors, np.arange(4)] > 0)
 
+    def test_survives_divide_and_conquer_non_convergence(self):
+        # 44 values in [2, 20], 28 in [0, 0.05] and 43 exact zeros: on some
+        # LAPACK builds np.linalg.svd of this matrix raises "SVD did not
+        # converge" while the SVD of its transpose succeeds
+        rng = np.random.default_rng(28)
+        sigma = np.concatenate([np.sort(rng.uniform(2.0, 20.0, 44))[::-1],
+                                np.sort(rng.uniform(0.0, 0.05, 28))[::-1]])
+        rng = np.random.default_rng(28)
+        u, _ = np.linalg.qr(rng.standard_normal((122, 72)))
+        v, _ = np.linalg.qr(rng.standard_normal((115, 72)))
+        a = (u * sigma) @ v.T
+        f = thin_svd(a)
+        assert np.allclose(f.s[:72], sigma, rtol=0.0, atol=1e-12)
+        assert np.linalg.norm((f.u * f.s) @ f.v.T - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(115)) <= 1e-10
+        assert np.linalg.norm(f.v.T @ f.v - np.eye(115)) <= 1e-10
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))

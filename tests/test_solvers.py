@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustpca.solvers as solvers
+from robustpca.analysis import numerical_rank
 from robustpca.datagen import make_problem
-from robustpca.linalg import polar_orthogonal
+from robustpca.linalg import polar_orthogonal, svt
 from robustpca.solvers import (
     DivergenceError,
     SolverConfig,
@@ -91,6 +93,24 @@ class TestInitFactors:
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.c, f2.c)
         assert np.array_equal(f1.v, f2.v)
+
+    def test_truncated_svd_matches_inline_range_finder(self):
+        # the range finder written out as it stood before it moved into
+        # linalg, for a tall and a wide input
+        for shape, k, seed in (((130, 70), 4, 2), ((60, 150), 7, 11)):
+            x = np.random.default_rng(seed).standard_normal(shape)
+            rng = np.random.default_rng(seed)
+            width = min(k + solvers.RANGE_OVERSAMPLE, *shape)
+            q, _ = np.linalg.qr(x @ rng.standard_normal((shape[1], width)))
+            for _ in range(solvers.RANGE_POWER_STEPS):
+                z, _ = np.linalg.qr(x.T @ q)
+                q, _ = np.linalg.qr(x @ z)
+            f = solvers.thin_svd(q.T @ x)
+            u, v = solvers._fix_signs(q @ f.u[:, :k], f.v[:, :k])
+            got = init_factors(x, k, "truncated-svd", seed=seed)
+            assert np.array_equal(got.u, u)
+            assert np.array_equal(got.c, np.diag(f.s[:k]))
+            assert np.array_equal(got.v, v)
 
     @pytest.mark.parametrize("shape", [(300, 8), (8, 300)])
     def test_oversampling_capped_at_min_dimension(self, shape):
@@ -369,3 +389,154 @@ class TestIalm:
         a = solve_ialm(prob.x, SolverConfig(k=2))
         b = solve_ialm(prob.x, SolverConfig(k=2))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_seeded_partial_path_is_bit_reproducible(self):
+        prob = make_problem(200, 180, 4, 0.05, seed=14)
+        a = solve_ialm(prob.x, SolverConfig(k=4, seed=3))
+        b = solve_ialm(prob.x, SolverConfig(k=4, seed=3))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert a[2].svd_count == b[2].svd_count
+        # the seed only picks the Gaussian padding of the range finder
+        c = solve_ialm(prob.x, SolverConfig(k=4, seed=4))
+        assert c[2].iterations == a[2].iterations
+        assert np.linalg.norm(c[0] - a[0]) <= 1e-8 * np.linalg.norm(a[0])
+
+    def test_report_reads_the_last_threshold_step(self):
+        prob = make_problem(220, 200, 6, 0.05, seed=15)
+        l, s, report = solve_ialm(prob.x, SolverConfig(k=6))
+        sigma = np.linalg.svd(l, compute_uv=False)
+        lam = 1.0 / np.sqrt(220)
+        assert report.final_rank == numerical_rank(l) == 6
+        assert np.isclose(report.final_objective, sigma.sum() + lam * np.abs(s).sum(),
+                          rtol=1e-12, atol=0.0)
+
+    def test_flat_spectrum_forces_a_widened_retry(self):
+        # thirty equal singular values cross the threshold in one iteration,
+        # more than the predicted width holds, so that step runs twice
+        rng = np.random.default_rng(16)
+        for d, n in ((240, 200), (200, 240)):
+            u, _ = np.linalg.qr(rng.standard_normal((d, 30)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, 30)))
+            l_star = (u * 50.0) @ v.T
+            corrupt = rng.random((d, n)) < 0.05
+            x = l_star + np.where(corrupt, rng.uniform(-1.0, 1.0, (d, n)), 0.0)
+            l, _, report = solve_ialm(x, SolverConfig(k=1))
+            assert report.converged and report.final_rank == 30
+            assert report.svd_count > report.iterations
+            assert recovery_error(l, l_star) <= 1e-2
+
+    def test_buffered_loop_matches_out_of_place_reference(self):
+        prob = make_problem(180, 160, 3, 0.05, seed=17)
+        cfg = SolverConfig(k=3)
+        x = prob.x
+        lam = 1.0 / np.sqrt(180)
+        # the IALM iteration written out of place around the same
+        # thresholding step, one fresh array per step
+        rng = np.random.default_rng(cfg.seed)
+        rank, v_kept = solvers.SVT_START_RANK, None
+        s, theta, rho = np.zeros_like(x), np.zeros_like(x), cfg.rho0
+        for t in range(1, cfg.max_iter + 1):
+            l_ref = np.empty_like(x)
+            _, v_kept, rank, _ = solvers._svt_step(x - s + theta / rho, 1.0 / rho, rank,
+                                                   v_kept, rng, l_ref)
+            m = x - l_ref + theta / rho
+            s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
+            r = x - l_ref - s
+            theta = theta + rho * r
+            rho = min(rho * cfg.kappa, cfg.rho_cap)
+            if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
+                break
+        l, s_got, report = solve_ialm(x, cfg)
+        assert report.converged and report.iterations == t
+        assert np.max(np.abs(l - l_ref)) <= 1e-12
+        assert np.max(np.abs(s_got - s)) <= 1e-12
+
+
+def prescribed(d, n, sigma, seed):
+    """A (d, n) matrix with singular values ``sigma`` and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, len(sigma))))
+    return (u * np.asarray(sigma, dtype=np.float64)) @ v.T
+
+
+class TestPartialSvt:
+    """solvers._svt_step against the exact linalg.svt."""
+
+    SHAPES = [(480, 400), (400, 480)]  # min 400: partial below width 60, rank growth 20
+
+    @staticmethod
+    def step(m, tau, rank, monkeypatch):
+        shapes = []
+        real = solvers.thin_svd
+        monkeypatch.setattr(solvers, "thin_svd", lambda a: shapes.append(a.shape) or real(a))
+        out = np.full(m.shape, np.nan)
+        shrunk, v, next_rank, svds = solvers._svt_step(
+            m, tau, rank, None, np.random.default_rng(0), out)
+        assert svds == len(shapes)
+        assert v.shape == (m.shape[1], shrunk.size)
+        return out, shrunk, next_rank, shapes
+
+    @staticmethod
+    def assert_matches_svt(out, shrunk, m, tau):
+        want = svt(m, tau)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        kept = sigma[sigma > tau] - tau
+        assert np.max(np.abs(out - want)) <= 1e-10 * sigma[0]
+        assert np.allclose(shrunk, kept, rtol=0.0, atol=1e-10 * sigma[0])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nothing_above_tau_is_exact_zero(self, shape, monkeypatch):
+        m = prescribed(*shape, np.linspace(2.0, 0.1, 40), seed=1)
+        out, shrunk, next_rank, shapes = self.step(m, 2.5, 10, monkeypatch)
+        assert not out.any() and shrunk.size == 0
+        assert next_rank == 1 and shapes == [(20, shape[1])]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_few_values_above_tau(self, shape, monkeypatch):
+        sigma = np.concatenate([[10.0, 8.0, 6.0, 4.0, 3.0], np.geomspace(0.9, 1e-3, 40)])
+        m = prescribed(*shape, sigma, seed=2)
+        out, shrunk, next_rank, shapes = self.step(m, 1.0, 10, monkeypatch)
+        self.assert_matches_svt(out, shrunk, m, 1.0)
+        assert shrunk.size == 5 and next_rank == 6 and shapes == [(20, shape[1])]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_more_values_than_width_widens_and_redoes(self, shape, monkeypatch):
+        sigma = np.concatenate([np.linspace(20.0, 2.0, 25), np.geomspace(0.9, 1e-3, 40)])
+        m = prescribed(*shape, sigma, seed=3)
+        out, shrunk, next_rank, shapes = self.step(m, 1.0, 10, monkeypatch)
+        self.assert_matches_svt(out, shrunk, m, 1.0)
+        # width 20 keeps all 20 values; the rank grows to 20 + 20 and width 50 holds 25
+        assert shapes == [(20, shape[1]), (50, shape[1])]
+        assert shrunk.size == 25 and next_rank == 26
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_width_past_crossover_takes_full_svd(self, shape, monkeypatch):
+        sigma = np.concatenate([np.linspace(20.0, 2.0, 55), np.geomspace(0.9, 1e-3, 40)])
+        m = prescribed(*shape, sigma, seed=4)
+        out, shrunk, next_rank, shapes = self.step(m, 1.0, 50, monkeypatch)
+        self.assert_matches_svt(out, shrunk, m, 1.0)
+        assert shapes == [shape]
+        # more values kept than the predicted rank: grow by 5% of min(d, n)
+        assert shrunk.size == 55 and next_rank == 75
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(80, 260), n=st.integers(80, 260), above=st.integers(0, 45),
+           below=st.integers(0, 30), predicted=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_svt_across_a_spectral_gap(self, d, n, above, below, predicted, seed):
+        # values above tau = 1 lie in [2, 20] and the rest in [0, 0.05]: with
+        # that gap the range finder resolves every kept triplet to round-off,
+        # whatever the shape, the predicted rank, retries or the full path
+        rng = np.random.default_rng(seed)
+        above = min(above, d, n)
+        below = min(below, min(d, n) - above)
+        sigma = np.concatenate([np.sort(rng.uniform(2.0, 20.0, above))[::-1],
+                                np.sort(rng.uniform(0.0, 0.05, below))[::-1]])
+        m = prescribed(d, n, sigma, seed) if sigma.size else np.zeros((d, n))
+        out = np.full((d, n), np.nan)
+        shrunk, v, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng, out)
+        assert np.max(np.abs(out - svt(m, 1.0))) <= 1e-10 * 20.0
+        assert np.allclose(shrunk, sigma[:above] - 1.0, rtol=0.0, atol=1e-10 * 20.0)
+        assert v.shape == (n, above) and svds >= 1
+        assert next_rank in (above + 1, above + max(1, round(0.05 * min(d, n))))
