@@ -73,7 +73,7 @@ def thin_svd(a):
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         v = vt.T
     except np.linalg.LinAlgError:
-        # LAPACK's divide-and-conquer driver can fail to converge on finite
+        # LAPACK's divide-and-conquer routine can fail to converge on finite
         # input with a cluster of tiny singular values; the transpose takes
         # a different path through it
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)

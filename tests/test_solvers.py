@@ -415,9 +415,7 @@ class TestIalm:
         # more than the predicted width holds, so that step runs twice
         rng = np.random.default_rng(16)
         for d, n in ((240, 200), (200, 240)):
-            u, _ = np.linalg.qr(rng.standard_normal((d, 30)))
-            v, _ = np.linalg.qr(rng.standard_normal((n, 30)))
-            l_star = (u * 50.0) @ v.T
+            l_star = prescribed(d, n, np.full(30, 50.0), seed=d)
             corrupt = rng.random((d, n)) < 0.05
             x = l_star + np.where(corrupt, rng.uniform(-1.0, 1.0, (d, n)), 0.0)
             l, _, report = solve_ialm(x, SolverConfig(k=1))
