@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import make_problem
-from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, solve_fffp, solve_ialm, \
-    solve_uffp
+from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, relative_residual, \
+    solve_fffp, solve_ialm, solve_uffp
 
 __all__ = [
     "Metrics",
@@ -75,8 +75,8 @@ def compute_metrics(x, l, s, l_star=None, rank_l=None, sparsity_abs_tol=0.0):
     with a full SVD of ``l``.
     """
     x = np.asarray(x, dtype=np.float64)
-    norm_x = np.linalg.norm(x)
-    residual = float(np.linalg.norm(x - l - s) / norm_x) if norm_x > 0 else 0.0
+    # relative_residual rejects a zero x; its residual is reported as 0
+    residual = relative_residual(x, l, s) if np.linalg.norm(x) > 0 else 0.0
     recovery = None
     if l_star is not None:
         norm_l = np.linalg.norm(l_star)

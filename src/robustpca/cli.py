@@ -33,15 +33,18 @@ ITERATION_CAP_EXIT = 3
 IO_ERROR = 4
 
 
-def _write_manifest(out_dir, command, config, inputs, outputs, seed, wall_time):
+def _write_manifest(out_dir, args, inputs, outputs, start, config=None):
+    """Write ``manifest.json``; ``config`` defaults to every parsed argument."""
+    if config is None:
+        config = {key: value for key, value in vars(args).items() if key != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
-        "wall_time": wall_time,
+        "wall_time": time.perf_counter() - start,
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -77,7 +80,7 @@ def cmd_synth(args):
         write_matrix(path, matrix)
     config = {"d": args.d, "n": args.n, "rank": args.rank, "fraction": args.fraction,
               "magnitude": args.magnitude}
-    _write_manifest(out, "synth", config, [], paths, args.seed, time.perf_counter() - start)
+    _write_manifest(out, args, [], paths, start, config)
     return 0
 
 
@@ -90,7 +93,7 @@ def _solve_with_method(x, args, cfg):
         l, s, report = solve_ialm(x, cfg)
         return l, None, s, report, {}
     if args.lambda_sweep:
-        entries, selected = lambda_sweep(x, cfg, n_jobs=args.jobs)
+        entries, selected = lambda_sweep(x, cfg)
         chosen = entries[selected]
         sweep_table = [
             {"lam": e.lam, "rank": e.report.final_rank,
@@ -134,10 +137,7 @@ def cmd_decompose(args):
     write_report(report_path, report, config=cfg, metrics=metrics, extra=extra)
     outputs.append(report_path)
 
-    config = dict(vars(args))
-    config.pop("func")
-    _write_manifest(out, "decompose", _stringify(config), [args.input], outputs,
-                    args.seed, time.perf_counter() - start)
+    _write_manifest(out, args, [args.input], outputs, start)
     return 0 if report.converged else ITERATION_CAP_EXIT
 
 
@@ -163,10 +163,7 @@ def cmd_background(args):
                  metrics=compute_metrics(stack.matrix, l, s, rank_l=report.final_rank),
                  extra=extra)
     outputs.append(report_path)
-    config = dict(vars(args))
-    config.pop("func")
-    _write_manifest(out, "background", _stringify(config), [args.frames], outputs,
-                    args.seed, time.perf_counter() - start)
+    _write_manifest(out, args, [args.frames], outputs, start)
     return 0 if report.converged else ITERATION_CAP_EXIT
 
 
@@ -192,11 +189,7 @@ def cmd_anomaly(args):
     write_report(report_path, report, config=cfg,
                  extra={"flagged": [int(j) for j in flagged]})
 
-    config = dict(vars(args))
-    config.pop("func")
-    _write_manifest(out, "anomaly", _stringify(config), [args.input],
-                    [scores_path, flagged_path, report_path], args.seed,
-                    time.perf_counter() - start)
+    _write_manifest(out, args, [args.input], [scores_path, flagged_path, report_path], start)
     return 0
 
 
@@ -220,16 +213,8 @@ def cmd_bench(args):
     fit_path.write_text(json.dumps({"r2": fit_json, "rows": rows}, indent=2) + "\n")
     print("linear fit R^2 = %.4f over %d sizes" % (r2, len(rows)))
 
-    config = dict(vars(args))
-    config.pop("func")
-    _write_manifest(out, "bench", _stringify(config), [], [csv_path, fit_path],
-                    args.seed, time.perf_counter() - start)
+    _write_manifest(out, args, [], [csv_path, fit_path], start)
     return 0
-
-
-def _stringify(config):
-    return {key: (str(value) if isinstance(value, Path) else value)
-            for key, value in config.items()}
 
 
 def _add_solver_flags(parser, require_k=True):
@@ -270,7 +255,6 @@ def build_parser():
     dec.add_argument("--method", choices=("fffp", "uffp", "ialm"), required=True)
     dec.add_argument("--lambda-sweep", action="store_true",
                      help="sweep the uffp weight over a data-scaled grid")
-    dec.add_argument("--jobs", type=int, default=1, help="parallel solves within a sweep")
     dec.add_argument("--truth", default=None, help="ground-truth low-rank matrix for recovery error")
     dec.add_argument("--out", required=True)
     _add_solver_flags(dec)
@@ -280,7 +264,6 @@ def build_parser():
     bg.add_argument("frames", help="directory of equally sized .pgm frames")
     bg.add_argument("--method", choices=("fffp", "uffp", "ialm"), default="fffp")
     bg.add_argument("--lambda-sweep", action="store_true")
-    bg.add_argument("--jobs", type=int, default=1)
     bg.add_argument("--downsample", type=int, default=1,
                     help="keep every f-th pixel along each axis")
     bg.add_argument("--out", required=True)

@@ -1,6 +1,8 @@
 """Low-rank plus sparse decomposition solvers.
 
-Three augmented-Lagrangian solvers share one loop skeleton:
+Three augmented-Lagrangian solvers run in one driver, ``_alm``, which owns
+the multiplier, the penalty schedule, the stop test and the report; each
+solver supplies only the step that updates the low-rank and sparse parts:
 
 * ``solve_fffp`` -- factored model ``x = u @ c @ v.T + s`` with the rank
   fixed by the factor width ``k``; minimizes the l1 norm of ``s``.
@@ -16,7 +18,6 @@ A single solve is sequential; distinct solves may run concurrently.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -264,61 +265,29 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
-    """Shared loop of the two factored solvers.
+def _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after=None):
+    """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    lam_ld is None for the fixed-rank model (plain core update) and the
-    surrogate weight for the unfixed-rank model (core update shrunk by
-    ``ld_shrink`` at threshold lam_ld / rho).  ``init``, if given, is the
-    result of ``init_factors(x, cfg.k, cfg.init, cfg.seed)`` computed once
-    by the caller; it is only read.
-
-    The d x n work runs in four buffers allocated up front (``theta``,
-    ``s``, ``low_rank`` and the scratch ``work``), updated in place; the
-    loop allocates no other array of size d x n.
+    ``step(theta, rho, s, work)`` updates ``low_rank`` and ``s`` in place,
+    may overwrite the scratch ``work``, and returns its thin-SVD count.
+    The driver then adds ``rho * (x - low_rank - s)`` to ``theta``, grows
+    rho, calls ``after(t, s, theta, rho, residual)`` if given, and stops at
+    ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s)`` gives the final rank
+    and objective; wall time counts from ``t_start``.  Returns ``(s, report)``.
     """
-    x = _as_matrix(x, "x")
-    d, n = x.shape
-    cfg.validate(d, n)
-    t_start = time.perf_counter()
-
-    factors = init_factors(x, cfg.k, cfg.init, cfg.seed) if init is None else init
-    u, c, v = factors.u, factors.c, factors.v
     theta = np.zeros_like(x)
+    s = np.zeros_like(x)
+    work = np.empty_like(x)
     rho = float(cfg.rho0)
     norm_x = np.linalg.norm(x)
-    eye = np.eye(cfg.k)
-
-    low_rank = (u @ c) @ v.T
-    work = np.empty_like(x)
     residuals = []
     svd_count = 0
-    converged = False
-    iterations = 0
-    s = np.zeros_like(x)
 
     for t in range(1, cfg.max_iter + 1):
-        iterations = t
         try:
-            # work = x + theta/rho, shared by the misfit and m
-            np.divide(theta, rho, out=work)
-            work += x
-            # the misfit overwrites low_rank, which is rebuilt below
-            np.subtract(work, low_rank, out=low_rank)
-            soft_threshold(low_rank, 1.0 / rho, out=s)
-            m = np.subtract(work, s, out=work)
-            v = polar_orthogonal(m.T @ (u @ c))
-            u = polar_orthogonal(m @ (v @ c.T))
-            svd_count += 2
-            c = (u.T @ m) @ v
-            if lam_ld is not None:
-                tau = lam_ld / rho
-                if tau > 0.0:
-                    c = ld_shrink(c, tau)
-                    svd_count += 1
+            svd_count += step(theta, rho, s, work)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        np.matmul(u @ c, v.T, out=low_rank)
         # r = x - low_rank - s, then theta += rho * r, both in the scratch buffer
         r = np.subtract(x, low_rank, out=work)
         r -= s
@@ -330,30 +299,74 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
         rho = min(rho * cfg.kappa, cfg.rho_cap)
+        if after is not None:
+            after(t, s, theta, rho, residual)
+        if residual <= cfg.tol:
+            break
+
+    final_rank, objective = summary(s)
+    return s, SolveReport(
+        iterations=t,
+        svd_count=svd_count,
+        svd_per_iter=svd_per_iter,
+        per_iter_residual=residuals,
+        final_rank=final_rank,
+        sparsity_ratio=float(np.count_nonzero(s)) / s.size,
+        final_residual=residuals[-1],
+        wall_time=time.perf_counter() - t_start,
+        final_objective=objective,
+        converged=residual <= cfg.tol,
+    )
+
+
+def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
+    """Run the factored step in :func:`_alm`: solve_fffp's if ``lam_ld`` is
+    None, else solve_uffp's with surrogate weight ``lam_ld``.  ``init``, if
+    given, is the caller's ``init_factors(x, cfg.k, cfg.init, cfg.seed)``;
+    it is only read.
+    """
+    x = _as_matrix(x, "x")
+    d, n = x.shape
+    cfg.validate(d, n)
+    t_start = time.perf_counter()
+
+    factors = init_factors(x, cfg.k, cfg.init, cfg.seed) if init is None else init
+    u, c, v = factors.u, factors.c, factors.v
+    eye = np.eye(cfg.k)
+    low_rank = (u @ c) @ v.T
+
+    def step(theta, rho, s, work):
+        nonlocal u, c, v
+        # work = x + theta/rho, shared by the misfit and m
+        np.divide(theta, rho, out=work)
+        work += x
+        # the misfit overwrites low_rank, which is rebuilt below
+        np.subtract(work, low_rank, out=low_rank)
+        soft_threshold(low_rank, 1.0 / rho, out=s)
+        m = np.subtract(work, s, out=work)
+        v = polar_orthogonal(m.T @ (u @ c))
+        u = polar_orthogonal(m @ (v @ c.T))
+        c = (u.T @ m) @ v
+        tau = 0.0 if lam_ld is None else lam_ld / rho
+        if tau > 0.0:
+            c = ld_shrink(c, tau)
+        np.matmul(u @ c, v.T, out=low_rank)
+        return 3 if tau > 0.0 else 2
+
+    def after(t, s, theta, rho, residual):
         if (np.linalg.norm(u.T @ u - eye) > ORTHO_TOL
                 or np.linalg.norm(v.T @ v - eye) > ORTHO_TOL):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
         if on_iteration is not None:
             on_iteration(IterationState(t, s, u, c, v, theta, rho, residual))
-        if residual <= cfg.tol:
-            converged = True
-            break
 
-    objective = float(np.abs(s).sum())
-    if lam_ld is not None:
-        objective += lam_ld * log_det_surrogate(c)
-    report = SolveReport(
-        iterations=iterations,
-        svd_count=svd_count,
-        svd_per_iter=2 if (lam_ld is None or lam_ld == 0.0) else 3,
-        per_iter_residual=residuals,
-        final_rank=_spectrum_rank(np.linalg.svd(c, compute_uv=False)),
-        sparsity_ratio=float(np.count_nonzero(s)) / s.size,
-        final_residual=residuals[-1],
-        wall_time=time.perf_counter() - t_start,
-        final_objective=objective,
-        converged=converged,
-    )
+    def summary(s):
+        surrogate = 0.0 if lam_ld is None else lam_ld * log_det_surrogate(c)
+        objective = float(np.abs(s).sum()) + surrogate
+        return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
+
+    svd_per_iter = 2 if (lam_ld is None or lam_ld == 0.0) else 3
+    s, report = _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after)
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -435,8 +448,8 @@ def solve_ialm(x, cfg):
     """Convex baseline: nuclear norm plus ``lam`` times the l1 norm.
 
     Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
-    ``s = soft_threshold(x - l + theta/rho, lam/rho)`` under the same
-    multiplier and penalty schedule as the factored solvers.  ``cfg.lam``
+    ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
+    shared with the factored solvers (same multiplier and penalty).  ``cfg.lam``
     defaults to 1/sqrt(max(d, n)).  As in Lin, Chen & Ma's inexact ALM,
     the singular-value step computes only a partial SVD: the number of
     singular values above the threshold is predicted from the previous
@@ -448,9 +461,6 @@ def solve_ialm(x, cfg):
     so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
     seeds the Gaussian columns; the solve is deterministic.
 
-    The d x n work runs in five buffers allocated up front (``l``, ``s``,
-    ``theta``, the shift ``theta/rho`` and the scratch ``work``).
-
     Returns ``(l, s, report)``.
     """
     x = _as_matrix(x, "x")
@@ -460,61 +470,26 @@ def solve_ialm(x, cfg):
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(d, n))
     l = np.empty_like(x)
-    s = np.zeros_like(x)
-    theta = np.zeros_like(x)
     shift = np.empty_like(x)
-    work = np.empty_like(x)
-    rho = float(cfg.rho0)
-    norm_x = np.linalg.norm(x)
     rng = np.random.default_rng(cfg.seed)
-    rank, v_kept = SVT_START_RANK, None
+    rank, v_kept, shrunk = SVT_START_RANK, None, None
 
-    residuals = []
-    svd_count = 0
-    converged = False
-    iterations = 0
+    def step(theta, rho, s, work):
+        nonlocal rank, v_kept, shrunk
+        # shift = theta/rho, shared by both subproblems
+        np.divide(theta, rho, out=shift)
+        m = np.subtract(x, s, out=work)
+        m += shift
+        shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng, l)
+        np.subtract(x, l, out=work)
+        work += shift
+        soft_threshold(work, lam / rho, out=s)
+        return svds
 
-    for t in range(1, cfg.max_iter + 1):
-        iterations = t
-        try:
-            # shift = theta/rho, shared by both subproblems
-            np.divide(theta, rho, out=shift)
-            m = np.subtract(x, s, out=work)
-            m += shift
-            shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng, l)
-            svd_count += svds
-            np.subtract(x, l, out=work)
-            work += shift
-            soft_threshold(work, lam / rho, out=s)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        # r = x - l - s, then theta += rho * r, both in the scratch buffer
-        r = np.subtract(x, l, out=work)
-        r -= s
-        res_norm = np.linalg.norm(r)
-        r *= rho
-        theta += r
-        residual = float(res_norm / norm_x) if norm_x > 0.0 else float(res_norm)
-        if not math.isfinite(residual):
-            raise DivergenceError("non-finite iterate at iteration %d" % t)
-        residuals.append(residual)
-        rho = min(rho * cfg.kappa, cfg.rho_cap)
-        if residual <= cfg.tol:
-            converged = True
-            break
+    def summary(s):
+        return _spectrum_rank(shrunk), float(shrunk.sum() + lam * np.abs(s).sum())
 
-    report = SolveReport(
-        iterations=iterations,
-        svd_count=svd_count,
-        svd_per_iter=1,
-        per_iter_residual=residuals,
-        final_rank=_spectrum_rank(shrunk),
-        sparsity_ratio=float(np.count_nonzero(s)) / s.size,
-        final_residual=residuals[-1],
-        wall_time=time.perf_counter() - t_start,
-        final_objective=float(shrunk.sum() + lam * np.abs(s).sum()),
-        converged=converged,
-    )
+    s, report = _alm(x, cfg, t_start, l, step, summary, 1)
     return l, s, report
 
 
@@ -543,7 +518,7 @@ def default_lambda_grid(x):
     return top * 10.0 ** np.array(_GRID_EXPONENTS)
 
 
-def lambda_sweep(x, cfg, grid=None, n_jobs=1):
+def lambda_sweep(x, cfg, grid=None):
     """Run :func:`solve_uffp` over a grid of weights and pick one run.
 
     Returns ``(entries, selected)`` where ``entries`` is one
@@ -565,10 +540,8 @@ def lambda_sweep(x, cfg, grid=None, n_jobs=1):
     (shrinkage bias on the surviving directions grows with the weight).
     If every run failed, the smallest final residual wins.
 
-    Every run starts from the same factors, built once (the init is
-    seeded, so this matches building it per run bit for bit).  ``n_jobs``
-    > 1 solves grid points in independent worker threads; the result is
-    identical to the sequential sweep.
+    The grid is solved in order, every run from the same factors, built
+    once (the init is seeded, so this matches building it per run bit for bit).
     """
     x = _as_matrix(x, "x")
     grid = default_lambda_grid(x) if grid is None else np.asarray(grid, dtype=np.float64)
@@ -578,17 +551,10 @@ def lambda_sweep(x, cfg, grid=None, n_jobs=1):
         raise ValueError("grid weights must be nonnegative")
     grid = np.sort(grid)
     init = init_factors(x, cfg.k, cfg.init, cfg.seed)
-
-    def run(lam):
-        run_cfg = replace(cfg, lam=float(lam))
-        factors, s, report = solve_uffp(x, run_cfg, _init=init)
-        return SweepEntry(float(lam), factors, s, report)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            entries = list(pool.map(run, grid))
-    else:
-        entries = [run(lam) for lam in grid]
+    entries = []
+    for lam in grid:
+        factors, s, report = solve_uffp(x, replace(cfg, lam=float(lam)), _init=init)
+        entries.append(SweepEntry(float(lam), factors, s, report))
 
     candidates = [
         i for i, e in enumerate(entries) if e.report.converged and e.report.final_rank > 0

@@ -72,6 +72,21 @@ class TestDecompose:
         rebuilt = u @ c @ v.T + s
         assert np.linalg.norm(x - rebuilt) <= 1e-2 * np.linalg.norm(x)
 
+    def test_manifest_echoes_the_parsed_arguments(self, problem_dir, tmp_path):
+        out = tmp_path / "dec"
+        code = run("decompose", problem_dir / "X.ffpm", "--method", "ialm", "--k", "3",
+                   "--seed", "5", "--out", out)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "decompose"
+        assert manifest["seed"] == 5
+        config = manifest["config"]
+        assert (config["method"], config["k"], config["seed"]) == ("ialm", 3, 5)
+        assert config["input"] == str(problem_dir / "X.ffpm")
+        assert "func" not in config and "jobs" not in config
+        assert manifest["inputs"] == [str(problem_dir / "X.ffpm")]
+        assert str(out / "report.json") in manifest["outputs"]
+
     def test_uffp_without_lambda_exits_2(self, problem_dir, tmp_path):
         code = run("decompose", problem_dir / "X.ffpm", "--method", "uffp", "--k", "6",
                    "--out", tmp_path / "dec")
