@@ -12,8 +12,8 @@ import robustpca as rp
 D, N, RANK, FRACTION, SEED = 400, 400, 5, 0.05, 7
 
 
-def describe(name, x, l, s, report, l_star):
-    metrics = rp.compute_metrics(x, l, s, l_star=l_star)
+def describe(name, l, report, l_star):
+    metrics = rp.compute_metrics(report, l, l_star=l_star)
     print(
         "%-6s rank=%2d  sparsity=%.4f  residual=%.2e  recovery=%.2e  "
         "iters=%3d  svds=%3d  %.2fs"
@@ -30,17 +30,17 @@ def main():
     print("sigma(L*):", np.round(np.linalg.svd(problem.l_star, compute_uv=False)[:6], 1))
 
     cfg = rp.SolverConfig(k=RANK)
-    factors, s, report = rp.solve_fffp(problem.x, cfg)
-    describe("fffp", problem.x, factors.dense(), s, report, problem.l_star)
+    factors, _, report = rp.solve_fffp(problem.x, cfg)
+    describe("fffp", factors.dense(), report, problem.l_star)
 
     # with k already at the true rank only a light weight is wanted; heavy
     # shrinkage would start deleting real directions
     lam = 1e-3 * np.linalg.norm(problem.x, 2)
-    factors, s, report = rp.solve_uffp(problem.x, rp.SolverConfig(k=RANK, lam=lam))
-    describe("uffp", problem.x, factors.dense(), s, report, problem.l_star)
+    factors, _, report = rp.solve_uffp(problem.x, rp.SolverConfig(k=RANK, lam=lam))
+    describe("uffp", factors.dense(), report, problem.l_star)
 
-    l, s, report = rp.solve_ialm(problem.x, cfg)
-    describe("ialm", problem.x, l, s, report, problem.l_star)
+    l, _, report = rp.solve_ialm(problem.x, cfg)
+    describe("ialm", l, report, problem.l_star)
 
     print("\nthe factored solvers cap the rank at k by construction; the convex")
     print("baseline reaches a similar recovery here but thresholds the spectrum")

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import make_problem
-from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, relative_residual, \
-    solve_fffp, solve_ialm, solve_uffp
+from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, solve_fffp, solve_ialm, \
+    solve_uffp, sparsity_ratio
 
 __all__ = [
     "Metrics",
@@ -54,29 +54,13 @@ def numerical_rank(m, rel_tol=RANK_REL_TOL):
     return _spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
 
 
-def sparsity_ratio(s, abs_tol=0.0):
-    """Fraction of entries with magnitude above ``abs_tol``.
+def compute_metrics(report, l, l_star=None):
+    """Bundle a solve's rank, sparsity and residual with its recovery error.
 
-    The solvers produce exact zeros, so the default counts nonzeros
-    literally; pass a small tolerance to compare against dense almost-zero
-    matrices.
+    The rank, sparsity and residual are copied from the solve's ``report``,
+    where they were measured; only the recovery error of ``l`` against the
+    ground truth ``l_star`` is computed here, and is None without it.
     """
-    if abs_tol < 0:
-        raise ValueError("abs_tol must be nonnegative, got %r" % abs_tol)
-    s = np.asarray(s, dtype=np.float64)
-    return float((np.abs(s) > abs_tol).sum()) / s.size
-
-
-def compute_metrics(x, l, s, l_star=None, rank_l=None, sparsity_abs_tol=0.0):
-    """Bundle rank, sparsity, residual and (optionally) recovery error.
-
-    ``rank_l`` is the rank of ``l`` when already known, such as a solve's
-    ``report.final_rank``; otherwise :func:`numerical_rank` computes it
-    with a full SVD of ``l``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    # relative_residual rejects a zero x; its residual is reported as 0
-    residual = relative_residual(x, l, s) if np.linalg.norm(x) > 0 else 0.0
     recovery = None
     if l_star is not None:
         norm_l = np.linalg.norm(l_star)
@@ -84,9 +68,9 @@ def compute_metrics(x, l, s, l_star=None, rank_l=None, sparsity_abs_tol=0.0):
             raise ValueError("l_star is zero; recovery error is undefined")
         recovery = float(np.linalg.norm(l - l_star) / norm_l)
     return Metrics(
-        rank_l=numerical_rank(l) if rank_l is None else rank_l,
-        sparsity_ratio=sparsity_ratio(s, sparsity_abs_tol),
-        residual=residual,
+        rank_l=report.final_rank,
+        sparsity_ratio=report.sparsity_ratio,
+        residual=report.final_residual,
         recovery_error=recovery,
     )
 

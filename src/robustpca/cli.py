@@ -132,7 +132,7 @@ def cmd_decompose(args):
     outputs.append(s_path)
 
     l_star = read_matrix(args.truth) if args.truth else None
-    metrics = compute_metrics(x, l, s, l_star=l_star, rank_l=report.final_rank)
+    metrics = compute_metrics(report, l, l_star=l_star)
     report_path = out / "report.json"
     write_report(report_path, report, config=cfg, metrics=metrics, extra=extra)
     outputs.append(report_path)
@@ -160,7 +160,7 @@ def cmd_background(args):
 
     report_path = out / "report.json"
     write_report(report_path, report, config=cfg,
-                 metrics=compute_metrics(stack.matrix, l, s, rank_l=report.final_rank),
+                 metrics=compute_metrics(report, l),
                  extra=extra)
     outputs.append(report_path)
     _write_manifest(out, args, [args.frames], outputs, start)

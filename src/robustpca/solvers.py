@@ -46,6 +46,7 @@ __all__ = [
     "solve_uffp",
     "solve_ialm",
     "relative_residual",
+    "sparsity_ratio",
     "default_lambda_grid",
     "lambda_sweep",
 ]
@@ -67,7 +68,12 @@ SVT_RANK_GROWTH = 0.05  # share of min(d, n) added to the rank when every value 
 # 0.25 except at 800x800 (parity).
 SVT_FULL_SHARE = 0.15
 
-ORTHO_TOL = 1e-8  # Frobenius-norm bound on u.T @ u - I checked every iteration
+ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
+
+
+def _orthonormal(a):
+    """Whether the columns of ``a`` are orthonormal to within ``ORTHO_TOL``."""
+    return np.linalg.norm(a.T @ a - np.eye(a.shape[1])) <= ORTHO_TOL
 
 
 class DivergenceError(RuntimeError):
@@ -91,12 +97,9 @@ class FactoredLowRank:
     v: np.ndarray
 
     def __post_init__(self):
-        k = self.c.shape[0]
-        eye = np.eye(k)
-        if np.linalg.norm(self.u.T @ self.u - eye) > 1e-8:
-            raise ValueError("u does not have orthonormal columns")
-        if np.linalg.norm(self.v.T @ self.v - eye) > 1e-8:
-            raise ValueError("v does not have orthonormal columns")
+        for name, a in (("u", self.u), ("v", self.v)):
+            if not _orthonormal(a):
+                raise ValueError("%s does not have orthonormal columns" % name)
 
     def dense(self):
         """Materialize the (d, n) low-rank matrix."""
@@ -161,16 +164,15 @@ class SolveReport:
     factored solvers, the singular-value thresholding for the baseline);
     initialization is not counted.  A widened retry of the baseline's
     partial thresholding counts as a further SVD, so its svd_count can
-    exceed its iteration count.  svd_per_iter is the nominal per-iteration
-    breakdown (2 or 3 for the factored solvers, 1 for the baseline).
+    exceed its iteration count.  sparse_l1 is the l1 norm of the final s.
     """
 
     iterations: int
     svd_count: int
-    svd_per_iter: int
     per_iter_residual: list[float]
     final_rank: int
     sparsity_ratio: float
+    sparse_l1: float
     final_residual: float
     wall_time: float
     final_objective: float
@@ -252,6 +254,11 @@ def init_factors(x, k, strategy="truncated-svd", seed=0):
     return FactoredLowRank(u, c, v)
 
 
+def sparsity_ratio(s):
+    """Fraction of nonzero entries of ``s``; the solvers produce exact zeros."""
+    return float(np.count_nonzero(s)) / np.size(s)
+
+
 def relative_residual(x, l, s):
     """Feasibility gap ``||x - l - s||_F / ||x||_F``."""
     x = np.asarray(x, dtype=np.float64)
@@ -265,21 +272,26 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after=None):
+def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
     ``step(theta, rho, s, work)`` updates ``low_rank`` and ``s`` in place,
     may overwrite the scratch ``work``, and returns its thin-SVD count.
     The driver then adds ``rho * (x - low_rank - s)`` to ``theta``, grows
     rho, calls ``after(t, s, theta, rho, residual)`` if given, and stops at
-    ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s)`` gives the final rank
-    and objective; wall time counts from ``t_start``.  Returns ``(s, report)``.
+    ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s, sparse_l1)`` gives the
+    final rank and objective from the l1 norm of ``s`` measured here; wall
+    time counts from ``t_start``.  Returns ``(s, report)``.  Raises
+    ValueError if ``||x||_F`` is 0 or underflows to 0 (no relative residual).
     """
+    norm_x = np.linalg.norm(x)
+    if norm_x == 0.0:
+        raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
+                         "that the norm underflows); the relative residual is undefined")
     theta = np.zeros_like(x)
     s = np.zeros_like(x)
     work = np.empty_like(x)
     rho = float(cfg.rho0)
-    norm_x = np.linalg.norm(x)
     residuals = []
     svd_count = 0
 
@@ -294,7 +306,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after=None):
         res_norm = np.linalg.norm(r)
         r *= rho
         theta += r
-        residual = float(res_norm / norm_x) if norm_x > 0.0 else float(res_norm)
+        residual = float(res_norm / norm_x)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
@@ -304,14 +316,15 @@ def _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after=None):
         if residual <= cfg.tol:
             break
 
-    final_rank, objective = summary(s)
+    sparse_l1 = float(np.abs(s, out=work).sum())
+    final_rank, objective = summary(s, sparse_l1)
     return s, SolveReport(
         iterations=t,
         svd_count=svd_count,
-        svd_per_iter=svd_per_iter,
         per_iter_residual=residuals,
         final_rank=final_rank,
-        sparsity_ratio=float(np.count_nonzero(s)) / s.size,
+        sparsity_ratio=sparsity_ratio(s),
+        sparse_l1=sparse_l1,
         final_residual=residuals[-1],
         wall_time=time.perf_counter() - t_start,
         final_objective=objective,
@@ -320,10 +333,9 @@ def _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after=None):
 
 
 def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
-    """Run the factored step in :func:`_alm`: solve_fffp's if ``lam_ld`` is
-    None, else solve_uffp's with surrogate weight ``lam_ld``.  ``init``, if
-    given, is the caller's ``init_factors(x, cfg.k, cfg.init, cfg.seed)``;
-    it is only read.
+    """Run the factored step in :func:`_alm` with surrogate weight
+    ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
+    ``init_factors(x, cfg.k, cfg.init, cfg.seed)``; it is only read.
     """
     x = _as_matrix(x, "x")
     d, n = x.shape
@@ -332,7 +344,6 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
 
     factors = init_factors(x, cfg.k, cfg.init, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
-    eye = np.eye(cfg.k)
     low_rank = (u @ c) @ v.T
 
     def step(theta, rho, s, work):
@@ -347,26 +358,23 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         v = polar_orthogonal(m.T @ (u @ c))
         u = polar_orthogonal(m @ (v @ c.T))
         c = (u.T @ m) @ v
-        tau = 0.0 if lam_ld is None else lam_ld / rho
+        tau = lam_ld / rho
         if tau > 0.0:
             c = ld_shrink(c, tau)
         np.matmul(u @ c, v.T, out=low_rank)
         return 3 if tau > 0.0 else 2
 
     def after(t, s, theta, rho, residual):
-        if (np.linalg.norm(u.T @ u - eye) > ORTHO_TOL
-                or np.linalg.norm(v.T @ v - eye) > ORTHO_TOL):
+        if not (_orthonormal(u) and _orthonormal(v)):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
         if on_iteration is not None:
             on_iteration(IterationState(t, s, u, c, v, theta, rho, residual))
 
-    def summary(s):
-        surrogate = 0.0 if lam_ld is None else lam_ld * log_det_surrogate(c)
-        objective = float(np.abs(s).sum()) + surrogate
+    def summary(s, sparse_l1):
+        objective = sparse_l1 + lam_ld * log_det_surrogate(c)
         return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
 
-    svd_per_iter = 2 if (lam_ld is None or lam_ld == 0.0) else 3
-    s, report = _alm(x, cfg, t_start, low_rank, step, summary, svd_per_iter, after)
+    s, report = _alm(x, cfg, t_start, low_rank, step, summary, after)
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -382,7 +390,7 @@ def solve_fffp(x, cfg, on_iteration=None):
 
     Returns ``(factors, s, report)``.
     """
-    return _solve_factored(x, cfg, None, on_iteration)
+    return _solve_factored(x, cfg, 0.0, on_iteration)
 
 
 def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
@@ -486,10 +494,10 @@ def solve_ialm(x, cfg):
         soft_threshold(work, lam / rho, out=s)
         return svds
 
-    def summary(s):
-        return _spectrum_rank(shrunk), float(shrunk.sum() + lam * np.abs(s).sum())
+    def summary(s, sparse_l1):
+        return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
 
-    s, report = _alm(x, cfg, t_start, l, step, summary, 1)
+    s, report = _alm(x, cfg, t_start, l, step, summary)
     return l, s, report
 
 
@@ -561,7 +569,7 @@ def lambda_sweep(x, cfg, grid=None):
     ]
     selected = None
     if candidates:
-        mass = {i: float(np.abs(entries[i].s).sum()) for i in candidates}
+        mass = {i: entries[i].report.sparse_l1 for i in candidates}
         density = {i: entries[i].report.sparsity_ratio for i in candidates}
         mass_gate = 1.5 * float(np.median(list(mass.values())))
         density_gate = 2.0 * float(np.median(list(density.values()))) + 0.02

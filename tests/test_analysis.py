@@ -13,7 +13,7 @@ from robustpca.analysis import (
 )
 from robustpca.datagen import make_problem
 from robustpca.linalg import soft_threshold
-from robustpca.solvers import SolverConfig, solve_fffp
+from robustpca.solvers import SolveReport, SolverConfig, relative_residual, solve_fffp
 
 
 class TestNumericalRank:
@@ -51,10 +51,8 @@ class TestSparsityRatio:
         out = soft_threshold(rng.standard_normal((50, 50)), 0.5)
         assert sparsity_ratio(out) < 1.0
 
-    def test_tolerance_flag(self):
-        s = np.array([[1e-9, 2.0]])
-        assert sparsity_ratio(s, abs_tol=0.0) == 1.0
-        assert sparsity_ratio(s, abs_tol=1e-6) == 0.5
+    def test_counts_nonzeros_literally(self):
+        assert sparsity_ratio(np.array([[1e-300, 2.0, 0.0, -0.0]])) == 0.5
 
 
 class TestAnomalyDetect:
@@ -99,25 +97,36 @@ class TestAnomalyDetect:
             anomaly_detect(np.zeros((2, 2)), -1.0)
 
 
+def stub_report(final_rank=2, sparsity=0.25, residual=0.01):
+    return SolveReport(iterations=3, svd_count=6, per_iter_residual=[0.5, 0.1, residual],
+                       final_rank=final_rank, sparsity_ratio=sparsity, sparse_l1=1.5,
+                       final_residual=residual, wall_time=0.125, final_objective=1.5,
+                       converged=True)
+
+
 class TestComputeMetrics:
     def test_bundles_ground_truth_error(self):
         prob = make_problem(60, 60, 2, 0.05, seed=5)
         factors, s, report = solve_fffp(prob.x, SolverConfig(k=2))
-        metrics = compute_metrics(prob.x, factors.dense(), s, l_star=prob.l_star)
+        l = factors.dense()
+        metrics = compute_metrics(report, l, l_star=prob.l_star)
         assert metrics.rank_l == 2
         assert metrics.recovery_error is not None and metrics.recovery_error < 1e-2
-        assert np.isclose(metrics.residual, report.final_residual)
-        assert np.isclose(metrics.sparsity_ratio, report.sparsity_ratio)
+        assert metrics.residual == report.final_residual
+        assert metrics.sparsity_ratio == report.sparsity_ratio
+        # the report's residual is that of the returned split
+        assert np.isclose(report.final_residual, relative_residual(prob.x, l, s))
 
     def test_known_rank_is_taken_as_given(self):
-        x = np.eye(3)
-        assert compute_metrics(x, x, np.zeros((3, 3)), rank_l=2).rank_l == 2
-        assert compute_metrics(x, x, np.zeros((3, 3))).rank_l == 3
+        # the rank comes from the report, not from an SVD of l (rank 3 here)
+        metrics = compute_metrics(stub_report(final_rank=2), np.eye(3))
+        assert (metrics.rank_l, metrics.sparsity_ratio, metrics.residual) == (2, 0.25, 0.01)
 
     def test_recovery_optional(self):
-        x = np.eye(3)
-        metrics = compute_metrics(x, x, np.zeros((3, 3)))
+        metrics = compute_metrics(stub_report(), np.eye(3))
         assert metrics.recovery_error is None
+        metrics = compute_metrics(stub_report(), np.eye(3), l_star=2.0 * np.eye(3))
+        assert metrics.recovery_error == 0.5
 
 
 class TestScalingBenchmark:
@@ -133,8 +142,10 @@ class TestScalingBenchmark:
         assert [size for size, _ in rows] == [60, 120]
 
     def test_timings_roughly_monotone(self):
+        # 80 iterations keep each timed solve in the tens of milliseconds,
+        # well above scheduler noise
         base = {"d": 400, "n": 400, "r": 2, "fraction": 0.05, "seed": 1}
-        rows = scaling_benchmark(base, "samples", [0.25, 1.0], iters=8, k=2, repeats=3)
+        rows = scaling_benchmark(base, "samples", [0.25, 1.0], iters=80, k=2, repeats=3)
         assert rows[1][1] >= 0.9 * rows[0][1]
 
     def test_bad_arguments_rejected(self):

@@ -124,6 +124,29 @@ class TestDecompose:
         payload = json.loads((out / "report.json").read_text())
         assert payload["metrics"]["rank_l"] == payload["report"]["final_rank"] == 3
 
+    @pytest.mark.parametrize("method", [["fffp"], ["ialm"], ["uffp", "--lambda-sweep"]],
+                             ids=["fffp", "ialm", "uffp-sweep"])
+    def test_metrics_copy_the_solve_report(self, problem_dir, tmp_path, method):
+        out = tmp_path / "dec"
+        code = run("decompose", problem_dir / "X.ffpm", "--method", *method, "--k", "3",
+                   "--out", out)
+        assert code == 0
+        payload = json.loads((out / "report.json").read_text())
+        metrics, report = payload["metrics"], payload["report"]
+        assert metrics["rank_l"] == report["final_rank"]
+        assert metrics["sparsity_ratio"] == report["sparsity_ratio"]
+        assert metrics["residual"] == report["final_residual"]
+        s = read_matrix(out / "S.ffpm")
+        assert report["sparse_l1"] == np.abs(s).sum()
+
+    def test_zero_matrix_exits_2(self, tmp_path):
+        path = tmp_path / "zero.ffpm"
+        write_matrix(path, np.zeros((6, 5)))
+        for method in ("fffp", "ialm"):
+            code = run("decompose", path, "--method", method, "--k", "2",
+                       "--out", tmp_path / method)
+            assert code == 2
+
     def test_iteration_cap_exits_3_with_outputs(self, problem_dir, tmp_path):
         out = tmp_path / "cap"
         code = run("decompose", problem_dir / "X.ffpm", "--method", "fffp", "--k", "3",

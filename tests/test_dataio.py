@@ -215,10 +215,10 @@ class TestReportJson:
         report = SolveReport(
             iterations=3,
             svd_count=6,
-            svd_per_iter=2,
             per_iter_residual=[0.5, 0.1, 0.01],
             final_rank=2,
             sparsity_ratio=0.25,
+            sparse_l1=1.5,
             final_residual=0.01,
             wall_time=0.125,
             final_objective=1.5,

@@ -8,6 +8,7 @@ from robustpca.datagen import make_problem
 from robustpca.linalg import polar_orthogonal, soft_threshold, svt
 from robustpca.solvers import (
     DivergenceError,
+    FactoredLowRank,
     SolverConfig,
     default_lambda_grid,
     init_factors,
@@ -76,6 +77,18 @@ class TestInitFactors:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
             init_factors(np.ones((4, 6)), 5)
+
+    def test_constructor_checks_orthonormality_at_ortho_tol(self):
+        # scaling an orthonormal u by 1 + eps moves ||u.T @ u - I||_F to
+        # about 2 * eps * sqrt(k): 0.55 * ORTHO_TOL * 2 = 1.1 * ORTHO_TOL
+        f = init_factors(np.random.default_rng(3).standard_normal((10, 8)), 1)
+        for eps, ok in ((0.55 * solvers.ORTHO_TOL, False), (0.45 * solvers.ORTHO_TOL, True)):
+            for u, v in (((1 + eps) * f.u, f.v), (f.u, (1 + eps) * f.v)):
+                if ok:
+                    FactoredLowRank(u, f.c, v)
+                else:
+                    with pytest.raises(ValueError, match="orthonormal columns"):
+                        FactoredLowRank(u, f.c, v)
 
     def test_randomized_truncated_svd_matches_full_svd(self):
         x = make_problem(400, 400, 5, 0.05).x
@@ -167,7 +180,6 @@ class TestFffp:
         assert len(report.per_iter_residual) == report.iterations
         assert report.final_residual == report.per_iter_residual[-1]
         assert report.svd_count == 2 * report.iterations
-        assert report.svd_per_iter == 2
         assert 0.0 <= report.sparsity_ratio <= 1.0
         assert np.isclose(report.final_objective, np.abs(s).sum())
 
@@ -215,17 +227,38 @@ class TestFffp:
             solve_fffp(x, SolverConfig(k=2, max_iter=200, rho_cap=1e300, tol=1e-12))
 
 
+SOLVERS = pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5),
+                                                  (solve_ialm, None)],
+                                   ids=["fffp", "uffp", "ialm"])
+
+
 class TestAlmDriver:
     """Bookkeeping the ALM driver shares across the three solvers."""
 
-    @pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5),
-                                            (solve_ialm, None)], ids=["fffp", "uffp", "ialm"])
+    @SOLVERS
     def test_iteration_cap_reported(self, solve, lam):
         prob = make_problem(40, 40, 2, 0.1, seed=3)
         _, _, report = solve(prob.x, SolverConfig(k=2, lam=lam, max_iter=3))
         assert report.iterations == 3 and not report.converged
         assert len(report.per_iter_residual) == 3
         assert report.final_residual == report.per_iter_residual[-1]
+
+    @SOLVERS
+    def test_report_measures_the_returned_sparse_part(self, solve, lam):
+        prob = make_problem(40, 40, 2, 0.1, seed=3)
+        _, s, report = solve(prob.x, SolverConfig(k=2, lam=lam))
+        assert report.sparse_l1 == np.abs(s).sum()
+        assert report.sparsity_ratio == np.count_nonzero(s) / s.size
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "underflow"])
+    @SOLVERS
+    def test_zero_norm_rejected(self, solve, lam, scale):
+        # the 1e-170 input is nonzero, but its Frobenius norm underflows to 0;
+        # neither may pass as "converged in one iteration with an all-zero s"
+        x = scale * np.random.default_rng(18).standard_normal((40, 30))
+        assert np.linalg.norm(x) == 0.0
+        with pytest.raises(ValueError, match="zero Frobenius norm"):
+            solve(x, SolverConfig(k=2, lam=lam))
 
 
 class TestLoopInvariants:
@@ -331,7 +364,7 @@ class TestUffp:
 
         want = np.abs(s).sum() + lam * log_det_surrogate(factors.c)
         assert np.isclose(report.final_objective, want)
-        assert report.svd_per_iter == 3
+        assert report.svd_count == 3 * report.iterations
 
     def test_overspecified_k_recovers_true_rank(self):
         prob = make_problem(200, 200, 5, 0.05, seed=7)
@@ -365,11 +398,6 @@ class TestUffp:
 
 
 class TestIalm:
-    def test_zero_matrix_single_iteration(self):
-        l, s, report = solve_ialm(np.zeros((5, 4)), SolverConfig(k=1))
-        assert report.iterations == 1 and report.converged
-        assert not l.any() and not s.any()
-
     def test_synthetic_recovery_and_cross_solver_agreement(self):
         prob = make_problem(200, 200, 5, 0.05, seed=9)
         l_ialm, s_ialm, report = solve_ialm(prob.x, SolverConfig(k=5))
@@ -381,7 +409,6 @@ class TestIalm:
         prob = make_problem(50, 40, 2, 0.05, seed=10)
         _, _, report = solve_ialm(prob.x, SolverConfig(k=2))
         assert report.svd_count == report.iterations
-        assert report.svd_per_iter == 1
 
     def test_deterministic(self):
         prob = make_problem(40, 40, 2, 0.1, seed=11)
