@@ -30,7 +30,6 @@ from .datagen import SyntheticProblem, gen_low_rank, gen_sparse, make_problem
 from .analysis import (
     Metrics,
     AnomalyResult,
-    numerical_rank,
     sparsity_ratio,
     compute_metrics,
     anomaly_detect,

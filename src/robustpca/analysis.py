@@ -6,13 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import make_problem
-from .solvers import RANK_REL_TOL, SolverConfig, _spectrum_rank, solve_fffp, solve_ialm, \
-    solve_uffp, sparsity_ratio
+from .solvers import SolverConfig, solve_fffp, solve_ialm, solve_uffp, sparsity_ratio
 
 __all__ = [
     "Metrics",
     "AnomalyResult",
-    "numerical_rank",
     "sparsity_ratio",
     "compute_metrics",
     "anomaly_detect",
@@ -39,19 +37,6 @@ class AnomalyResult:
 
     scores: np.ndarray
     flagged: np.ndarray
-
-
-def numerical_rank(m, rel_tol=RANK_REL_TOL):
-    """Number of singular values above ``rel_tol`` times the largest one.
-
-    The zero matrix has rank 0.  The default cutoff separates genuinely
-    zeroed directions from round-off; it is the rule behind every
-    solver's ``report.final_rank``.  Costs a full SVD of ``m``.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1), got %r" % rel_tol)
-    m = np.asarray(m, dtype=np.float64)
-    return _spectrum_rank(np.linalg.svd(m, compute_uv=False), rel_tol)
 
 
 def compute_metrics(report, l, l_star=None):

@@ -8,7 +8,8 @@ outputs echoing the full configuration, seed, tool version, and wall time,
 so any artifact can be regenerated from its manifest.
 
 Exit codes: 0 success (and solver convergence), 2 usage or argument error,
-3 iteration-cap exit with outputs still written, 4 I/O or file-format error.
+3 iteration-cap exit of ``decompose``, ``background`` or ``anomaly`` with
+outputs still written, 4 I/O or file-format error.
 """
 
 import argparse
@@ -25,8 +26,8 @@ from .analysis import compute_metrics, anomaly_detect, benchmark_csv, linear_fit
 from .dataio import FormatError, load_frame_stack, read_matrix, write_frame, \
     write_matrix, write_report
 from .datagen import make_problem
-from .solvers import DivergenceError, SolverConfig, lambda_sweep, solve_fffp, \
-    solve_ialm, solve_uffp
+from .solvers import INIT_STRATEGIES, DivergenceError, SolverConfig, lambda_sweep, \
+    solve_fffp, solve_ialm, solve_uffp
 
 USAGE_ERROR = 2
 ITERATION_CAP_EXIT = 3
@@ -51,16 +52,26 @@ def _write_manifest(out_dir, args, inputs, outputs, start, config=None):
     return path
 
 
+def _finish(out, args, inputs, outputs, start, report, cfg, **blocks):
+    """Write ``report.json`` (the report, ``cfg`` and the ``metrics``/``extra``
+    ``blocks``) and the manifest; return the solve command's exit code:
+    0, or ITERATION_CAP_EXIT when the solve stopped at ``cfg.max_iter``."""
+    report_path = out / "report.json"
+    write_report(report_path, report, config=cfg, **blocks)
+    _write_manifest(out, args, inputs, outputs + [report_path], start)
+    return 0 if report.converged else ITERATION_CAP_EXIT
+
+
 def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _config_from_args(args, k):
+def _config_from_args(args):
     return SolverConfig(
-        k=k,
-        lam=getattr(args, "lam", None),
+        k=args.k,
+        lam=args.lam,
         rho0=args.rho0,
         kappa=args.kappa,
         tol=args.tol,
@@ -113,7 +124,7 @@ def cmd_decompose(args):
         return USAGE_ERROR
     start = time.perf_counter()
     x = read_matrix(args.input)
-    cfg = _config_from_args(args, args.k)
+    cfg = _config_from_args(args)
     l, factors, s, report, extra = _solve_with_method(x, args, cfg)
 
     out = _out_dir(args)
@@ -133,18 +144,14 @@ def cmd_decompose(args):
 
     l_star = read_matrix(args.truth) if args.truth else None
     metrics = compute_metrics(report, l, l_star=l_star)
-    report_path = out / "report.json"
-    write_report(report_path, report, config=cfg, metrics=metrics, extra=extra)
-    outputs.append(report_path)
-
-    _write_manifest(out, args, [args.input], outputs, start)
-    return 0 if report.converged else ITERATION_CAP_EXIT
+    return _finish(out, args, [args.input], outputs, start, report, cfg,
+                   metrics=metrics, extra=extra)
 
 
 def cmd_background(args):
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
-    cfg = _config_from_args(args, args.k)
+    cfg = _config_from_args(args)
     l, _, s, report, extra = _solve_with_method(stack.matrix, args, cfg)
 
     out = _out_dir(args)
@@ -158,19 +165,14 @@ def cmd_background(args):
         write_frame(foreground[:, j], stack.frame_height, stack.frame_width, fg_path)
         outputs += [bg_path, fg_path]
 
-    report_path = out / "report.json"
-    write_report(report_path, report, config=cfg,
-                 metrics=compute_metrics(report, l),
-                 extra=extra)
-    outputs.append(report_path)
-    _write_manifest(out, args, [args.frames], outputs, start)
-    return 0 if report.converged else ITERATION_CAP_EXIT
+    return _finish(out, args, [args.frames], outputs, start, report, cfg,
+                   metrics=compute_metrics(report, l), extra=extra)
 
 
 def cmd_anomaly(args):
     start = time.perf_counter()
     x = read_matrix(args.input)
-    cfg = _config_from_args(args, args.k)
+    cfg = _config_from_args(args)
     factors, s, report = solve_fffp(x, cfg)
     if args.threshold is not None:
         result = anomaly_detect(s, args.threshold)
@@ -185,12 +187,8 @@ def cmd_anomaly(args):
     scores_path.write_text("\n".join(lines) + "\n")
     flagged_path = out / "flagged.csv"
     flagged_path.write_text("\n".join(["index"] + [str(j) for j in flagged]) + "\n")
-    report_path = out / "report.json"
-    write_report(report_path, report, config=cfg,
-                 extra={"flagged": [int(j) for j in flagged]})
-
-    _write_manifest(out, args, [args.input], [scores_path, flagged_path, report_path], start)
-    return 0
+    return _finish(out, args, [args.input], [scores_path, flagged_path], start, report, cfg,
+                   extra={"flagged": [int(j) for j in flagged]})
 
 
 def cmd_bench(args):
@@ -220,15 +218,20 @@ def cmd_bench(args):
 def _add_solver_flags(parser, require_k=True):
     parser.add_argument("--k", type=int, required=require_k, default=None if require_k else 1,
                         help="factor width (upper bound on the recovered rank)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
+    parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                         help="balance weight (uffp; ialm derives a default)")
-    parser.add_argument("--rho0", type=float, default=1e-4, help="initial penalty weight")
-    parser.add_argument("--kappa", type=float, default=1.5, help="penalty growth per iteration")
-    parser.add_argument("--tol", type=float, default=1e-3, help="relative-residual stop threshold")
-    parser.add_argument("--max-iter", type=int, default=200, help="iteration cap")
-    parser.add_argument("--init", choices=("truncated-svd", "random-orthonormal"),
-                        default="truncated-svd", help="factor initialization strategy")
-    parser.add_argument("--seed", type=int, default=0, help="seed for seeded strategies")
+    parser.add_argument("--rho0", type=float, default=SolverConfig.rho0,
+                        help="initial penalty weight")
+    parser.add_argument("--kappa", type=float, default=SolverConfig.kappa,
+                        help="penalty growth per iteration")
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="relative-residual stop threshold")
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                        help="iteration cap")
+    parser.add_argument("--init", choices=INIT_STRATEGIES, default=SolverConfig.init,
+                        help="factor initialization strategy")
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed,
+                        help="seed for seeded strategies")
 
 
 def build_parser():

@@ -91,19 +91,25 @@ def _fix_signs(u, v):
     return u * signs, v * signs
 
 
-def _range_basis(a, width, power_steps, rng, start=None):
+# randomized range finder (Halko, Martinsson & Tropp 2011)
+RANGE_OVERSAMPLE = 10  # test-matrix columns beyond the wanted rank
+RANGE_POWER_STEPS = 4  # power iterations, each re-orthonormalized by QR
+
+
+def _range_basis(a, width, rng, start=None):
     """Orthonormal (m, width) basis for the dominant column space of ``a``.
 
     The randomized range finder of Halko, Martinsson & Tropp (2011): the
     test block is ``start`` (an (n, j) array, j <= width) followed by
     ``width - j`` Gaussian columns drawn from ``rng``; its image under
-    ``a`` is orthonormalized and refined by ``power_steps`` power steps,
-    each re-orthonormalized by QR.  The cost is O(m * n * width) per step.
+    ``a`` is orthonormalized and refined by ``RANGE_POWER_STEPS`` power
+    steps, each re-orthonormalized by QR.  The cost is O(m * n * width)
+    per step.
     """
     fresh = rng.standard_normal((a.shape[1], width - (0 if start is None else start.shape[1])))
     omega = fresh if start is None else np.hstack([start, fresh])
     q, _ = np.linalg.qr(a @ omega)
-    for _ in range(power_steps):
+    for _ in range(RANGE_POWER_STEPS):
         z, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ z)
     return q

@@ -24,6 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    RANGE_OVERSAMPLE,
+    RANGE_POWER_STEPS,
     _as_matrix,
     _fix_signs,
     _range_basis,
@@ -55,9 +57,9 @@ INIT_STRATEGIES = ("truncated-svd", "random-orthonormal")
 
 RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count as zero
 
-# randomized range finder of the "truncated-svd" init (Halko, Martinsson & Tropp 2011)
-RANGE_OVERSAMPLE = 10  # test-matrix columns beyond k
-RANGE_POWER_STEPS = 4  # power iterations, each re-orthonormalized by QR
+# ceiling on the penalty weight: unbounded geometric growth would overflow
+# after a few hundred iterations
+RHO_CAP = 1e10
 
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
 SVT_START_RANK = 10  # predicted rank of the first iteration
@@ -114,12 +116,10 @@ class SolverConfig:
     lam      : balance weight. Required by solve_uffp (0 is allowed and
                degenerates to solve_fffp); solve_ialm defaults a missing
                value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    rho0     : initial penalty weight
+    rho0     : initial penalty weight, at most ``RHO_CAP``
     kappa    : geometric penalty growth per iteration, must exceed 1
     tol      : relative-residual stopping threshold, in (0, 1)
     max_iter : iteration cap
-    rho_cap  : ceiling on the penalty weight (unbounded geometric growth
-               would overflow after a few hundred iterations)
     init     : "truncated-svd" or "random-orthonormal"
     seed     : seed of the Gaussian draws behind either initialization
                (the randomized truncated SVD's test matrix, or the
@@ -132,7 +132,6 @@ class SolverConfig:
     kappa: float = 1.5
     tol: float = 1e-3
     max_iter: int = 200
-    rho_cap: float = 1e10
     init: str = "truncated-svd"
     seed: int = 0
 
@@ -141,16 +140,14 @@ class SolverConfig:
             raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), self.k))
         if self.lam is not None and self.lam < 0:
             raise ValueError("lam must be nonnegative, got %r" % self.lam)
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive, got %r" % self.rho0)
+        if not 0 < self.rho0 <= RHO_CAP:
+            raise ValueError("rho0 must lie in (0, RHO_CAP = %g], got %r" % (RHO_CAP, self.rho0))
         if self.kappa <= 1:
             raise ValueError("kappa must exceed 1, got %r" % self.kappa)
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1), got %r" % self.tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive, got %r" % self.max_iter)
-        if self.rho_cap < self.rho0:
-            raise ValueError("rho_cap must be at least rho0")
         if self.init not in INIT_STRATEGIES:
             raise ValueError("init must be one of %r, got %r" % (INIT_STRATEGIES, self.init))
 
@@ -213,12 +210,12 @@ def _orthonormalize(a):
     return q * signs
 
 
-def _spectrum_rank(sigma, rel_tol=RANK_REL_TOL):
+def _spectrum_rank(sigma):
     """Number of entries of the nonincreasing spectrum ``sigma`` above
-    ``rel_tol`` times its first; an empty or zero spectrum has rank 0."""
+    ``RANK_REL_TOL`` times its first; an empty or zero spectrum has rank 0."""
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    return int((sigma > rel_tol * sigma[0]).sum())
+    return int((sigma > RANK_REL_TOL * sigma[0]).sum())
 
 
 def init_factors(x, k, strategy="truncated-svd", seed=0):
@@ -241,7 +238,7 @@ def init_factors(x, k, strategy="truncated-svd", seed=0):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     if strategy == "truncated-svd":
-        q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), RANGE_POWER_STEPS, rng)
+        q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
         f = thin_svd(q.T @ x)
         u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
         c = np.diag(f.s[:k])
@@ -310,7 +307,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
-        rho = min(rho * cfg.kappa, cfg.rho_cap)
+        rho = min(rho * cfg.kappa, RHO_CAP)
         if after is not None:
             after(t, s, theta, rho, residual)
         if residual <= cfg.tol:
@@ -385,8 +382,8 @@ def solve_fffp(x, cfg, on_iteration=None):
     soft-thresholding of the current misfit at 1/rho, the side factors by
     orthogonal-Procrustes (polar) updates, and the core by projection
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
-    residual and rho grows by kappa (capped).  Stops when the relative
-    residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
+    residual and rho grows by kappa (capped at ``RHO_CAP``).  Stops when the
+    relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
 
     Returns ``(factors, s, report)``.
     """
@@ -439,7 +436,7 @@ def _svt_step(m, tau, rank, start, rng, out):
             kept = int((f.s > tau).sum())
             u = f.u[:, :kept]
             break
-        q = _range_basis(m, width, RANGE_POWER_STEPS, rng, start)
+        q = _range_basis(m, width, rng, start)
         f = thin_svd(q.T @ m)
         kept = int((f.s > tau).sum())
         if kept < width:
@@ -501,6 +498,7 @@ def solve_ialm(x, cfg):
     return l, s, report
 
 
+# ascending, so the grid is too: lambda_sweep's entries keep this order
 _GRID_EXPONENTS = (
     -3.0, -2.75, -2.5, -2.25, -2.0, -1.75, -1.5, -1.25, -1.0, -0.75, -0.5, 0.0, 1.0,
 )
@@ -526,12 +524,12 @@ def default_lambda_grid(x):
     return top * 10.0 ** np.array(_GRID_EXPONENTS)
 
 
-def lambda_sweep(x, cfg, grid=None):
+def lambda_sweep(x, cfg):
     """Run :func:`solve_uffp` over a grid of weights and pick one run.
 
     Returns ``(entries, selected)`` where ``entries`` is one
-    :class:`SweepEntry` per grid value (ascending) and ``selected`` indexes
-    the preferred entry.
+    :class:`SweepEntry` per value of :func:`default_lambda_grid` (ascending)
+    and ``selected`` indexes the preferred entry.
 
     Selection has to reject two failure modes that both pass the residual
     test: full collapse (the core shrinks to rank zero and the sparse part
@@ -552,12 +550,7 @@ def lambda_sweep(x, cfg, grid=None):
     once (the init is seeded, so this matches building it per run bit for bit).
     """
     x = _as_matrix(x, "x")
-    grid = default_lambda_grid(x) if grid is None else np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-D sequence of weights")
-    if np.any(grid < 0):
-        raise ValueError("grid weights must be nonnegative")
-    grid = np.sort(grid)
+    grid = default_lambda_grid(x)
     init = init_factors(x, cfg.k, cfg.init, cfg.seed)
     entries = []
     for lam in grid:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-import robustpca.analysis as analysis
-from robustpca.cli import main
+from robustpca.cli import build_parser, main
 from robustpca.dataio import read_matrix, read_pgm, write_matrix, write_pgm
+from robustpca.solvers import SolverConfig
 
 
 def run(*argv):
@@ -113,16 +113,25 @@ class TestDecompose:
     def test_rank_comes_from_the_solve_report(self, problem_dir, tmp_path, monkeypatch,
                                               method):
         # the metrics reuse report.final_rank instead of a full SVD of L
-        def no_full_svd(*args, **kwargs):
-            raise AssertionError("numerical_rank called")
+        shapes = []
+        real = np.linalg.svd
 
-        monkeypatch.setattr(analysis, "numerical_rank", no_full_svd)
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         out = tmp_path / method
         code = run("decompose", problem_dir / "X.ffpm", "--method", method, "--k", "3",
                    "--out", out)
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["metrics"]["rank_l"] == payload["report"]["final_rank"] == 3
+        if method == "fffp":
+            assert (100, 100) not in shapes  # no (d, n) array is ever factorized
+        else:
+            # every SVD is one of the thresholding steps the report counts
+            assert len(shapes) == payload["report"]["svd_count"]
 
     @pytest.mark.parametrize("method", [["fffp"], ["ialm"], ["uffp", "--lambda-sweep"]],
                              ids=["fffp", "ialm", "uffp-sweep"])
@@ -155,6 +164,12 @@ class TestDecompose:
         assert (out / "S.ffpm").exists()
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["converged"] is False
+
+    def test_nan_cell_exits_2(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,nan,6.0\n7.0,8.0,10.0\n")
+        code = run("decompose", path, "--method", "fffp", "--k", "1", "--out", tmp_path / "o")
+        assert code == 2
 
     def test_missing_input_exits_4(self, tmp_path):
         code = run("decompose", tmp_path / "nope.ffpm", "--method", "fffp", "--k", "2",
@@ -259,6 +274,16 @@ class TestAnomaly:
         lines = (out / "flagged.csv").read_text().strip().split("\n")
         assert lines == ["index"]
 
+    def test_iteration_cap_exits_3_with_outputs(self, tmp_path):
+        path, _ = self.planted_matrix(tmp_path)
+        out = tmp_path / "anom"
+        assert run("anomaly", path, "--max-iter", "3", "--out", out) == 3
+        for name in ("scores.csv", "flagged.csv", "report.json", "manifest.json"):
+            assert (out / name).exists()
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["converged"] is False
+        assert payload["report"]["iterations"] == 3
+
 
 class TestBench:
     def test_single_factor_single_row(self, tmp_path):
@@ -280,6 +305,14 @@ class TestParser:
     def test_unknown_command_exits_2(self, capsys):
         assert run("frobnicate") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["decompose", "background", "anomaly"])
+    def test_solver_flag_defaults_are_the_config_defaults(self, command):
+        method = ["--method", "fffp"] if command == "decompose" else []
+        args = build_parser().parse_args([command, "in", "--k", "2", "--out", "o"] + method)
+        cfg = SolverConfig(k=2)
+        for field in ("lam", "rho0", "kappa", "tol", "max_iter", "init", "seed"):
+            assert getattr(args, field) == getattr(cfg, field)
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustpca.dataio import (
     FFPM_MAGIC,
@@ -18,10 +20,47 @@ from robustpca.dataio import (
 from robustpca.solvers import SolverConfig, SolveReport
 
 
+SHAPES = st.tuples(st.integers(1, 9), st.integers(1, 9))  # 1x1, tall, square and wide
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+ROUND_TRIP = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 def make_pgm_bytes(pixels):
     pixels = np.asarray(pixels, dtype=np.uint8)
     h, w = pixels.shape
     return b"P5\n%d %d\n255\n" % (w, h) + pixels.tobytes()
+
+
+class TestRoundTripProperties:
+    """Each file is rewritten by every example, so sharing tmp_path is safe."""
+
+    @ROUND_TRIP
+    @given(m=arrays(np.float64, SHAPES, elements=FINITE))
+    @example(m=np.array([[-0.0]]))
+    @example(m=np.array([[5e-324], [-1e-310], [-0.0], [2.2250738585072014e-308]]))
+    @example(m=np.array([[-0.0, 4e-320, 1.7976931348623157e308]]))
+    def test_ffpm_is_bit_exact(self, tmp_path, m):
+        path = tmp_path / "m.ffpm"
+        write_matrix(path, m)
+        back = read_matrix(path)
+        assert back.shape == m.shape and back.tobytes() == m.tobytes()
+
+    @ROUND_TRIP
+    @given(m=arrays(np.float64, SHAPES, elements=FINITE))
+    @example(m=np.array([[-0.0, 5e-324], [1e-310, -1.7976931348623157e308]]))
+    def test_csv_is_exact_in_value(self, tmp_path, m):
+        path = tmp_path / "m.csv"
+        write_matrix(path, m)
+        assert np.array_equal(read_matrix(path), m)
+
+    @ROUND_TRIP
+    @given(pixels=arrays(np.uint8, SHAPES))
+    def test_pgm_is_exact_for_uint8(self, tmp_path, pixels):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, pixels)
+        back = read_pgm(path)
+        assert back.dtype == np.float64 and np.array_equal(back, pixels)
 
 
 class TestBinaryMatrix:

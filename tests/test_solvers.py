@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustpca.solvers as solvers
-from robustpca.analysis import numerical_rank
 from robustpca.datagen import make_problem
 from robustpca.linalg import polar_orthogonal, soft_threshold, svt
 from robustpca.solvers import (
@@ -39,6 +38,7 @@ class TestConfig:
             SolverConfig(k=2, tol=0.0),
             SolverConfig(k=2, tol=1.0),
             SolverConfig(k=2, rho0=0.0),
+            SolverConfig(k=2, rho0=2.0 * solvers.RHO_CAP),
             SolverConfig(k=2, max_iter=0),
             SolverConfig(k=2, lam=-1.0),
             SolverConfig(k=2, init="nope"),
@@ -208,7 +208,7 @@ class TestFffp:
             c = (u.T @ m) @ v
             r = x - (u @ c) @ v.T - s_ref
             theta = theta + rho * r
-            rho = min(rho * cfg.kappa, cfg.rho_cap)
+            rho = min(rho * cfg.kappa, solvers.RHO_CAP)
             if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
                 break
         _, s, report = solve_fffp(x, cfg)
@@ -221,10 +221,11 @@ class TestFffp:
         with pytest.raises(DivergenceError, match="orthonormality at iteration 1"):
             solve_fffp(prob.x, SolverConfig(k=2))
 
-    def test_divergence_error_names_iteration(self):
+    def test_divergence_error_names_iteration(self, monkeypatch):
         x = np.full((6, 6), 1e300)
+        monkeypatch.setattr(solvers, "RHO_CAP", 1e300)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=r"iteration \d+"):
-            solve_fffp(x, SolverConfig(k=2, max_iter=200, rho_cap=1e300, tol=1e-12))
+            solve_fffp(x, SolverConfig(k=2, max_iter=200, tol=1e-12))
 
 
 SOLVERS = pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5),
@@ -282,8 +283,8 @@ class TestLoopInvariants:
         _, cfg, snaps = self.run_with_snapshots()
         rhos = [cfg.rho0] + [snap[6] for snap in snaps]
         for prev, cur in zip(rhos, rhos[1:]):
-            assert np.isclose(cur, min(prev * cfg.kappa, cfg.rho_cap))
-            assert cur > prev or prev == cfg.rho_cap
+            assert np.isclose(cur, min(prev * cfg.kappa, solvers.RHO_CAP))
+            assert cur > prev or prev == solvers.RHO_CAP
 
     def test_sparse_update_minimizes_lagrangian(self):
         # The sparse step is the exact minimizer of
@@ -392,9 +393,48 @@ class TestUffp:
         assert np.array_equal(entries[4].s, s)
         assert entries[4].report.iterations == report.iterations
 
+    @pytest.mark.parametrize("scale", [1 + 1e-12, 1 + 1e-6])
+    @pytest.mark.parametrize("shape, k", [((200, 200), 25), ((300, 120), 10)],
+                             ids=["200x200", "300x120"])
+    def test_selection_survives_a_perturbed_grid(self, monkeypatch, shape, k, scale):
+        # a grid moved by round-off changes entry ranks, iteration counts and
+        # even the selected index; the selected rank and its recovery must hold
+        prob = make_problem(*shape, 5, 0.05, seed=7)
+        real = solvers.default_lambda_grid
+        monkeypatch.setattr(solvers, "default_lambda_grid", lambda x: scale * real(x))
+        entries, selected = lambda_sweep(prob.x, SolverConfig(k=k))
+        chosen = entries[selected]
+        assert chosen.lam == scale * real(prob.x)[selected]
+        assert chosen.report.final_rank == 5
+        assert recovery_error(chosen.factors.dense(), prob.l_star) <= 1e-2
+
     def test_default_grid_rejects_zero_matrix(self):
         with pytest.raises(ValueError):
             default_lambda_grid(np.zeros((4, 4)))
+
+
+def with_entry(value):
+    x = make_problem(20, 15, 2, 0.05, seed=16).x
+    x[3, 4] = value
+    return x
+
+
+ENTRY_POINTS = {
+    "solve_fffp": lambda x: solve_fffp(x, SolverConfig(k=2)),
+    "solve_uffp": lambda x: solve_uffp(x, SolverConfig(k=2, lam=0.5)),
+    "solve_ialm": lambda x: solve_ialm(x, SolverConfig(k=2)),
+    "init_factors": lambda x: init_factors(x, 2),
+    "default_lambda_grid": default_lambda_grid,
+    "lambda_sweep": lambda x: lambda_sweep(x, SolverConfig(k=2)),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "empty"])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_non_finite_or_empty_input_rejected(name, bad):
+    x = np.empty((0, 15)) if bad == "empty" else with_entry(float(bad))
+    with pytest.raises(ValueError, match="non-finite|nonempty"):
+        ENTRY_POINTS[name](x)
 
 
 class TestIalm:
@@ -432,7 +472,7 @@ class TestIalm:
         l, s, report = solve_ialm(prob.x, SolverConfig(k=6))
         sigma = np.linalg.svd(l, compute_uv=False)
         lam = 1.0 / np.sqrt(220)
-        assert report.final_rank == numerical_rank(l) == 6
+        assert report.final_rank == int((sigma > 1e-6 * sigma[0]).sum()) == 6
         assert np.isclose(report.final_objective, sigma.sum() + lam * np.abs(s).sum(),
                           rtol=1e-12, atol=0.0)
 
@@ -483,7 +523,7 @@ class TestIalm:
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
             theta = theta + rho * r
-            rho = min(rho * cfg.kappa, cfg.rho_cap)
+            rho = min(rho * cfg.kappa, solvers.RHO_CAP)
             if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
                 break
         l, s_got, report = solve_ialm(x, cfg)
