@@ -66,7 +66,7 @@ def anomaly_detect(s, threshold):
     Columns whose score reaches ``threshold`` are flagged; inlier columns
     of a well-separated decomposition score near zero.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails every comparison, so test for the valid range
         raise ValueError("threshold must be nonnegative, got %r" % threshold)
     s = np.asarray(s, dtype=np.float64)
     scores = np.linalg.norm(s, axis=0)
@@ -92,14 +92,14 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     ``base_params`` holds :func:`make_problem` keyword arguments for the
     full-size problem; ``axis`` picks which dimension the ``factors``
     rescale ("samples" scales n, "dimension" scales d).  Every run executes
-    exactly ``iters`` iterations (the stopping tolerance is unreachable)
-    and is repeated ``repeats`` times, keeping the median to damp scheduler
-    noise.  Generation happens outside the timed section; the timed section
-    is the solver call alone and uses the random-orthonormal start, so
-    the timing is the iterations' d*n*k cost and nothing else (the default
-    start, a seeded randomized truncated SVD, is also O(d*n*k) but adds
-    its own passes over x, which are not what the per-iteration claim is
-    about).
+    exactly ``iters`` iterations (the stopping tolerance is unreachable) of
+    the default solve, so the timed section is the solver call alone: the
+    seeded randomized truncated-SVD start and the iterations, both
+    O(d*n*k).  All problems are generated before any timing; the
+    ``repeats`` runs then go round-robin across the sizes, so a drift of
+    the machine's speed during the benchmark shifts every size alike
+    instead of bending the curve, and the median per size damps scheduler
+    noise.
 
     Returns a list of ``(size, seconds)`` rows, one per factor.
     """
@@ -111,26 +111,22 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     if sorted(factors) != factors:
         raise ValueError("factors must be ascending")
     solve = {"fffp": solve_fffp, "uffp": solve_uffp, "ialm": solve_ialm}[method]
+    cfg = SolverConfig(k=k, lam=lam, tol=_BENCH_TOL, max_iter=iters, seed=seed)
+    scaled = "n" if axis == "samples" else "d"
 
-    rows = []
+    sizes, inputs = [], []
     for factor in factors:
         params = dict(base_params)
-        if axis == "samples":
-            params["n"] = max(1, int(round(params["n"] * factor)))
-            size = params["n"]
-        else:
-            params["d"] = max(1, int(round(params["d"] * factor)))
-            size = params["d"]
-        problem = make_problem(**params)
-        cfg = SolverConfig(k=k, lam=lam, tol=_BENCH_TOL, max_iter=iters,
-                           init="random-orthonormal", seed=seed)
-        times = []
-        for _ in range(repeats):
+        params[scaled] = max(1, int(round(params[scaled] * factor)))
+        sizes.append(params[scaled])
+        inputs.append(make_problem(**params).x)
+    times = [[] for _ in inputs]
+    for _ in range(repeats):
+        for x, runs in zip(inputs, times):
             t0 = time.perf_counter()
-            solve(problem.x, cfg)
-            times.append(time.perf_counter() - t0)
-        rows.append((size, float(np.median(times))))
-    return rows
+            solve(x, cfg)
+            runs.append(time.perf_counter() - t0)
+    return [(size, float(np.median(runs))) for size, runs in zip(sizes, times)]
 
 
 def linear_fit_r2(rows):

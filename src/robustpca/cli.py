@@ -26,8 +26,8 @@ from .analysis import compute_metrics, anomaly_detect, benchmark_csv, linear_fit
 from .dataio import FormatError, load_frame_stack, read_matrix, write_frame, \
     write_matrix, write_report
 from .datagen import make_problem
-from .solvers import INIT_STRATEGIES, DivergenceError, SolverConfig, lambda_sweep, \
-    solve_fffp, solve_ialm, solve_uffp
+from .solvers import DivergenceError, SolverConfig, lambda_sweep, solve_fffp, solve_ialm, \
+    solve_uffp
 
 USAGE_ERROR = 2
 ITERATION_CAP_EXIT = 3
@@ -76,7 +76,6 @@ def _config_from_args(args):
         kappa=args.kappa,
         tol=args.tol,
         max_iter=args.max_iter,
-        init=args.init,
         seed=args.seed,
     )
 
@@ -228,10 +227,8 @@ def _add_solver_flags(parser, require_k=True):
                         help="relative-residual stop threshold")
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
                         help="iteration cap")
-    parser.add_argument("--init", choices=INIT_STRATEGIES, default=SolverConfig.init,
-                        help="factor initialization strategy")
     parser.add_argument("--seed", type=int, default=SolverConfig.seed,
-                        help="seed for seeded strategies")
+                        help="seed of the randomized start and of ialm's range finder")
 
 
 def build_parser():

@@ -53,8 +53,6 @@ __all__ = [
     "lambda_sweep",
 ]
 
-INIT_STRATEGIES = ("truncated-svd", "random-orthonormal")
-
 RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count as zero
 
 # ceiling on the penalty weight: unbounded geometric growth would overflow
@@ -113,17 +111,16 @@ class SolverConfig:
     """Tunables shared by all solvers.
 
     k        : factor width; upper bound on the recovered rank
-    lam      : balance weight. Required by solve_uffp (0 is allowed and
-               degenerates to solve_fffp); solve_ialm defaults a missing
-               value to 1/sqrt(max(d, n)); solve_fffp ignores it.
+    lam      : finite balance weight. Required by solve_uffp (0 is allowed
+               and degenerates to solve_fffp); solve_ialm defaults a
+               missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
     rho0     : initial penalty weight, at most ``RHO_CAP``
-    kappa    : geometric penalty growth per iteration, must exceed 1
+    kappa    : finite geometric penalty growth per iteration, must exceed 1
     tol      : relative-residual stopping threshold, in (0, 1)
     max_iter : iteration cap
-    init     : "truncated-svd" or "random-orthonormal"
-    seed     : seed of the Gaussian draws behind either initialization
-               (the randomized truncated SVD's test matrix, or the
-               random-orthonormal factors)
+    seed     : seed of the Gaussian draws: the test matrix of the factored
+               solvers' randomized truncated-SVD start (:func:`init_factors`)
+               and the range finder of solve_ialm's singular-value step
     """
 
     k: int
@@ -132,24 +129,21 @@ class SolverConfig:
     kappa: float = 1.5
     tol: float = 1e-3
     max_iter: int = 200
-    init: str = "truncated-svd"
     seed: int = 0
 
     def validate(self, d, n):
         if not 1 <= self.k <= min(d, n):
             raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), self.k))
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lam must be nonnegative, got %r" % self.lam)
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
         if not 0 < self.rho0 <= RHO_CAP:
             raise ValueError("rho0 must lie in (0, RHO_CAP = %g], got %r" % (RHO_CAP, self.rho0))
-        if self.kappa <= 1:
-            raise ValueError("kappa must exceed 1, got %r" % self.kappa)
+        if not 1 < self.kappa < math.inf:
+            raise ValueError("kappa must be finite and exceed 1, got %r" % self.kappa)
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1), got %r" % self.tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive, got %r" % self.max_iter)
-        if self.init not in INIT_STRATEGIES:
-            raise ValueError("init must be one of %r, got %r" % (INIT_STRATEGIES, self.init))
 
 
 @dataclass
@@ -203,13 +197,6 @@ class SweepEntry(NamedTuple):
     report: SolveReport
 
 
-def _orthonormalize(a):
-    """Orthonormal basis for the columns of ``a``, sign-fixed for reproducibility."""
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs
-
-
 def _spectrum_rank(sigma):
     """Number of entries of the nonincreasing spectrum ``sigma`` above
     ``RANK_REL_TOL`` times its first; an empty or zero spectrum has rank 0."""
@@ -218,37 +205,28 @@ def _spectrum_rank(sigma):
     return int((sigma > RANK_REL_TOL * sigma[0]).sum())
 
 
-def init_factors(x, k, strategy="truncated-svd", seed=0):
-    """Build starting factors (u, c, v) for the factored solvers.
+def init_factors(x, k, seed=0):
+    """Starting factors (u, c, v) of the factored solvers: a seeded
+    randomized truncated SVD of ``x``.
 
-    "truncated-svd" is a seeded randomized truncated SVD: a randomized
-    range finder (Halko, Martinsson & Tropp 2011) draws a Gaussian test
-    matrix with ``k + RANGE_OVERSAMPLE`` columns (at most ``min(d, n)``),
-    runs ``RANGE_POWER_STEPS`` power steps re-orthonormalized by QR, and
-    takes the top-k singular triplets of ``x`` projected onto that basis.
-    The singular values go on the diagonal of ``c``, and the columns
-    follow the sign convention of :func:`thin_svd`.  The cost is
-    O(d * n * k); no (d, n) matrix is factorized.  "random-orthonormal"
-    draws seeded Gaussian matrices, orthonormalizes them, and sets
-    ``c = u.T @ x @ v``.  Both are deterministic for fixed inputs and seed.
+    A randomized range finder (Halko, Martinsson & Tropp 2011) draws a
+    Gaussian test matrix with ``k + RANGE_OVERSAMPLE`` columns (at most
+    ``min(d, n)``) from ``seed``, runs ``RANGE_POWER_STEPS`` power steps
+    re-orthonormalized by QR, and takes the top-k singular triplets of
+    ``x`` projected onto that basis.  The singular values go on the
+    diagonal of ``c``, and the columns follow the sign convention of
+    :func:`thin_svd`.  The cost is O(d * n * k); no (d, n) matrix is
+    factorized.  Deterministic for fixed inputs and seed.
     """
     x = _as_matrix(x, "x")
     d, n = x.shape
     if not 1 <= k <= min(d, n):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
-    if strategy == "truncated-svd":
-        q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
-        f = thin_svd(q.T @ x)
-        u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
-        c = np.diag(f.s[:k])
-    elif strategy == "random-orthonormal":
-        u = _orthonormalize(rng.standard_normal((d, k)))
-        v = _orthonormalize(rng.standard_normal((n, k)))
-        c = (u.T @ x) @ v
-    else:
-        raise ValueError("init must be one of %r, got %r" % (INIT_STRATEGIES, strategy))
-    return FactoredLowRank(u, c, v)
+    q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
+    f = thin_svd(q.T @ x)
+    u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
+    return FactoredLowRank(u, np.diag(f.s[:k]), v)
 
 
 def sparsity_ratio(s):
@@ -332,14 +310,14 @@ def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
 def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     """Run the factored step in :func:`_alm` with surrogate weight
     ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
-    ``init_factors(x, cfg.k, cfg.init, cfg.seed)``; it is only read.
+    ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
     """
     x = _as_matrix(x, "x")
     d, n = x.shape
     cfg.validate(d, n)
     t_start = time.perf_counter()
 
-    factors = init_factors(x, cfg.k, cfg.init, cfg.seed) if init is None else init
+    factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
     low_rank = (u @ c) @ v.T
 
@@ -551,7 +529,7 @@ def lambda_sweep(x, cfg):
     """
     x = _as_matrix(x, "x")
     grid = default_lambda_grid(x)
-    init = init_factors(x, cfg.k, cfg.init, cfg.seed)
+    init = init_factors(x, cfg.k, cfg.seed)
     entries = []
     for lam in grid:
         factors, s, report = solve_uffp(x, replace(cfg, lam=float(lam)), _init=init)

@@ -94,8 +94,9 @@ class TestAnomalyDetect:
         assert np.array_equal(top_m_columns(scores, 3), [0, 2, 3])
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            anomaly_detect(np.zeros((2, 2)), -1.0)
+        for threshold in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                anomaly_detect(np.zeros((2, 2)), threshold)
 
 
 def stub_report(final_rank=2, sparsity=0.25, residual=0.01):

@@ -165,6 +165,14 @@ class TestDecompose:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["converged"] is False
 
+    def test_non_finite_weight_or_growth_exits_2(self, problem_dir, tmp_path):
+        for method, flag, value in (("uffp", "--lambda", "nan"), ("ialm", "--lambda", "nan"),
+                                    ("uffp", "--lambda", "inf"), ("fffp", "--kappa", "nan"),
+                                    ("fffp", "--kappa", "inf")):
+            code = run("decompose", problem_dir / "X.ffpm", "--method", method, "--k", "3",
+                       flag, value, "--out", tmp_path / method)
+            assert code == 2, (method, flag, value)
+
     def test_nan_cell_exits_2(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("1.0,2.0,3.0\n4.0,nan,6.0\n7.0,8.0,10.0\n")
@@ -274,6 +282,10 @@ class TestAnomaly:
         lines = (out / "flagged.csv").read_text().strip().split("\n")
         assert lines == ["index"]
 
+    def test_nan_threshold_exits_2(self, tmp_path):
+        path, _ = self.planted_matrix(tmp_path)
+        assert run("anomaly", path, "--threshold", "nan", "--out", tmp_path / "anom") == 2
+
     def test_iteration_cap_exits_3_with_outputs(self, tmp_path):
         path, _ = self.planted_matrix(tmp_path)
         out = tmp_path / "anom"
@@ -311,8 +323,16 @@ class TestParser:
         method = ["--method", "fffp"] if command == "decompose" else []
         args = build_parser().parse_args([command, "in", "--k", "2", "--out", "o"] + method)
         cfg = SolverConfig(k=2)
-        for field in ("lam", "rho0", "kappa", "tol", "max_iter", "init", "seed"):
+        for field in ("lam", "rho0", "kappa", "tol", "max_iter", "seed"):
             assert getattr(args, field) == getattr(cfg, field)
+
+    @pytest.mark.parametrize("command", ["decompose", "background", "anomaly"])
+    def test_init_flag_is_unknown(self, command, capsys):
+        # the factored solvers have one start, so there is no flag to pick it
+        method = ["--method", "fffp"] if command == "decompose" else []
+        assert run(command, "in", "--k", "2", "--out", "o", "--init", "truncated-svd",
+                   *method) == 2
+        assert "unrecognized arguments: --init" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

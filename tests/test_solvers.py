@@ -35,13 +35,17 @@ class TestConfig:
             SolverConfig(k=0),
             SolverConfig(k=5),
             SolverConfig(k=2, kappa=1.0),
+            SolverConfig(k=2, kappa=float("nan")),
+            SolverConfig(k=2, kappa=float("inf")),
             SolverConfig(k=2, tol=0.0),
             SolverConfig(k=2, tol=1.0),
             SolverConfig(k=2, rho0=0.0),
             SolverConfig(k=2, rho0=2.0 * solvers.RHO_CAP),
             SolverConfig(k=2, max_iter=0),
             SolverConfig(k=2, lam=-1.0),
-            SolverConfig(k=2, init="nope"),
+            SolverConfig(k=2, lam=float("nan")),
+            SolverConfig(k=2, lam=float("inf")),
+            SolverConfig(k=2, lam=float("-inf")),
         ):
             with pytest.raises(ValueError):
                 solve_fffp(x, cfg)
@@ -55,24 +59,15 @@ class TestInitFactors:
     def test_rank_one_exact_capture(self):
         rng = np.random.default_rng(0)
         x = np.outer(rng.standard_normal(12), rng.standard_normal(9))
-        f = init_factors(x, 1, "truncated-svd")
+        f = init_factors(x, 1)
         assert np.linalg.norm(f.dense() - x) <= 1e-9 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("strategy", ["truncated-svd", "random-orthonormal"])
-    def test_orthonormal_by_construction(self, strategy):
+    def test_orthonormal_by_construction(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 8))
-        f = init_factors(x, 3, strategy, seed=4)
+        f = init_factors(x, 3, seed=4)
         assert np.linalg.norm(f.u.T @ f.u - np.eye(3)) <= 1e-10
         assert np.linalg.norm(f.v.T @ f.v - np.eye(3)) <= 1e-10
-
-    def test_seeded_random_is_bit_reproducible(self):
-        x = np.random.default_rng(2).standard_normal((10, 8))
-        f1 = init_factors(x, 3, "random-orthonormal", seed=7)
-        f2 = init_factors(x, 3, "random-orthonormal", seed=7)
-        assert np.array_equal(f1.u, f2.u)
-        assert np.array_equal(f1.c, f2.c)
-        assert np.array_equal(f1.v, f2.v)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -92,7 +87,7 @@ class TestInitFactors:
 
     def test_randomized_truncated_svd_matches_full_svd(self):
         x = make_problem(400, 400, 5, 0.05).x
-        f = init_factors(x, 5, "truncated-svd")
+        f = init_factors(x, 5)
         u, sigma, vt = np.linalg.svd(x)
         assert np.allclose(np.diag(f.c), sigma[:5], rtol=1e-8, atol=0.0)
         assert np.count_nonzero(f.c - np.diag(np.diag(f.c))) == 0
@@ -101,8 +96,8 @@ class TestInitFactors:
 
     def test_truncated_svd_is_bit_reproducible(self):
         x = make_problem(120, 90, 3, 0.05, seed=3).x
-        f1 = init_factors(x, 3, "truncated-svd", seed=5)
-        f2 = init_factors(x, 3, "truncated-svd", seed=5)
+        f1 = init_factors(x, 3, seed=5)
+        f2 = init_factors(x, 3, seed=5)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.c, f2.c)
         assert np.array_equal(f1.v, f2.v)
@@ -120,7 +115,7 @@ class TestInitFactors:
                 q, _ = np.linalg.qr(x @ z)
             f = solvers.thin_svd(q.T @ x)
             u, v = solvers._fix_signs(q @ f.u[:, :k], f.v[:, :k])
-            got = init_factors(x, k, "truncated-svd", seed=seed)
+            got = init_factors(x, k, seed=seed)
             assert np.array_equal(got.u, u)
             assert np.array_equal(got.c, np.diag(f.s[:k]))
             assert np.array_equal(got.v, v)
@@ -130,7 +125,7 @@ class TestInitFactors:
         # k + oversampling exceeds min(d, n): the range finder spans the whole
         # column (or row) space, so the init is the exact rank-k truncation
         x = np.random.default_rng(9).standard_normal(shape)
-        f = init_factors(x, 3, "truncated-svd")
+        f = init_factors(x, 3)
         u, sigma, vt = np.linalg.svd(x, full_matrices=False)
         best = (u[:, :3] * sigma[:3]) @ vt[:3]
         assert f.u.shape == (shape[0], 3) and f.v.shape == (shape[1], 3)
@@ -196,7 +191,7 @@ class TestFffp:
         cfg = SolverConfig(k=3)
         x = prob.x
         # the F-FFP iteration written out of place, one fresh array per step
-        f = init_factors(x, cfg.k, cfg.init, cfg.seed)
+        f = init_factors(x, cfg.k, cfg.seed)
         u, c, v = f.u, f.c, f.v
         theta, rho = np.zeros_like(x), cfg.rho0
         for t in range(1, cfg.max_iter + 1):
@@ -293,7 +288,7 @@ class TestLoopInvariants:
         prob, cfg, snaps = self.run_with_snapshots()
         rng = np.random.default_rng(0)
         prev_theta, prev_rho = np.zeros_like(prob.x), cfg.rho0
-        prev_low_rank = init_factors(prob.x, cfg.k, cfg.init, cfg.seed).dense()
+        prev_low_rank = init_factors(prob.x, cfg.k, cfg.seed).dense()
 
         def lagrangian(s, low_rank, theta, rho):
             fit = prob.x - low_rank - s + theta / rho
@@ -313,7 +308,7 @@ class TestLoopInvariants:
 
     def test_procrustes_updates_never_decrease_trace(self):
         prob, cfg, snaps = self.run_with_snapshots()
-        init = init_factors(prob.x, cfg.k, cfg.init, cfg.seed)
+        init = init_factors(prob.x, cfg.k, cfg.seed)
         prev_u, prev_c, prev_v = init.u, init.c, init.v
         prev_theta, prev_rho = np.zeros_like(prob.x), cfg.rho0
         for t, s, u, c, v, theta, rho in snaps:

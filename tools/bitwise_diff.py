@@ -1,0 +1,225 @@
+"""Compare the outputs of two source trees of robustpca bit for bit.
+
+    python tools/bitwise_diff.py PARENT_TREE CHANGE_TREE
+
+Each tree's ``src`` is imported in its own subprocess, which runs a fixed,
+seeded corpus and pickles one ``{key: bytes}`` map:
+
+* library solves on 400x400, 300x120 and 120x300 problems: the start
+  factors, ``solve_fffp``, ``solve_uffp`` at a positive weight and at 0,
+  ``solve_ialm`` converged and at the iteration cap, the default lambda
+  grid, and every ``lambda_sweep`` entry and the selected index;
+* CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
+  ``background`` (fffp, sweep), ``anomaly`` (converged, capped, threshold),
+  ``bench``, and inputs that must be refused: every file they write and
+  every exit code.
+
+Arrays are compared by dtype, shape and raw bytes, reports by every field
+but ``wall_time``, JSON files leaf by leaf with every ``wall_time`` key
+dropped, other files as raw bytes.  The script prints each key that
+differs (a file only one tree wrote as a single line) and exits 1 if any
+key differs, 0 otherwise.  Timings (``bench``'s
+``scaling.csv`` and ``fit.json``) always differ.  Both trees must accept the
+calls below; a tree whose API moved needs the corpus edited to match.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
+
+
+def _array(a):
+    a = np.asarray(a)
+    return pickle.dumps((a.dtype.str, a.shape)) + a.tobytes()
+
+
+def _report(report):
+    fields = dataclasses.asdict(report)
+    fields.pop("wall_time")
+    return pickle.dumps(sorted(fields.items()))
+
+
+def _put_factored(out, key, factors, s, report):
+    out[key + "/u"] = _array(factors.u)
+    out[key + "/c"] = _array(factors.c)
+    out[key + "/v"] = _array(factors.v)
+    out[key + "/s"] = _array(s)
+    out[key + "/report"] = _report(report)
+
+
+def _library(out):
+    from robustpca import (SolverConfig, default_lambda_grid, init_factors, lambda_sweep,
+                           make_problem, solve_fffp, solve_ialm, solve_uffp)
+
+    for (d, n), k in LIB_CASES:
+        x = make_problem(d, n, 5, 0.05, seed=7).x
+        tag = "lib/%dx%d" % (d, n)
+        out[tag + "/x"] = _array(x)
+        start = init_factors(x, k, seed=3)
+        out[tag + "/init/u"] = _array(start.u)
+        out[tag + "/init/c"] = _array(start.c)
+        out[tag + "/init/v"] = _array(start.v)
+        grid = default_lambda_grid(x)
+        out[tag + "/grid"] = _array(grid)
+        _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
+        _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=float(grid[7]))))
+        _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
+        for name, cfg in (("ialm", SolverConfig(k=k)),
+                          ("ialm_capped", SolverConfig(k=k, max_iter=3))):
+            l, s, report = solve_ialm(x, cfg)
+            out["%s/%s/l" % (tag, name)] = _array(l)
+            out["%s/%s/s" % (tag, name)] = _array(s)
+            out["%s/%s/report" % (tag, name)] = _report(report)
+        entries, selected = lambda_sweep(x, SolverConfig(k=k))
+        out[tag + "/sweep/selected"] = pickle.dumps(selected)
+        for i, e in enumerate(entries):
+            key = "%s/sweep/%02d" % (tag, i)
+            out[key + "/lam"] = pickle.dumps(e.lam)
+            _put_factored(out, key, e.factors, e.s, e.report)
+
+
+def _json_leaves(value, path=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key != "wall_time":
+                yield from _json_leaves(item, "%s.%s" % (path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_leaves(item, "%s[%d]" % (path, i))
+    else:
+        yield path, pickle.dumps(value)
+
+
+def _cli_runs():
+    problem = ["--k", "6"]
+    anomaly = ["anomaly", "prob/X.ffpm", "--k", "5"]
+    return (
+        ("synth", ["synth", "--d", "120", "--n", "90", "--rank", "4", "--fraction", "0.05",
+                   "--seed", "7", "--out", "prob"]),
+        ("decompose_fffp", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
+                            "--truth", "prob/L_star.ffpm"]),
+        ("decompose_ialm", ["decompose", "prob/X.ffpm", "--method", "ialm", *problem,
+                            "--truth", "prob/L_star.ffpm"]),
+        ("decompose_uffp", ["decompose", "prob/X.ffpm", "--method", "uffp", "--lambda", "5",
+                            *problem]),
+        ("decompose_sweep", ["decompose", "prob/X.ffpm", "--method", "uffp", "--lambda-sweep",
+                             *problem, "--truth", "prob/L_star.ffpm"]),
+        ("decompose_capped", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
+                              "--max-iter", "3"]),
+        ("background_fffp", ["background", "frames", "--k", "1"]),
+        ("background_sweep", ["background", "frames", "--method", "uffp", "--lambda-sweep",
+                              "--k", "3"]),
+        ("anomaly_top_m", anomaly + ["--top-m", "4"]),
+        ("anomaly_threshold", anomaly + ["--threshold", "1.0"]),
+        ("anomaly_capped", anomaly + ["--max-iter", "3"]),
+        ("bench", ["bench", "--axis", "samples", "--factors", "0.5,1.0", "--base-d", "60",
+                   "--base-n", "60", "--rank", "2", "--k", "2", "--iters", "2",
+                   "--repeats", "1"]),
+        # inputs that must be refused
+        ("uffp_lambda_nan", ["decompose", "prob/X.ffpm", "--method", "uffp", "--lambda", "nan",
+                             *problem]),
+        ("uffp_lambda_inf", ["decompose", "prob/X.ffpm", "--method", "uffp", "--lambda", "inf",
+                             *problem]),
+        ("ialm_lambda_nan", ["decompose", "prob/X.ffpm", "--method", "ialm", "--lambda", "nan",
+                             *problem]),
+        ("fffp_kappa_nan", ["decompose", "prob/X.ffpm", "--method", "fffp", "--kappa", "nan",
+                            *problem]),
+        ("anomaly_threshold_nan", anomaly + ["--threshold", "nan"]),
+        ("init_flag", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
+                       "--init", "truncated-svd"]),
+    )
+
+
+def _cli(out, work):
+    from robustpca.cli import main
+    from robustpca.dataio import write_pgm
+
+    os.chdir(work)
+    rng = np.random.default_rng(11)
+    background = rng.uniform(40, 200, (24, 32))
+    Path("frames").mkdir()
+    for j in range(30):
+        frame = background + rng.normal(0, 2, background.shape)
+        frame[4 + j % 12:8 + j % 12, 5:9] = 250
+        pixels = np.clip(frame, 0, 255).round().astype(np.uint8)
+        write_pgm(Path("frames") / ("f%02d.pgm" % j), pixels)
+    for name, argv in _cli_runs():
+        run_dir = Path("runs") / name
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv if name == "synth" else argv + ["--out", str(run_dir)])
+        out["cli/%s/exit" % name] = pickle.dumps(code)
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        key = "cli/files/%s" % path.as_posix()
+        if path.suffix == ".json":
+            for leaf, value in _json_leaves(json.loads(path.read_text())):
+                out[key + ":" + leaf] = value
+        else:
+            out[key] = path.read_bytes()
+
+
+def collect(tree, dump):
+    """Run the corpus against ``tree`` (already first on sys.path) into ``dump``."""
+    import robustpca
+
+    src = (Path(tree).resolve() / "src").as_posix()
+    if not Path(robustpca.__file__).resolve().as_posix().startswith(src + "/"):
+        raise RuntimeError("imported %s, not the package under %s" % (robustpca.__file__, src))
+    out = {}
+    _library(out)
+    with tempfile.TemporaryDirectory() as work:
+        _cli(out, work)
+    with open(dump, "wb") as f:
+        pickle.dump(out, f)
+
+
+def _run_tree(tree, dump):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    subprocess.run([sys.executable, __file__, "--collect", str(tree), str(dump)], env=env,
+                   check=True)
+    with open(dump, "rb") as f:
+        return pickle.load(f)  # written just now by our own subprocess
+
+
+def main(argv):
+    if len(argv) == 4 and argv[1] == "--collect":
+        collect(argv[2], argv[3])
+        return 0
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = _run_tree(argv[1], Path(tmp) / "parent.pkl")
+        change = _run_tree(argv[2], Path(tmp) / "change.pkl")
+    keys = parent.keys() | change.keys()
+    differ = sorted(key for key in keys if parent.get(key) != change.get(key))
+    files = [{key.split(":")[0] for key in tree} for tree in (parent, change)]
+    sides = (("parent", parent, change, files[1]), ("change", change, parent, files[0]))
+    lines = {}  # one line per differing key, or per file that only one tree wrote
+    for key in differ:
+        name = key.split(":")[0]
+        for side, here, there, there_files in sides:
+            if key in here and key not in there:
+                whole = name not in there_files
+                lines[("only in %s: " % side) + (name if whole else key)] = None
+                break
+        else:
+            lines["differs:        " + key] = None
+    for line in lines:
+        print(line)
+    print("%d keys compared, %d differ" % (len(keys), len(differ)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
