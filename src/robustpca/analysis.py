@@ -60,14 +60,23 @@ def compute_metrics(report, l, l_star=None):
     )
 
 
+def _check_threshold(threshold):
+    if not threshold >= 0:  # NaN fails every comparison, so test for the valid range
+        raise ValueError("threshold must be nonnegative, got %r" % threshold)
+
+
+def _check_m(m, size):
+    if not 0 <= m <= size:
+        raise ValueError("m must lie in [0, %d], got %r" % (size, m))
+
+
 def anomaly_detect(s, threshold):
     """Score every column of the sparse part by its l2 norm and flag the large ones.
 
     Columns whose score reaches ``threshold`` are flagged; inlier columns
     of a well-separated decomposition score near zero.
     """
-    if not threshold >= 0:  # NaN fails every comparison, so test for the valid range
-        raise ValueError("threshold must be nonnegative, got %r" % threshold)
+    _check_threshold(threshold)
     s = np.asarray(s, dtype=np.float64)
     scores = np.linalg.norm(s, axis=0)
     return AnomalyResult(scores=scores, flagged=np.flatnonzero(scores >= threshold))
@@ -76,8 +85,7 @@ def anomaly_detect(s, threshold):
 def top_m_columns(scores, m):
     """Indices of the m largest scores, ascending; ties resolve to lower indices."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= m <= scores.size:
-        raise ValueError("m must lie in [0, %d], got %r" % (scores.size, m))
+    _check_m(m, scores.size)
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:m])
 
@@ -110,6 +118,8 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
         raise ValueError("factors must be a nonempty list of positive scalars")
     if sorted(factors) != factors:
         raise ValueError("factors must be ascending")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1, got %r" % repeats)
     solve = {"fffp": solve_fffp, "uffp": solve_uffp, "ialm": solve_ialm}[method]
     cfg = SolverConfig(k=k, lam=lam, tol=_BENCH_TOL, max_iter=iters, seed=seed)
     scaled = "n" if axis == "samples" else "d"

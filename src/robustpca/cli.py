@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import compute_metrics, anomaly_detect, benchmark_csv, linear_fit_r2, \
-    scaling_benchmark, top_m_columns
+from .analysis import _check_m, _check_threshold, compute_metrics, anomaly_detect, \
+    benchmark_csv, linear_fit_r2, scaling_benchmark, top_m_columns
 from .dataio import FormatError, load_frame_stack, read_matrix, write_frame, \
     write_matrix, write_report
 from .datagen import make_problem
@@ -171,6 +171,12 @@ def cmd_background(args):
 def cmd_anomaly(args):
     start = time.perf_counter()
     x = read_matrix(args.input)
+    # refuse a bad --threshold or --top-m before paying for the solve
+    top_m = min(args.top_m, x.shape[1])
+    if args.threshold is not None:
+        _check_threshold(args.threshold)
+    else:
+        _check_m(top_m, x.shape[1])
     cfg = _config_from_args(args)
     factors, s, report = solve_fffp(x, cfg)
     if args.threshold is not None:
@@ -178,7 +184,7 @@ def cmd_anomaly(args):
         scores, flagged = result.scores, result.flagged
     else:
         scores = np.linalg.norm(s, axis=0)
-        flagged = top_m_columns(scores, min(args.top_m, scores.size))
+        flagged = top_m_columns(scores, top_m)
 
     out = _out_dir(args)
     scores_path = out / "scores.csv"
@@ -220,7 +226,8 @@ def _add_solver_flags(parser, require_k=True):
     parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                         help="balance weight (uffp; ialm derives a default)")
     parser.add_argument("--rho0", type=float, default=SolverConfig.rho0,
-                        help="initial penalty weight")
+                        help="initial penalty weight (default: scaled to the data, "
+                             "1/max|x| for fffp and uffp, 1.25/sigma_1(x) for ialm)")
     parser.add_argument("--kappa", type=float, default=SolverConfig.kappa,
                         help="penalty growth per iteration")
     parser.add_argument("--tol", type=float, default=SolverConfig.tol,

@@ -114,7 +114,11 @@ class SolverConfig:
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    rho0     : initial penalty weight, at most ``RHO_CAP``
+    rho0     : initial penalty weight in (0, ``RHO_CAP``], or None (the
+               default) to scale it to the data: ``1/max|x|`` for the
+               factored solvers, so the first sparse threshold 1/rho reaches
+               the largest entry, and Lin, Chen & Ma's ``1.25/sigma_1(x)``
+               for solve_ialm; either is capped at ``RHO_CAP``
     kappa    : finite geometric penalty growth per iteration, must exceed 1
     tol      : relative-residual stopping threshold, in (0, 1)
     max_iter : iteration cap
@@ -125,7 +129,7 @@ class SolverConfig:
 
     k: int
     lam: float | None = None
-    rho0: float = 1e-4
+    rho0: float | None = None
     kappa: float = 1.5
     tol: float = 1e-3
     max_iter: int = 200
@@ -136,7 +140,7 @@ class SolverConfig:
             raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), self.k))
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
-        if not 0 < self.rho0 <= RHO_CAP:
+        if self.rho0 is not None and not 0 < self.rho0 <= RHO_CAP:
             raise ValueError("rho0 must lie in (0, RHO_CAP = %g], got %r" % (RHO_CAP, self.rho0))
         if not 1 < self.kappa < math.inf:
             raise ValueError("kappa must be finite and exceed 1, got %r" % self.kappa)
@@ -153,13 +157,17 @@ class SolveReport:
     svd_count is the raw number of thin-SVD invocations inside the
     iteration loop (the factor-orthogonalization and core updates for the
     factored solvers, the singular-value thresholding for the baseline);
-    initialization is not counted.  A widened retry of the baseline's
+    the start is not counted (the factored solvers' initial factors, the
+    baseline's rank-1 estimate of sigma_1).  A widened retry of the baseline's
     partial thresholding counts as a further SVD, so its svd_count can
-    exceed its iteration count.  sparse_l1 is the l1 norm of the final s.
+    exceed its iteration count.  rho0 is the penalty weight of the first
+    iteration: ``cfg.rho0``, or the data-scaled start when that is None.
+    sparse_l1 is the l1 norm of the final s.
     """
 
     iterations: int
     svd_count: int
+    rho0: float
     per_iter_residual: list[float]
     final_rank: int
     sparsity_ratio: float
@@ -247,9 +255,12 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
+def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
+    The penalty starts at ``cfg.rho0``, or, when that is None, at the
+    solver's data-scaled ``scaled_rho0()`` capped at ``RHO_CAP``; the rule
+    runs after the norm check, so it may divide by a scale of ``x``.
     ``step(theta, rho, s, work)`` updates ``low_rank`` and ``s`` in place,
     may overwrite the scratch ``work``, and returns its thin-SVD count.
     The driver then adds ``rho * (x - low_rank - s)`` to ``theta``, grows
@@ -266,7 +277,8 @@ def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
     theta = np.zeros_like(x)
     s = np.zeros_like(x)
     work = np.empty_like(x)
-    rho = float(cfg.rho0)
+    rho0 = float(cfg.rho0) if cfg.rho0 is not None else min(float(scaled_rho0()), RHO_CAP)
+    rho = rho0
     residuals = []
     svd_count = 0
 
@@ -296,6 +308,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, after=None):
     return s, SolveReport(
         iterations=t,
         svd_count=svd_count,
+        rho0=rho0,
         per_iter_residual=residuals,
         final_rank=final_rank,
         sparsity_ratio=sparsity_ratio(s),
@@ -339,6 +352,10 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         np.matmul(u @ c, v.T, out=low_rank)
         return 3 if tau > 0.0 else 2
 
+    def scaled_rho0():
+        # 1/max|x|, with max|x| taken without a (d, n) temporary
+        return 1.0 / max(x.max(), -x.min())
+
     def after(t, s, theta, rho, residual):
         if not (_orthonormal(u) and _orthonormal(v)):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
@@ -349,7 +366,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         objective = sparse_l1 + lam_ld * log_det_surrogate(c)
         return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
 
-    s, report = _alm(x, cfg, t_start, low_rank, step, summary, after)
+    s, report = _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after)
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -432,7 +449,8 @@ def solve_ialm(x, cfg):
 
     Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
     ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
-    shared with the factored solvers (same multiplier and penalty).  ``cfg.lam``
+    shared with the factored solvers (same multiplier and penalty schedule;
+    the default start is Lin, Chen & Ma's 1.25/sigma_1(x)).  ``cfg.lam``
     defaults to 1/sqrt(max(d, n)).  As in Lin, Chen & Ma's inexact ALM,
     the singular-value step computes only a partial SVD: the number of
     singular values above the threshold is predicted from the previous
@@ -469,10 +487,15 @@ def solve_ialm(x, cfg):
         soft_threshold(work, lam / rho, out=s)
         return svds
 
+    def scaled_rho0():
+        # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from a rank-1 randomized
+        # SVD: O(d * n), and its own generator leaves rng's draws unchanged
+        return 1.25 / init_factors(x, 1, cfg.seed).c[0, 0]
+
     def summary(s, sparse_l1):
         return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
 
-    s, report = _alm(x, cfg, t_start, l, step, summary)
+    s, report = _alm(x, cfg, t_start, l, step, summary, scaled_rho0)
     return l, s, report
 
 

@@ -100,7 +100,8 @@ class TestAnomalyDetect:
 
 
 def stub_report(final_rank=2, sparsity=0.25, residual=0.01):
-    return SolveReport(iterations=3, svd_count=6, per_iter_residual=[0.5, 0.1, residual],
+    return SolveReport(iterations=3, svd_count=6, rho0=0.25,
+                       per_iter_residual=[0.5, 0.1, residual],
                        final_rank=final_rank, sparsity_ratio=sparsity, sparse_l1=1.5,
                        final_residual=residual, wall_time=0.125, final_objective=1.5,
                        converged=True)
@@ -157,6 +158,12 @@ class TestScalingBenchmark:
             scaling_benchmark(self.BASE, "samples", [], iters=1)
         with pytest.raises(ValueError):
             scaling_benchmark(self.BASE, "samples", [1.0, 0.5], iters=1)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_repeats_rejected(self, repeats):
+        # no run means no median: refuse instead of reporting nan seconds
+        with pytest.raises(ValueError, match="repeats"):
+            scaling_benchmark(self.BASE, "samples", [1.0], iters=1, repeats=repeats)
 
 
 class TestLinearFit:

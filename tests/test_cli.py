@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from robustpca import cli
 from robustpca.cli import build_parser, main
 from robustpca.dataio import read_matrix, read_pgm, write_matrix, write_pgm
+from robustpca.linalg import RANGE_OVERSAMPLE
 from robustpca.solvers import SolverConfig
 
 
@@ -130,7 +132,9 @@ class TestDecompose:
         if method == "fffp":
             assert (100, 100) not in shapes  # no (d, n) array is ever factorized
         else:
-            # every SVD is one of the thresholding steps the report counts
+            # every SVD but the start's rank-1 randomized one, which like the
+            # factored start is not counted, is a thresholding step
+            shapes.remove((1 + RANGE_OVERSAMPLE, 100))
             assert len(shapes) == payload["report"]["svd_count"]
 
     @pytest.mark.parametrize("method", [["fffp"], ["ialm"], ["uffp", "--lambda-sweep"]],
@@ -286,6 +290,16 @@ class TestAnomaly:
         path, _ = self.planted_matrix(tmp_path)
         assert run("anomaly", path, "--threshold", "nan", "--out", tmp_path / "anom") == 2
 
+    @pytest.mark.parametrize("flag", [["--threshold", "nan"], ["--threshold", "-1"],
+                                      ["--top-m", "-1"]], ids=["nan", "negative", "top-m"])
+    def test_bad_flag_exits_2_before_solving(self, tmp_path, monkeypatch, flag):
+        path, _ = self.planted_matrix(tmp_path)
+        solves = []
+        real = cli.solve_fffp
+        monkeypatch.setattr(cli, "solve_fffp", lambda *a: solves.append(a) or real(*a))
+        assert run("anomaly", path, *flag, "--out", tmp_path / "anom") == 2
+        assert solves == []
+
     def test_iteration_cap_exits_3_with_outputs(self, tmp_path):
         path, _ = self.planted_matrix(tmp_path)
         out = tmp_path / "anom"
@@ -307,6 +321,15 @@ class TestBench:
         lines = (out / "scaling.csv").read_text().strip().split("\n")
         assert lines[0] == "size,seconds" and len(lines) == 2
         assert json.loads((out / "fit.json").read_text())["rows"][0][0] == 60
+
+    def test_zero_repeats_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = run("bench", "--axis", "samples", "--factors", "1.0", "--base-d", "60",
+                   "--base-n", "60", "--rank", "2", "--k", "2", "--iters", "2",
+                   "--repeats", "0", "--out", out)
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not (out / "scaling.csv").exists()
 
     def test_empty_factors_exits_2(self, tmp_path):
         code = run("bench", "--axis", "samples", "--factors", "", "--out", tmp_path / "b")

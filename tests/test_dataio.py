@@ -254,6 +254,7 @@ class TestReportJson:
         report = SolveReport(
             iterations=3,
             svd_count=6,
+            rho0=0.25,
             per_iter_residual=[0.5, 0.1, 0.01],
             final_rank=2,
             sparsity_ratio=0.25,
@@ -270,6 +271,7 @@ class TestReportJson:
         assert payload["report"]["iterations"] == 3
         assert payload["report"]["per_iter_residual"] == [0.5, 0.1, 0.01]
         assert payload["report"]["converged"] is True
+        assert payload["report"]["rho0"] == 0.25
         assert payload["config"]["k"] == 2
         assert payload["config"]["lam"] == 0.5
         assert payload["note"] == [1, 2]

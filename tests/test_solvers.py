@@ -41,6 +41,7 @@ class TestConfig:
             SolverConfig(k=2, tol=1.0),
             SolverConfig(k=2, rho0=0.0),
             SolverConfig(k=2, rho0=2.0 * solvers.RHO_CAP),
+            SolverConfig(k=2, rho0=float("nan")),
             SolverConfig(k=2, max_iter=0),
             SolverConfig(k=2, lam=-1.0),
             SolverConfig(k=2, lam=float("nan")),
@@ -193,7 +194,8 @@ class TestFffp:
         # the F-FFP iteration written out of place, one fresh array per step
         f = init_factors(x, cfg.k, cfg.seed)
         u, c, v = f.u, f.c, f.v
-        theta, rho = np.zeros_like(x), cfg.rho0
+        # the default start: 1/max|x|, below the cap
+        theta, rho = np.zeros_like(x), min(1.0 / np.abs(x).max(), solvers.RHO_CAP)
         for t in range(1, cfg.max_iter + 1):
             misfit = x - (u @ c) @ v.T + theta / rho
             s_ref = np.sign(misfit) * np.maximum(np.abs(misfit) - 1.0 / rho, 0.0)
@@ -209,6 +211,14 @@ class TestFffp:
         _, s, report = solve_fffp(x, cfg)
         assert report.converged and report.iterations == t
         assert np.max(np.abs(s - s_ref)) <= 1e-12
+
+    def test_old_fixed_start_keeps_its_schedule(self):
+        # 1e-4, the fixed start before the data-scaled default, still runs the
+        # schedule it always ran; the default start skips most of it
+        x = make_problem(150, 150, 3, 0.05, seed=12).x
+        _, _, report = solve_fffp(x, SolverConfig(k=3, rho0=1e-4))
+        assert report.rho0 == 1e-4 and report.iterations == 26
+        assert solve_fffp(x, SolverConfig(k=3))[2].iterations == 11
 
     def test_lost_orthonormality_raises(self, monkeypatch):
         prob = make_problem(40, 30, 2, 0.05, seed=13)
@@ -256,6 +266,41 @@ class TestAlmDriver:
         with pytest.raises(ValueError, match="zero Frobenius norm"):
             solve(x, SolverConfig(k=2, lam=lam))
 
+    @SOLVERS
+    def test_explicit_start_is_recorded(self, solve, lam):
+        prob = make_problem(40, 40, 2, 0.1, seed=3)
+        _, _, report = solve(prob.x, SolverConfig(k=2, lam=lam, rho0=0.02))
+        assert report.rho0 == 0.02
+
+    @SOLVERS
+    def test_default_start_is_data_scaled(self, solve, lam):
+        x = make_problem(40, 40, 2, 0.1, seed=3).x
+        _, _, report = solve(x, SolverConfig(k=2, lam=lam, seed=5))
+        if solve is solve_ialm:
+            want = 1.25 / init_factors(x, 1, 5).c[0, 0]  # Lin, Chen & Ma's 1.25/sigma_1
+        else:
+            want = 1.0 / np.abs(x).max()
+        assert report.rho0 == want
+
+    @SOLVERS
+    def test_default_start_is_capped(self, solve, lam):
+        # 1/max|x| and 1.25/sigma_1 are both near 1e159 here
+        x = 1e-160 * np.random.default_rng(18).standard_normal((40, 30))
+        _, _, report = solve(x, SolverConfig(k=2, lam=lam, max_iter=1))
+        assert report.rho0 == solvers.RHO_CAP
+
+    @pytest.mark.parametrize("solve", [solve_fffp, solve_ialm], ids=["fffp", "ialm"])
+    def test_default_start_is_scale_free(self, solve):
+        # the start scales with 1/x, so a power-of-two rescaled input runs the
+        # same schedule and returns the rescaled sparse part
+        x = make_problem(60, 50, 2, 0.05, seed=19).x
+        _, s, report = solve(x, SolverConfig(k=2))
+        for scale in (2.0**-30, 2.0**20):
+            _, s_scaled, scaled = solve(scale * x, SolverConfig(k=2))
+            assert scaled.iterations == report.iterations
+            assert np.isclose(scaled.rho0 * scale, report.rho0, rtol=1e-12, atol=0.0)
+            assert np.max(np.abs(s_scaled / scale - s)) <= 1e-12 * np.abs(s).max()
+
 
 class TestLoopInvariants:
     """Per-iteration contracts checked through the snapshot callback."""
@@ -268,15 +313,13 @@ class TestLoopInvariants:
         copy = lambda st: snaps.append(
             (st.t, st.s.copy(), st.u.copy(), st.c.copy(), st.v.copy(), st.theta.copy(), st.rho)
         )
-        if lam is None:
-            solve_fffp(prob.x, cfg, on_iteration=copy)
-        else:
-            solve_uffp(prob.x, cfg, on_iteration=copy)
-        return prob, cfg, snaps
+        solve = solve_fffp if lam is None else solve_uffp
+        _, _, report = solve(prob.x, cfg, on_iteration=copy)
+        return prob, cfg, report.rho0, snaps
 
     def test_rho_schedule(self):
-        _, cfg, snaps = self.run_with_snapshots()
-        rhos = [cfg.rho0] + [snap[6] for snap in snaps]
+        _, cfg, rho0, snaps = self.run_with_snapshots()
+        rhos = [rho0] + [snap[6] for snap in snaps]
         for prev, cur in zip(rhos, rhos[1:]):
             assert np.isclose(cur, min(prev * cfg.kappa, solvers.RHO_CAP))
             assert cur > prev or prev == solvers.RHO_CAP
@@ -285,9 +328,9 @@ class TestLoopInvariants:
         # The sparse step is the exact minimizer of
         #   |s|_1 + rho/2 * ||x - l - s + theta/rho||_F^2
         # at the factors it saw, so nudging entries can only raise the value.
-        prob, cfg, snaps = self.run_with_snapshots()
+        prob, cfg, rho0, snaps = self.run_with_snapshots()
         rng = np.random.default_rng(0)
-        prev_theta, prev_rho = np.zeros_like(prob.x), cfg.rho0
+        prev_theta, prev_rho = np.zeros_like(prob.x), rho0
         prev_low_rank = init_factors(prob.x, cfg.k, cfg.seed).dense()
 
         def lagrangian(s, low_rank, theta, rho):
@@ -307,10 +350,10 @@ class TestLoopInvariants:
             prev_low_rank = (u @ c) @ v.T
 
     def test_procrustes_updates_never_decrease_trace(self):
-        prob, cfg, snaps = self.run_with_snapshots()
+        prob, cfg, rho0, snaps = self.run_with_snapshots()
         init = init_factors(prob.x, cfg.k, cfg.seed)
         prev_u, prev_c, prev_v = init.u, init.c, init.v
-        prev_theta, prev_rho = np.zeros_like(prob.x), cfg.rho0
+        prev_theta, prev_rho = np.zeros_like(prob.x), rho0
         for t, s, u, c, v, theta, rho in snaps:
             m = prob.x - s + prev_theta / prev_rho
             target_v = m.T @ (prev_u @ prev_c)
@@ -322,14 +365,14 @@ class TestLoopInvariants:
 
     def test_orthonormal_every_iteration(self):
         for lam in (None, 3.0):
-            _, cfg, snaps = self.run_with_snapshots(lam)
+            _, cfg, _, snaps = self.run_with_snapshots(lam)
             eye = np.eye(cfg.k)
             for _, _, u, _, v, _, _ in snaps:
                 assert np.linalg.norm(u.T @ u - eye) <= 1e-8
                 assert np.linalg.norm(v.T @ v - eye) <= 1e-8
 
     def test_core_rank_never_exceeds_k(self):
-        _, cfg, snaps = self.run_with_snapshots(lam=3.0)
+        _, cfg, _, snaps = self.run_with_snapshots(lam=3.0)
         for _, _, _, c, _, _, _ in snaps:
             assert c.shape == (cfg.k, cfg.k)
             assert np.linalg.matrix_rank(c) <= cfg.k
@@ -509,7 +552,9 @@ class TestIalm:
         # thresholding step, one fresh array per step
         rng = np.random.default_rng(cfg.seed)
         rank, v_kept = solvers.SVT_START_RANK, None
-        s, theta, rho = np.zeros_like(x), np.zeros_like(x), cfg.rho0
+        # the default start: 1.25/sigma_1 from a seeded rank-1 randomized SVD
+        rho = min(1.25 / init_factors(x, 1, cfg.seed).c[0, 0], solvers.RHO_CAP)
+        s, theta = np.zeros_like(x), np.zeros_like(x)
         for t in range(1, cfg.max_iter + 1):
             l_ref = np.empty_like(x)
             _, v_kept, rank, _ = solvers._svt_step(x - s + theta / rho, 1.0 / rho, rank,
