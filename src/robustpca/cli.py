@@ -7,7 +7,8 @@ scaling runs).  Every command writes a ``manifest.json`` next to its
 outputs echoing the full configuration, seed, tool version, and wall time,
 so any artifact can be regenerated from its manifest.
 
-Exit codes: 0 success (and solver convergence), 2 usage or argument error,
+Exit codes: 0 success (and solver convergence), 2 usage or argument error
+(such as a ``--lambda`` or ``--lambda-sweep`` that ``--method`` would ignore),
 3 iteration-cap exit of ``decompose``, ``background`` or ``anomaly`` with
 outputs still written, 4 I/O or file-format error.
 """
@@ -69,15 +70,25 @@ def _out_dir(args):
 
 
 def _config_from_args(args):
+    # anomaly has no --lambda: it runs fffp, which has no weight
     return SolverConfig(
         k=args.k,
-        lam=args.lam,
-        rho0=args.rho0,
-        kappa=args.kappa,
+        lam=getattr(args, "lam", SolverConfig.lam),
         tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
     )
+
+
+def _check_method_flags(args):
+    """Refuse a weight flag that ``--method`` would ignore, and uffp without a
+    weight (ValueError, so exit 2); run before any input is read."""
+    if args.lambda_sweep and (args.method != "uffp" or args.lam is not None):
+        raise ValueError("--lambda-sweep needs --method uffp and no --lambda")
+    if args.lam is not None and args.method == "fffp":
+        raise ValueError("--method fffp has no weight; drop --lambda")
+    if args.method == "uffp" and args.lam is None and not args.lambda_sweep:
+        raise ValueError("--method uffp needs --lambda or --lambda-sweep")
 
 
 def cmd_synth(args):
@@ -118,9 +129,7 @@ def _solve_with_method(x, args, cfg):
 
 
 def cmd_decompose(args):
-    if args.method == "uffp" and args.lam is None and not args.lambda_sweep:
-        print("decompose: --method uffp needs --lambda or --lambda-sweep", file=sys.stderr)
-        return USAGE_ERROR
+    _check_method_flags(args)
     start = time.perf_counter()
     x = read_matrix(args.input)
     cfg = _config_from_args(args)
@@ -148,6 +157,7 @@ def cmd_decompose(args):
 
 
 def cmd_background(args):
+    _check_method_flags(args)
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
     cfg = _config_from_args(args)
@@ -223,13 +233,6 @@ def cmd_bench(args):
 def _add_solver_flags(parser, require_k=True):
     parser.add_argument("--k", type=int, required=require_k, default=None if require_k else 1,
                         help="factor width (upper bound on the recovered rank)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
-                        help="balance weight (uffp; ialm derives a default)")
-    parser.add_argument("--rho0", type=float, default=SolverConfig.rho0,
-                        help="initial penalty weight (default: scaled to the data, "
-                             "1/max|x| for fffp and uffp, 1.25/sigma_1(x) for ialm)")
-    parser.add_argument("--kappa", type=float, default=SolverConfig.kappa,
-                        help="penalty growth per iteration")
     parser.add_argument("--tol", type=float, default=SolverConfig.tol,
                         help="relative-residual stop threshold")
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
@@ -260,6 +263,8 @@ def build_parser():
     dec = commands.add_parser("decompose", help="run a solver on a matrix file")
     dec.add_argument("input", help="matrix file (.ffpm or .csv)")
     dec.add_argument("--method", choices=("fffp", "uffp", "ialm"), required=True)
+    dec.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
+                     help="balance weight (uffp; ialm derives a default)")
     dec.add_argument("--lambda-sweep", action="store_true",
                      help="sweep the uffp weight over a data-scaled grid")
     dec.add_argument("--truth", default=None, help="ground-truth low-rank matrix for recovery error")
@@ -270,6 +275,7 @@ def build_parser():
     bg = commands.add_parser("background", help="split an image stack into background/foreground")
     bg.add_argument("frames", help="directory of equally sized .pgm frames")
     bg.add_argument("--method", choices=("fffp", "uffp", "ialm"), default="fffp")
+    bg.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
     bg.add_argument("--lambda-sweep", action="store_true")
     bg.add_argument("--downsample", type=int, default=1,
                     help="keep every f-th pixel along each axis")

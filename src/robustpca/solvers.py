@@ -58,6 +58,7 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 # ceiling on the penalty weight: unbounded geometric growth would overflow
 # after a few hundred iterations
 RHO_CAP = 1e10
+KAPPA = 1.5  # geometric penalty growth per iteration
 
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
 SVT_START_RANK = 10  # predicted rank of the first iteration
@@ -114,23 +115,20 @@ class SolverConfig:
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    rho0     : initial penalty weight in (0, ``RHO_CAP``], or None (the
-               default) to scale it to the data: ``1/max|x|`` for the
-               factored solvers, so the first sparse threshold 1/rho reaches
-               the largest entry, and Lin, Chen & Ma's ``1.25/sigma_1(x)``
-               for solve_ialm; either is capped at ``RHO_CAP``
-    kappa    : finite geometric penalty growth per iteration, must exceed 1
     tol      : relative-residual stopping threshold, in (0, 1)
     max_iter : iteration cap
     seed     : seed of the Gaussian draws: the test matrix of the factored
                solvers' randomized truncated-SVD start (:func:`init_factors`)
                and the range finder of solve_ialm's singular-value step
+
+    The penalty schedule is fixed: it starts at ``1/max|x|`` for the factored
+    solvers (the first sparse threshold 1/rho reaches the largest entry) and
+    at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, and grows by
+    ``KAPPA`` per iteration, always capped at ``RHO_CAP``.
     """
 
     k: int
     lam: float | None = None
-    rho0: float | None = None
-    kappa: float = 1.5
     tol: float = 1e-3
     max_iter: int = 200
     seed: int = 0
@@ -140,10 +138,6 @@ class SolverConfig:
             raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), self.k))
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
-        if self.rho0 is not None and not 0 < self.rho0 <= RHO_CAP:
-            raise ValueError("rho0 must lie in (0, RHO_CAP = %g], got %r" % (RHO_CAP, self.rho0))
-        if not 1 < self.kappa < math.inf:
-            raise ValueError("kappa must be finite and exceed 1, got %r" % self.kappa)
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1), got %r" % self.tol)
         if self.max_iter < 1:
@@ -161,7 +155,7 @@ class SolveReport:
     baseline's rank-1 estimate of sigma_1).  A widened retry of the baseline's
     partial thresholding counts as a further SVD, so its svd_count can
     exceed its iteration count.  rho0 is the penalty weight of the first
-    iteration: ``cfg.rho0``, or the data-scaled start when that is None.
+    iteration, the solver's data-scaled start (see :class:`SolverConfig`).
     sparse_l1 is the l1 norm of the final s.
     """
 
@@ -258,9 +252,8 @@ def relative_residual(x, l, s):
 def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    The penalty starts at ``cfg.rho0``, or, when that is None, at the
-    solver's data-scaled ``scaled_rho0()`` capped at ``RHO_CAP``; the rule
-    runs after the norm check, so it may divide by a scale of ``x``.
+    The penalty starts at ``min(scaled_rho0(), RHO_CAP)``, called after the
+    norm check, so the solver's rule may divide by a scale of ``x``.
     ``step(theta, rho, s, work)`` updates ``low_rank`` and ``s`` in place,
     may overwrite the scratch ``work``, and returns its thin-SVD count.
     The driver then adds ``rho * (x - low_rank - s)`` to ``theta``, grows
@@ -277,7 +270,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
     theta = np.zeros_like(x)
     s = np.zeros_like(x)
     work = np.empty_like(x)
-    rho0 = float(cfg.rho0) if cfg.rho0 is not None else min(float(scaled_rho0()), RHO_CAP)
+    rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
     svd_count = 0
@@ -297,7 +290,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
-        rho = min(rho * cfg.kappa, RHO_CAP)
+        rho = min(rho * KAPPA, RHO_CAP)
         if after is not None:
             after(t, s, theta, rho, residual)
         if residual <= cfg.tol:
@@ -377,7 +370,7 @@ def solve_fffp(x, cfg, on_iteration=None):
     soft-thresholding of the current misfit at 1/rho, the side factors by
     orthogonal-Procrustes (polar) updates, and the core by projection
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
-    residual and rho grows by kappa (capped at ``RHO_CAP``).  Stops when the
+    residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP``).  Stops when the
     relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
 
     Returns ``(factors, s, report)``.
@@ -450,7 +443,7 @@ def solve_ialm(x, cfg):
     Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
     ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
     shared with the factored solvers (same multiplier and penalty schedule;
-    the default start is Lin, Chen & Ma's 1.25/sigma_1(x)).  ``cfg.lam``
+    the start is Lin, Chen & Ma's 1.25/sigma_1(x)).  ``cfg.lam``
     defaults to 1/sqrt(max(d, n)).  As in Lin, Chen & Ma's inexact ALM,
     the singular-value step computes only a partial SVD: the number of
     singular values above the threshold is predicted from the previous

@@ -171,8 +171,7 @@ class TestDecompose:
 
     def test_non_finite_weight_or_growth_exits_2(self, problem_dir, tmp_path):
         for method, flag, value in (("uffp", "--lambda", "nan"), ("ialm", "--lambda", "nan"),
-                                    ("uffp", "--lambda", "inf"), ("fffp", "--kappa", "nan"),
-                                    ("fffp", "--kappa", "inf")):
+                                    ("uffp", "--lambda", "inf")):
             code = run("decompose", problem_dir / "X.ffpm", "--method", method, "--k", "3",
                        flag, value, "--out", tmp_path / method)
             assert code == 2, (method, flag, value)
@@ -336,6 +335,12 @@ class TestBench:
         assert code == 2
 
 
+# the factored solvers have one start and one penalty schedule, and anomaly
+# always runs fffp, which has no weight: no flag picks any of these
+UNKNOWN_FLAGS = [(command, flag) for command in ("decompose", "background", "anomaly")
+                 for flag in ("--init", "--rho0", "--kappa")] + [("anomaly", "--lambda")]
+
+
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
         assert run("frobnicate") == 2
@@ -346,16 +351,35 @@ class TestParser:
         method = ["--method", "fffp"] if command == "decompose" else []
         args = build_parser().parse_args([command, "in", "--k", "2", "--out", "o"] + method)
         cfg = SolverConfig(k=2)
-        for field in ("lam", "rho0", "kappa", "tol", "max_iter", "seed"):
+        fields = ["tol", "max_iter", "seed"] + ([] if command == "anomaly" else ["lam"])
+        for field in fields:
             assert getattr(args, field) == getattr(cfg, field)
 
-    @pytest.mark.parametrize("command", ["decompose", "background", "anomaly"])
-    def test_init_flag_is_unknown(self, command, capsys):
-        # the factored solvers have one start, so there is no flag to pick it
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=command + flag.replace("--init", ""))
+        for command, flag in UNKNOWN_FLAGS])
+    def test_init_flag_is_unknown(self, command, flag, capsys):
         method = ["--method", "fffp"] if command == "decompose" else []
-        assert run(command, "in", "--k", "2", "--out", "o", "--init", "truncated-svd",
-                   *method) == 2
-        assert "unrecognized arguments: --init" in capsys.readouterr().err
+        assert run(command, "in", "--k", "2", "--out", "o", flag, "1", *method) == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "background"])
+    @pytest.mark.parametrize("flags", [
+        ["--method", "fffp", "--lambda-sweep"],
+        ["--method", "ialm", "--lambda-sweep"],
+        ["--method", "uffp", "--lambda", "5", "--lambda-sweep"],
+        ["--method", "fffp", "--lambda", "5"],
+        ["--method", "uffp"],
+    ], ids=["fffp-sweep", "ialm-sweep", "uffp-lambda-sweep", "fffp-lambda", "uffp-no-weight"])
+    def test_ignored_or_missing_weight_exits_2_before_reading(self, command, flags, tmp_path,
+                                                              monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "load_frame_stack", lambda *a: reads.append(a))
+        out = tmp_path / "out"
+        assert run(command, "in", "--k", "2", "--out", out, *flags) == 2
+        assert reads == [] and not out.exists()
+        assert "--lambda" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import robustpca.solvers as solvers
 from robustpca.datagen import make_problem
@@ -34,14 +34,8 @@ class TestConfig:
         for cfg in (
             SolverConfig(k=0),
             SolverConfig(k=5),
-            SolverConfig(k=2, kappa=1.0),
-            SolverConfig(k=2, kappa=float("nan")),
-            SolverConfig(k=2, kappa=float("inf")),
             SolverConfig(k=2, tol=0.0),
             SolverConfig(k=2, tol=1.0),
-            SolverConfig(k=2, rho0=0.0),
-            SolverConfig(k=2, rho0=2.0 * solvers.RHO_CAP),
-            SolverConfig(k=2, rho0=float("nan")),
             SolverConfig(k=2, max_iter=0),
             SolverConfig(k=2, lam=-1.0),
             SolverConfig(k=2, lam=float("nan")),
@@ -205,20 +199,12 @@ class TestFffp:
             c = (u.T @ m) @ v
             r = x - (u @ c) @ v.T - s_ref
             theta = theta + rho * r
-            rho = min(rho * cfg.kappa, solvers.RHO_CAP)
+            rho = min(rho * solvers.KAPPA, solvers.RHO_CAP)
             if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
                 break
         _, s, report = solve_fffp(x, cfg)
         assert report.converged and report.iterations == t
         assert np.max(np.abs(s - s_ref)) <= 1e-12
-
-    def test_old_fixed_start_keeps_its_schedule(self):
-        # 1e-4, the fixed start before the data-scaled default, still runs the
-        # schedule it always ran; the default start skips most of it
-        x = make_problem(150, 150, 3, 0.05, seed=12).x
-        _, _, report = solve_fffp(x, SolverConfig(k=3, rho0=1e-4))
-        assert report.rho0 == 1e-4 and report.iterations == 26
-        assert solve_fffp(x, SolverConfig(k=3))[2].iterations == 11
 
     def test_lost_orthonormality_raises(self, monkeypatch):
         prob = make_problem(40, 30, 2, 0.05, seed=13)
@@ -267,12 +253,6 @@ class TestAlmDriver:
             solve(x, SolverConfig(k=2, lam=lam))
 
     @SOLVERS
-    def test_explicit_start_is_recorded(self, solve, lam):
-        prob = make_problem(40, 40, 2, 0.1, seed=3)
-        _, _, report = solve(prob.x, SolverConfig(k=2, lam=lam, rho0=0.02))
-        assert report.rho0 == 0.02
-
-    @SOLVERS
     def test_default_start_is_data_scaled(self, solve, lam):
         x = make_problem(40, 40, 2, 0.1, seed=3).x
         _, _, report = solve(x, SolverConfig(k=2, lam=lam, seed=5))
@@ -301,6 +281,38 @@ class TestAlmDriver:
             assert np.isclose(scaled.rho0 * scale, report.rho0, rtol=1e-12, atol=0.0)
             assert np.max(np.abs(s_scaled / scale - s)) <= 1e-12 * np.abs(s).max()
 
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 40), n=st.integers(1, 40), full=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=1, n=1, full=True, seed=0)
+    @example(d=1, n=40, full=False, seed=1)
+    @example(d=40, n=1, full=True, seed=2)
+    @example(d=3, n=40, full=True, seed=3)
+    @example(d=40, n=2, full=False, seed=4)
+    def test_invariants_at_shape_extremes(self, d, n, full, seed):
+        x = np.random.default_rng(seed).standard_normal((d, n))
+        k = min(d, n) if full else 1
+        cfg = SolverConfig(k=k, lam=1.0)
+        fffp = solve_fffp(x, cfg)
+        runs = {"fffp": fffp, "uffp": solve_uffp(x, cfg), "ialm": solve_ialm(x, cfg)}
+        for name, (low_rank, s, report) in runs.items():
+            l = low_rank if name == "ialm" else low_rank.dense()
+            assert l.shape == s.shape == (d, n), name
+            assert np.isfinite(l).all() and np.isfinite(s).all(), name
+            assert np.isclose(report.final_residual, relative_residual(x, l, s),
+                              rtol=1e-12, atol=0.0), name
+            assert report.sparse_l1 == np.abs(s).sum(), name
+            if name != "ialm":
+                eye = np.eye(k)
+                assert np.linalg.norm(low_rank.u.T @ low_rank.u - eye) <= 1e-8, name
+                assert np.linalg.norm(low_rank.v.T @ low_rank.v - eye) <= 1e-8, name
+                assert report.final_rank <= k, name
+        factors, s, report = solve_uffp(x, SolverConfig(k=k, lam=0.0))
+        for got, want in ((factors.u, fffp[0].u), (factors.c, fffp[0].c),
+                          (factors.v, fffp[0].v), (s, fffp[1])):
+            assert np.array_equal(got, want)
+        assert report.iterations == fffp[2].iterations
+
 
 class TestLoopInvariants:
     """Per-iteration contracts checked through the snapshot callback."""
@@ -318,10 +330,10 @@ class TestLoopInvariants:
         return prob, cfg, report.rho0, snaps
 
     def test_rho_schedule(self):
-        _, cfg, rho0, snaps = self.run_with_snapshots()
+        _, _, rho0, snaps = self.run_with_snapshots()
         rhos = [rho0] + [snap[6] for snap in snaps]
         for prev, cur in zip(rhos, rhos[1:]):
-            assert np.isclose(cur, min(prev * cfg.kappa, solvers.RHO_CAP))
+            assert np.isclose(cur, min(prev * solvers.KAPPA, solvers.RHO_CAP))
             assert cur > prev or prev == solvers.RHO_CAP
 
     def test_sparse_update_minimizes_lagrangian(self):
@@ -563,7 +575,7 @@ class TestIalm:
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
             theta = theta + rho * r
-            rho = min(rho * cfg.kappa, solvers.RHO_CAP)
+            rho = min(rho * solvers.KAPPA, solvers.RHO_CAP)
             if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
                 break
         l, s_got, report = solve_ialm(x, cfg)

@@ -1,11 +1,9 @@
 """Compare the outputs of two source trees of robustpca bit for bit.
 
-    python tools/bitwise_diff.py [--rho0 R] PARENT_TREE CHANGE_TREE
+    python tools/bitwise_diff.py PARENT_TREE CHANGE_TREE
 
 Each tree's ``src`` is imported in its own subprocess, which runs a fixed,
-seeded corpus and pickles one ``{key: bytes}`` map.  With ``--rho0 R``
-every solve of the corpus, library and CLI, starts its penalty at the
-explicit ``R``; without it each tree uses its default start.  The corpus:
+seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
 
 * library solves on 400x400, 300x120 and 120x300 problems: the start
   factors, ``solve_fffp``, ``solve_uffp`` at a positive weight and at 0,
@@ -13,8 +11,10 @@ explicit ``R``; without it each tree uses its default start.  The corpus:
   grid, and every ``lambda_sweep`` entry and the selected index;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
   ``background`` (fffp, sweep), ``anomaly`` (converged, capped, threshold),
-  ``bench``, and inputs that must be refused: every file they write and
-  every exit code.
+  ``bench``, and inputs that must be refused (non-finite weights and
+  thresholds, the removed ``--init``, and every ``--method``, ``--lambda``
+  and ``--lambda-sweep`` mix that leaves a flag unused or uffp without a
+  weight): every file they write and every exit code.
 
 Arrays are compared by dtype, shape and raw bytes, reports field by field
 without ``wall_time`` (a field only one tree has is one differing key), JSON files leaf by leaf with every ``wall_time`` key
@@ -60,12 +60,9 @@ def _put_factored(out, key, factors, s, report):
     _put_report(out, key, report)
 
 
-def _library(out, rho0):
+def _library(out):
     from robustpca import (SolverConfig, default_lambda_grid, init_factors, lambda_sweep,
                            make_problem, solve_fffp, solve_ialm, solve_uffp)
-
-    def config(**fields):
-        return SolverConfig(**fields) if rho0 is None else SolverConfig(rho0=rho0, **fields)
 
     for (d, n), k in LIB_CASES:
         x = make_problem(d, n, 5, 0.05, seed=7).x
@@ -77,16 +74,16 @@ def _library(out, rho0):
         out[tag + "/init/v"] = _array(start.v)
         grid = default_lambda_grid(x)
         out[tag + "/grid"] = _array(grid)
-        _put_factored(out, tag + "/fffp", *solve_fffp(x, config(k=k)))
-        _put_factored(out, tag + "/uffp", *solve_uffp(x, config(k=k, lam=float(grid[7]))))
-        _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, config(k=k, lam=0.0)))
-        for name, cfg in (("ialm", config(k=k)),
-                          ("ialm_capped", config(k=k, max_iter=3))):
+        _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
+        _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=float(grid[7]))))
+        _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
+        for name, cfg in (("ialm", SolverConfig(k=k)),
+                          ("ialm_capped", SolverConfig(k=k, max_iter=3))):
             l, s, report = solve_ialm(x, cfg)
             out["%s/%s/l" % (tag, name)] = _array(l)
             out["%s/%s/s" % (tag, name)] = _array(s)
             _put_report(out, "%s/%s" % (tag, name), report)
-        entries, selected = lambda_sweep(x, config(k=k))
+        entries, selected = lambda_sweep(x, SolverConfig(k=k))
         out[tag + "/sweep/selected"] = pickle.dumps(selected)
         for i, e in enumerate(entries):
             key = "%s/sweep/%02d" % (tag, i)
@@ -106,10 +103,9 @@ def _json_leaves(value, path=""):
         yield path, pickle.dumps(value)
 
 
-def _cli_runs(rho0):
-    start = [] if rho0 is None else ["--rho0", repr(rho0)]
-    problem = ["--k", "6", *start]
-    anomaly = ["anomaly", "prob/X.ffpm", "--k", "5", *start]
+def _cli_runs():
+    problem = ["--k", "6"]
+    anomaly = ["anomaly", "prob/X.ffpm", "--k", "5"]
     return (
         ("synth", ["synth", "--d", "120", "--n", "90", "--rank", "4", "--fraction", "0.05",
                    "--seed", "7", "--out", "prob"]),
@@ -123,9 +119,9 @@ def _cli_runs(rho0):
                              *problem, "--truth", "prob/L_star.ffpm"]),
         ("decompose_capped", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
                               "--max-iter", "3"]),
-        ("background_fffp", ["background", "frames", "--k", "1", *start]),
+        ("background_fffp", ["background", "frames", "--k", "1"]),
         ("background_sweep", ["background", "frames", "--method", "uffp", "--lambda-sweep",
-                              "--k", "3", *start]),
+                              "--k", "3"]),
         ("anomaly_top_m", anomaly + ["--top-m", "4"]),
         ("anomaly_threshold", anomaly + ["--threshold", "1.0"]),
         ("anomaly_capped", anomaly + ["--max-iter", "3"]),
@@ -139,15 +135,22 @@ def _cli_runs(rho0):
                              *problem]),
         ("ialm_lambda_nan", ["decompose", "prob/X.ffpm", "--method", "ialm", "--lambda", "nan",
                              *problem]),
-        ("fffp_kappa_nan", ["decompose", "prob/X.ffpm", "--method", "fffp", "--kappa", "nan",
-                            *problem]),
+        ("fffp_sweep", ["decompose", "prob/X.ffpm", "--method", "fffp", "--lambda-sweep",
+                        *problem]),
+        ("ialm_sweep", ["decompose", "prob/X.ffpm", "--method", "ialm", "--lambda-sweep",
+                        *problem]),
+        ("uffp_lambda_sweep", ["decompose", "prob/X.ffpm", "--method", "uffp", "--lambda", "5",
+                               "--lambda-sweep", *problem]),
+        ("fffp_lambda", ["decompose", "prob/X.ffpm", "--method", "fffp", "--lambda", "5",
+                         *problem]),
+        ("background_uffp_no_weight", ["background", "frames", "--method", "uffp", "--k", "3"]),
         ("anomaly_threshold_nan", anomaly + ["--threshold", "nan"]),
         ("init_flag", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
                        "--init", "truncated-svd"]),
     )
 
 
-def _cli(out, work, rho0):
+def _cli(out, work):
     from robustpca.cli import main
     from robustpca.dataio import write_pgm
 
@@ -160,7 +163,7 @@ def _cli(out, work, rho0):
         frame[4 + j % 12:8 + j % 12, 5:9] = 250
         pixels = np.clip(frame, 0, 255).round().astype(np.uint8)
         write_pgm(Path("frames") / ("f%02d.pgm" % j), pixels)
-    for name, argv in _cli_runs(rho0):
+    for name, argv in _cli_runs():
         run_dir = Path("runs") / name
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv if name == "synth" else argv + ["--out", str(run_dir)])
@@ -174,44 +177,39 @@ def _cli(out, work, rho0):
             out[key] = path.read_bytes()
 
 
-def collect(tree, dump, rho0=None):
-    """Run the corpus against ``tree`` (already first on sys.path) into ``dump``,
-    every solve starting at ``rho0`` unless that is None."""
+def collect(tree, dump):
+    """Run the corpus against ``tree`` (already first on sys.path) into ``dump``."""
     import robustpca
 
     src = (Path(tree).resolve() / "src").as_posix()
     if not Path(robustpca.__file__).resolve().as_posix().startswith(src + "/"):
         raise RuntimeError("imported %s, not the package under %s" % (robustpca.__file__, src))
     out = {}
-    _library(out, rho0)
+    _library(out)
     with tempfile.TemporaryDirectory() as work:
-        _cli(out, work, rho0)
+        _cli(out, work)
     with open(dump, "wb") as f:
         pickle.dump(out, f)
 
 
-def _run_tree(tree, dump, rho0):
+def _run_tree(tree, dump):
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    subprocess.run([sys.executable, __file__, "--collect", str(tree), str(dump), repr(rho0)],
+    subprocess.run([sys.executable, __file__, "--collect", str(tree), str(dump)],
                    env=env, check=True)
     with open(dump, "rb") as f:
         return pickle.load(f)  # written just now by our own subprocess
 
 
 def main(argv):
-    if len(argv) == 5 and argv[1] == "--collect":
-        collect(argv[2], argv[3], None if argv[4] == "None" else float(argv[4]))
+    if len(argv) == 4 and argv[1] == "--collect":
+        collect(argv[2], argv[3])
         return 0
-    rho0 = None
-    if len(argv) == 5 and argv[1] == "--rho0":
-        rho0 = float(argv[2])
-        argv = argv[:1] + argv[3:]
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        parent = _run_tree(argv[1], Path(tmp) / "parent.pkl", rho0)
-        change = _run_tree(argv[2], Path(tmp) / "change.pkl", rho0)
+        parent = _run_tree(argv[1], Path(tmp) / "parent.pkl")
+        change = _run_tree(argv[2], Path(tmp) / "change.pkl")
     keys = parent.keys() | change.keys()
     differ = sorted(key for key in keys if parent.get(key) != change.get(key))
     files = [{key.split(":")[0] for key in tree} for tree in (parent, change)]
