@@ -82,12 +82,14 @@ def _config_from_args(args):
 
 def _check_method_flags(args):
     """Refuse a weight flag that ``--method`` would ignore, and uffp without a
-    weight (ValueError, so exit 2); run before any input is read."""
-    if args.lambda_sweep and (args.method != "uffp" or args.lam is not None):
+    weight (ValueError, so exit 2); run before any input is read or generated.
+    ``bench`` has no ``--lambda-sweep``."""
+    sweep = getattr(args, "lambda_sweep", False)
+    if sweep and (args.method != "uffp" or args.lam is not None):
         raise ValueError("--lambda-sweep needs --method uffp and no --lambda")
     if args.lam is not None and args.method == "fffp":
         raise ValueError("--method fffp has no weight; drop --lambda")
-    if args.method == "uffp" and args.lam is None and not args.lambda_sweep:
+    if args.method == "uffp" and args.lam is None and not sweep:
         raise ValueError("--method uffp needs --lambda or --lambda-sweep")
 
 
@@ -207,6 +209,7 @@ def cmd_anomaly(args):
 
 
 def cmd_bench(args):
+    _check_method_flags(args)
     start = time.perf_counter()
     factors = [float(f) for f in args.factors.split(",") if f.strip()]
     if not factors:

@@ -13,7 +13,11 @@ solver supplies only the step that updates the low-rank and sparse parts:
   alternating singular-value and elementwise soft-thresholding.
 
 All solves are deterministic: identical inputs give bit-identical outputs.
-A single solve is sequential; distinct solves may run concurrently.
+A single solve is sequential; distinct solves may run concurrently.  A solve
+holds three (d, n) float64 buffers besides ``x``; the low-rank part is kept
+as factors and formed one row block at a time.  ``x`` is read in C order, so
+a Fortran-ordered or strided input is copied once; a C-ordered float64
+input is not copied.
 """
 
 import math
@@ -70,6 +74,13 @@ SVT_RANK_GROWTH = 0.05  # share of min(d, n) added to the rank when every value 
 SVT_FULL_SHARE = 0.15
 
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
+
+# Entries per row block of _alm's fused passes; a block holds ROW_BLOCK_ENTRIES // n
+# rows, and at least two (see _alm).  Per solve_fffp at 2000x2000, k=5 (medians of
+# 5 alternating runs, 2-core x86-64, OpenBLAS): 2**14, 2**16 and 2**18 entries
+# took 0.87, 0.88 and 0.88 s, one whole-matrix block 1.07 s; 2**16 is 32 rows,
+# 512 KB per block.
+ROW_BLOCK_ENTRIES = 2**16
 
 
 def _orthonormal(a):
@@ -156,7 +167,11 @@ class SolveReport:
     partial thresholding counts as a further SVD, so its svd_count can
     exceed its iteration count.  rho0 is the penalty weight of the first
     iteration, the solver's data-scaled start (see :class:`SolverConfig`).
-    sparse_l1 is the l1 norm of the final s.
+    per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
+    iteration, with the squares summed over the driver's row blocks, so it
+    can differ from :func:`relative_residual` in the last bits;
+    final_residual is its last entry.  sparse_l1 is the l1 norm of the
+    final s.
     """
 
     iterations: int
@@ -175,9 +190,12 @@ class SolveReport:
 class IterationState(NamedTuple):
     """End-of-iteration snapshot passed to ``on_iteration`` callbacks.
 
-    Arrays are the solver's live buffers: copy anything you keep.  ``s``
-    and ``theta`` are overwritten in place on the next iteration.  ``rho``
-    is the value after the end-of-iteration growth step.
+    ``s`` and ``theta`` are two of the solver's three live (d, n) buffers
+    (the third, its workspace ``m``, is not handed out): they are
+    overwritten in place on the next iteration, so copy anything you keep.
+    ``u``, ``c`` and ``v`` are fresh arrays each iteration; the low-rank
+    part ``u @ c @ v.T`` is never held whole.  ``rho`` is the value after
+    the end-of-iteration growth step.
     """
 
     t: int
@@ -249,27 +267,53 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
+def _as_rows(x):
+    """``x`` as a C-ordered float64 matrix with finite entries, so that its row
+    blocks are contiguous: no copy for C-ordered input, one copy otherwise."""
+    return np.ascontiguousarray(_as_matrix(x, "x"))
+
+
+def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
+
+    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps three (d, n)
+    buffers, the multiplier ``theta``, the sparse part ``s`` and the
+    solver's workspace ``m``, and walks them in contiguous row blocks of
+    about ``ROW_BLOCK_ENTRIES`` entries; ``blocks`` lists the row slices and
+    ``buf`` is a scratch array with the rows of the tallest block.  The
+    low-rank part is never a (d, n) buffer: it travels as a factor pair
+    ``(left, right)`` with ``L = left @ right.T`` and is formed one block at
+    a time in ``buf``.
 
     The penalty starts at ``min(scaled_rho0(), RHO_CAP)``, called after the
     norm check, so the solver's rule may divide by a scale of ``x``.
-    ``step(theta, rho, s, work)`` updates ``low_rank`` and ``s`` in place,
-    may overwrite the scratch ``work``, and returns its thin-SVD count.
-    The driver then adds ``rho * (x - low_rank - s)`` to ``theta``, grows
-    rho, calls ``after(t, s, theta, rho, residual)`` if given, and stops at
-    ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s, sparse_l1)`` gives the
-    final rank and objective from the l1 norm of ``s`` measured here; wall
-    time counts from ``t_start``.  Returns ``(s, report)``.  Raises
-    ValueError if ``||x||_F`` is 0 or underflows to 0 (no relative residual).
+    ``step(theta, rho, s, m, blocks, buf)`` updates ``s`` in place, may
+    overwrite ``m`` and ``buf``, and returns ``(left, right, svds)``: the
+    new low-rank factor pair and its thin-SVD count.  The driver then adds
+    ``rho * (x - left @ right.T - s)`` to ``theta`` block by block, summing
+    the squared residual on the way, grows rho, calls
+    ``after(t, s, theta, rho, residual)`` if given, and stops at ``cfg.tol``
+    or ``cfg.max_iter``.  ``summary(s, sparse_l1)`` gives the final rank and
+    objective from the l1 norm of ``s`` measured here; wall time counts from
+    ``t_start``.  Returns ``(s, report)``.  Raises ValueError if ``||x||_F``
+    is 0 or underflows to 0 (no relative residual).
     """
     norm_x = np.linalg.norm(x)
     if norm_x == 0.0:
         raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
                          "that the norm underflows); the relative residual is undefined")
-    theta = np.zeros_like(x)
-    s = np.zeros_like(x)
-    work = np.empty_like(x)
+    d, n = x.shape
+    theta = np.zeros((d, n))
+    s = np.zeros((d, n))
+    m = np.empty((d, n))
+    # numpy multiplies a single row by gemv, which rounds differently from the
+    # gemm of more rows, so no block has one row unless x has
+    rows = max(2, ROW_BLOCK_ENTRIES // n)
+    starts = list(range(0, d, rows))
+    if len(starts) > 1 and starts[-1] == d - 1:
+        starts.pop()  # a one-row remainder joins the block above
+    blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
+    buf = np.empty((min(rows + 1, d), n))
     rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
@@ -277,16 +321,21 @@ def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
 
     for t in range(1, cfg.max_iter + 1):
         try:
-            svd_count += step(theta, rho, s, work)
+            left, right, svds = step(theta, rho, s, m, blocks, buf)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        # r = x - low_rank - s, then theta += rho * r, both in the scratch buffer
-        r = np.subtract(x, low_rank, out=work)
-        r -= s
-        res_norm = np.linalg.norm(r)
-        r *= rho
-        theta += r
-        residual = float(res_norm / norm_x)
+        svd_count += svds
+        squares = 0.0
+        for b in blocks:
+            # r = x - left @ right.T - s, then theta += rho * r, in the scratch
+            r = np.matmul(left[b], right.T, out=buf[:b.stop - b.start])
+            np.subtract(x[b], r, out=r)
+            r -= s[b]
+            flat = r.ravel()
+            squares += float(flat @ flat)
+            r *= rho
+            np.add(theta[b], r, out=theta[b])
+        residual = math.sqrt(squares) / float(norm_x)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
@@ -296,7 +345,7 @@ def _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after=None):
         if residual <= cfg.tol:
             break
 
-    sparse_l1 = float(np.abs(s, out=work).sum())
+    sparse_l1 = float(np.abs(s, out=m).sum())
     final_rank, objective = summary(s, sparse_l1)
     return s, SolveReport(
         iterations=t,
@@ -318,32 +367,34 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
     """
-    x = _as_matrix(x, "x")
+    x = _as_rows(x)
     d, n = x.shape
     cfg.validate(d, n)
     t_start = time.perf_counter()
 
     factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
-    low_rank = (u @ c) @ v.T
 
-    def step(theta, rho, s, work):
+    def step(theta, rho, s, m, blocks, buf):
         nonlocal u, c, v
-        # work = x + theta/rho, shared by the misfit and m
-        np.divide(theta, rho, out=work)
-        work += x
-        # the misfit overwrites low_rank, which is rebuilt below
-        np.subtract(work, low_rank, out=low_rank)
-        soft_threshold(low_rank, 1.0 / rho, out=s)
-        m = np.subtract(work, s, out=work)
-        v = polar_orthogonal(m.T @ (u @ c))
+        uc = u @ c
+        for b in blocks:
+            # w = x + theta/rho, in m; the misfit w - (u @ c) @ v.T, in the scratch
+            w = np.divide(theta[b], rho, out=m[b])
+            w += x[b]
+            misfit = np.matmul(uc[b], v.T, out=buf[:b.stop - b.start])
+            np.subtract(w, misfit, out=misfit)
+            soft_threshold(misfit, 1.0 / rho, out=s[b])
+            w -= s[b]  # m = x + theta/rho - s
+        # m.T @ uc as (uc.T @ m).T: the same bits, and at 2000x2000 about 2 ms
+        # instead of 5-16 ms
+        v = polar_orthogonal((uc.T @ m).T)
         u = polar_orthogonal(m @ (v @ c.T))
         c = (u.T @ m) @ v
         tau = lam_ld / rho
         if tau > 0.0:
             c = ld_shrink(c, tau)
-        np.matmul(u @ c, v.T, out=low_rank)
-        return 3 if tau > 0.0 else 2
+        return u @ c, v, 3 if tau > 0.0 else 2
 
     def scaled_rho0():
         # 1/max|x|, with max|x| taken without a (d, n) temporary
@@ -359,7 +410,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         objective = sparse_l1 + lam_ld * log_det_surrogate(c)
         return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
 
-    s, report = _alm(x, cfg, t_start, low_rank, step, summary, scaled_rho0, after)
+    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0, after)
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -372,6 +423,9 @@ def solve_fffp(x, cfg, on_iteration=None):
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
     residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP``).  Stops when the
     relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
+    Each iteration makes two fused row-block passes over the (d, n) buffers,
+    the sparse step and the residual and multiplier step, plus three
+    products with the workspace; a non-C-ordered ``x`` is copied once.
 
     Returns ``(factors, s, report)``.
     """
@@ -395,8 +449,8 @@ def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     return _solve_factored(x, cfg, float(cfg.lam), on_iteration, _init)
 
 
-def _svt_step(m, tau, rank, start, rng, out):
-    """Singular-value thresholding of ``m`` at ``tau``, written into ``out``.
+def _svt_step(m, tau, rank, start, rng):
+    """Singular-value thresholding of ``m`` at ``tau``, returned as factors.
 
     Only the top singular triplets are computed.  ``rank`` is the
     predicted number of singular values above tau, and ``start`` holds the
@@ -408,10 +462,11 @@ def _svt_step(m, tau, rank, start, rng, out):
     A width of at least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin
     SVD instead, which is exact and, at that width, no slower.
 
-    Returns ``(shrunk, v, rank, svds)``: the kept singular values minus
-    tau (nonincreasing), their right singular vectors, the predicted rank
-    of the next step (Lin, Chen & Ma's rule) and the number of thin SVDs
-    computed.
+    Returns ``(left, shrunk, v, rank, svds)``: the left singular vectors
+    scaled by the kept singular values minus tau, those shrunk values
+    (nonincreasing), their right singular vectors, the predicted rank of
+    the next step (Lin, Chen & Ma's rule) and the number of thin SVDs
+    computed.  The thresholded matrix is ``left @ v.T``; it is not formed.
     """
     full = min(m.shape)
     growth = max(1, round(SVT_RANK_GROWTH * full))
@@ -432,9 +487,7 @@ def _svt_step(m, tau, rank, start, rng, out):
             break
         rank = kept + growth
     shrunk = f.s[:kept] - tau
-    v = f.v[:, :kept]
-    np.matmul(u * shrunk, v.T, out=out)
-    return shrunk, v, kept + 1 if kept < rank else kept + growth, svds
+    return u * shrunk, shrunk, f.v[:, :kept], kept + 1 if kept < rank else kept + growth, svds
 
 
 def solve_ialm(x, cfg):
@@ -453,32 +506,38 @@ def solve_ialm(x, cfg):
     value survives the threshold.  Once the predicted width reaches
     ``SVT_FULL_SHARE`` times min(d, n) the full thin SVD is used instead,
     so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
-    seeds the Gaussian columns; the solve is deterministic.
+    seeds the Gaussian columns; the solve is deterministic.  The thresholded
+    low-rank part is kept as factors in the loop and formed once at the end;
+    a non-C-ordered ``x`` is copied once.
 
     Returns ``(l, s, report)``.
     """
-    x = _as_matrix(x, "x")
+    x = _as_rows(x)
     d, n = x.shape
     cfg.validate(d, n)
     t_start = time.perf_counter()
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(d, n))
-    l = np.empty_like(x)
-    shift = np.empty_like(x)
     rng = np.random.default_rng(cfg.seed)
-    rank, v_kept, shrunk = SVT_START_RANK, None, None
+    rank, left, v_kept, shrunk = SVT_START_RANK, None, None, None
 
-    def step(theta, rho, s, work):
-        nonlocal rank, v_kept, shrunk
-        # shift = theta/rho, shared by both subproblems
-        np.divide(theta, rho, out=shift)
-        m = np.subtract(x, s, out=work)
-        m += shift
-        shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng, l)
-        np.subtract(x, l, out=work)
-        work += shift
-        soft_threshold(work, lam / rho, out=s)
-        return svds
+    def step(theta, rho, s, m, blocks, buf):
+        nonlocal rank, left, v_kept, shrunk
+        for b in blocks:
+            # m = x - s + theta/rho, with theta/rho in the scratch
+            shift = np.divide(theta[b], rho, out=buf[:b.stop - b.start])
+            mb = np.subtract(x[b], s[b], out=m[b])
+            mb += shift
+        left, shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng)
+        for b in blocks:
+            # s = soft_threshold(x - l + theta/rho, lam/rho), with theta/rho in
+            # m, which the thresholding has finished reading
+            shift = np.divide(theta[b], rho, out=m[b])
+            w = np.matmul(left[b], v_kept.T, out=buf[:b.stop - b.start])
+            np.subtract(x[b], w, out=w)
+            w += shift
+            soft_threshold(w, lam / rho, out=s[b])
+        return left, v_kept, svds
 
     def scaled_rho0():
         # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from a rank-1 randomized
@@ -488,8 +547,8 @@ def solve_ialm(x, cfg):
     def summary(s, sparse_l1):
         return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
 
-    s, report = _alm(x, cfg, t_start, l, step, summary, scaled_rho0)
-    return l, s, report
+    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0)
+    return left @ v_kept.T, s, report
 
 
 # ascending, so the grid is too: lambda_sweep's entries keep this order
@@ -542,8 +601,9 @@ def lambda_sweep(x, cfg):
 
     The grid is solved in order, every run from the same factors, built
     once (the init is seeded, so this matches building it per run bit for bit).
+    A non-C-ordered ``x`` is copied once for the whole sweep.
     """
-    x = _as_matrix(x, "x")
+    x = _as_rows(x)
     grid = default_lambda_grid(x)
     init = init_factors(x, cfg.k, cfg.seed)
     entries = []

@@ -334,6 +334,22 @@ class TestBench:
         code = run("bench", "--axis", "samples", "--factors", "", "--out", tmp_path / "b")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "fffp", "--lambda", "123"],  # fffp has no weight
+        ["--method", "uffp"],  # uffp needs one
+    ], ids=["fffp_lambda", "uffp_no_weight"])
+    def test_ignored_or_missing_weight_exits_2_before_solving(self, flags, tmp_path,
+                                                              monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "scaling_benchmark", lambda *a, **kw: runs.append(a))
+        out = tmp_path / "bench"
+        code = run("bench", "--axis", "samples", "--factors", "1.0", "--base-d", "40",
+                   "--base-n", "40", "--rank", "2", "--k", "2", "--iters", "2",
+                   "--repeats", "1", "--out", out, *flags)
+        assert code == 2
+        assert runs == [] and not out.exists()
+        assert "--lambda" in capsys.readouterr().err
+
 
 # the factored solvers have one start and one penalty schedule, and anomaly
 # always runs fffp, which has no weight: no flag picks any of these

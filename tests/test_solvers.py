@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -568,9 +570,9 @@ class TestIalm:
         rho = min(1.25 / init_factors(x, 1, cfg.seed).c[0, 0], solvers.RHO_CAP)
         s, theta = np.zeros_like(x), np.zeros_like(x)
         for t in range(1, cfg.max_iter + 1):
-            l_ref = np.empty_like(x)
-            _, v_kept, rank, _ = solvers._svt_step(x - s + theta / rho, 1.0 / rho, rank,
-                                                   v_kept, rng, l_ref)
+            left, _, v_kept, rank, _ = solvers._svt_step(x - s + theta / rho, 1.0 / rho,
+                                                         rank, v_kept, rng)
+            l_ref = left @ v_kept.T
             m = x - l_ref + theta / rho
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
@@ -602,9 +604,9 @@ class TestPartialSvt:
         shapes = []
         real = solvers.thin_svd
         monkeypatch.setattr(solvers, "thin_svd", lambda a: shapes.append(a.shape) or real(a))
-        out = np.full(m.shape, np.nan)
-        shrunk, v, next_rank, svds = solvers._svt_step(
-            m, tau, rank, None, np.random.default_rng(0), out)
+        left, shrunk, v, next_rank, svds = solvers._svt_step(
+            m, tau, rank, None, np.random.default_rng(0))
+        out = left @ v.T
         assert svds == len(shapes)
         assert v.shape == (m.shape[1], shrunk.size)
         return out, shrunk, next_rank, shapes
@@ -666,9 +668,112 @@ class TestPartialSvt:
         sigma = np.concatenate([np.sort(rng.uniform(2.0, 20.0, above))[::-1],
                                 np.sort(rng.uniform(0.0, 0.05, below))[::-1]])
         m = prescribed(d, n, sigma, seed) if sigma.size else np.zeros((d, n))
-        out = np.full((d, n), np.nan)
-        shrunk, v, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng, out)
+        left, shrunk, v, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng)
+        out = left @ v.T
         assert np.max(np.abs(out - svt(m, 1.0))) <= 1e-10 * 20.0
         assert np.allclose(shrunk, sigma[:above] - 1.0, rtol=0.0, atol=1e-10 * 20.0)
         assert v.shape == (n, above) and svds >= 1
         assert next_rank in (above + 1, above + max(1, round(0.05 * min(d, n))))
+
+
+def _sweep(x, cfg):
+    entries, selected = lambda_sweep(x, cfg)
+    return [(e.factors.u, e.factors.c, e.factors.v, e.s, e.report) for e in entries], selected
+
+
+# the two ialm cases differ only in the SVT_FULL_SHARE that TestRowBlocks.run sets
+BLOCK_CASES = {
+    "fffp": lambda x: solve_fffp(x, SolverConfig(k=3)),
+    "uffp": lambda x: solve_uffp(x, SolverConfig(k=6, lam=2.0)),
+    "ialm_partial": lambda x: solve_ialm(x, SolverConfig(k=3)),
+    "ialm_full": lambda x: solve_ialm(x, SolverConfig(k=3)),
+    "sweep": lambda x: _sweep(x, SolverConfig(k=6)),
+}
+
+
+def _outputs(result):
+    """Every array and every report of a solve or sweep, and the selected index."""
+    if isinstance(result[0], list):  # a sweep: per-entry tuples and the selection
+        entries, selected = result
+        return ([a for e in entries for a in e[:4]], [e[4] for e in entries], selected)
+    low_rank, s, report = result
+    arrays = [low_rank] if isinstance(low_rank, np.ndarray) else [low_rank.u, low_rank.c,
+                                                                   low_rank.v]
+    return arrays + [s], [report], None
+
+
+class TestRowBlocks:
+    """The fused passes of solvers._alm walk the matrix in row blocks; the block
+    height changes no output bit, only the residual's summation order."""
+
+    @staticmethod
+    def run(case, x, monkeypatch, rows=None):
+        # 45 columns take the full SVD from width 7 on; a share of 1 keeps ialm partial
+        monkeypatch.setattr(solvers, "SVT_FULL_SHARE", 1.0 if case == "ialm_partial" else 0.15)
+        if rows is not None:
+            monkeypatch.setattr(solvers, "ROW_BLOCK_ENTRIES", rows * x.shape[1])
+        return _outputs(BLOCK_CASES[case](x))
+
+    # of 61 rows: 1 is raised to 2 (a one-row block would take gemv); at 2 and
+    # 6 rows a one-row remainder joins the block above, and 7 rows leave a
+    # ragged block of 5
+    @pytest.mark.parametrize("rows", [1, 6, 7])
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_block_height_changes_no_output(self, case, rows, monkeypatch):
+        x = make_problem(61, 45, 3, 0.05, seed=5).x
+        assert x.size <= solvers.ROW_BLOCK_ENTRIES  # the default is one block
+        arrays, reports, selected = self.run(case, x, monkeypatch)
+        got_arrays, got_reports, got_selected = self.run(case, x, monkeypatch, rows)
+        assert got_selected == selected
+        assert len(got_arrays) == len(arrays)
+        for got, want in zip(got_arrays, arrays):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        for got, want in zip(got_reports, reports):
+            assert (got.iterations, got.svd_count, got.final_rank, got.converged) == \
+                (want.iterations, want.svd_count, want.final_rank, want.converged)
+            assert (got.sparse_l1, got.sparsity_ratio, got.final_objective, got.rho0) == \
+                (want.sparse_l1, want.sparsity_ratio, want.final_objective, want.rho0)
+            np.testing.assert_allclose(got.per_iter_residual, want.per_iter_residual,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_partial_case_takes_the_partial_path(self, monkeypatch):
+        widths = []
+        real = solvers._range_basis
+        monkeypatch.setattr(solvers, "_range_basis",
+                            lambda a, width, *rest: widths.append(width) or real(a, width, *rest))
+        self.run("ialm_partial", make_problem(61, 45, 3, 0.05, seed=5).x, monkeypatch, rows=7)
+        assert widths and max(widths) < 45
+
+    @pytest.mark.parametrize("case", ["fffp", "uffp", "ialm_full"])
+    @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+    def test_non_c_input_matches_its_c_copy(self, case, layout, monkeypatch):
+        x = make_problem(60, 45, 3, 0.05, seed=6).x
+        if layout == "fortran":
+            given_x = np.asfortranarray(x)
+        else:
+            wide = np.zeros((60, 90))
+            wide[:, 1::2] = x
+            given_x = wide[:, 1::2]
+        assert not given_x.flags.c_contiguous
+        arrays, reports, _ = self.run(case, np.ascontiguousarray(given_x), monkeypatch)
+        got_arrays, got_reports, _ = self.run(case, given_x, monkeypatch)
+        for got, want in zip(got_arrays, arrays):
+            assert np.array_equal(got, want)
+        for got, want in zip(got_reports, reports):
+            assert got.per_iter_residual == want.per_iter_residual
+            assert got.iterations == want.iterations
+
+    @pytest.mark.parametrize("solve", [
+        lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)),
+        lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)),
+    ], ids=["fffp", "uffp"])
+    def test_peak_memory_is_three_buffers(self, solve):
+        # theta, s and m are (d, n); the low-rank part is never formed whole
+        x = make_problem(1000, 800, 5, 0.05, seed=3).x
+        tracemalloc.start()
+        try:
+            solve(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * x.size

@@ -19,7 +19,9 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
 Arrays are compared by dtype, shape and raw bytes, reports field by field
 without ``wall_time`` (a field only one tree has is one differing key), JSON files leaf by leaf with every ``wall_time`` key
 dropped, other files as raw bytes.  The script prints each key that
-differs (a file only one tree wrote as a single line) and exits 1 if any
+differs (a file only one tree wrote as a single line), followed, for a
+report field or JSON leaf that holds a float or a list of floats on both
+sides, by the largest relative difference of its entries; it exits 1 if any
 key differs, 0 otherwise.  Timings (``bench``'s
 ``scaling.csv`` and ``fit.json``) always differ.  Both trees must accept the
 calls below; a tree whose API moved needs the corpus edited to match.
@@ -89,6 +91,22 @@ def _library(out):
             key = "%s/sweep/%02d" % (tag, i)
             out[key + "/lam"] = pickle.dumps(e.lam)
             _put_factored(out, key, e.factors, e.s, e.report)
+
+
+def _float_gap(key, a, b):
+    """Largest relative difference between the floats, or equally long lists
+    of floats, that the report field or JSON leaf ``key`` holds on the two
+    sides; None for any other key or value."""
+    if "/report/" not in key and ":" not in key:
+        return None
+    a, b = pickle.loads(a), pickle.loads(b)  # pickled by our own subprocesses
+    if isinstance(a, float) and isinstance(b, float):
+        a, b = [a], [b]
+    if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
+            and all(isinstance(f, float) for f in a + b)):
+        return None
+    return max((abs(f - g) / max(abs(f), abs(g)) for f, g in zip(a, b) if f != g),
+               default=0.0)
 
 
 def _json_leaves(value, path=""):
@@ -223,7 +241,9 @@ def main(argv):
                 lines[("only in %s: " % side) + (name if whole else key)] = None
                 break
         else:
-            lines["differs:        " + key] = None
+            gap = _float_gap(key, parent[key], change[key])
+            lines["differs:        " + key
+                  + ("" if gap is None else "  (max rel diff %.3g)" % gap)] = None
     for line in lines:
         print(line)
     print("%d keys compared, %d differ" % (len(keys), len(differ)))
