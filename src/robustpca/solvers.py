@@ -1,8 +1,8 @@
 """Low-rank plus sparse decomposition solvers.
 
 Three augmented-Lagrangian solvers run in one driver, ``_alm``, which owns
-the multiplier, the penalty schedule, the stop test and the report; each
-solver supplies only the step that updates the low-rank and sparse parts:
+the multiplier, the penalty schedule, every pass over the (d, n) buffers,
+the stop test and the report; each solver supplies only its low-rank step:
 
 * ``solve_fffp`` -- factored model ``x = u @ c @ v.T + s`` with the rank
   fixed by the factor width ``k``; minimizes the l1 norm of ``s``.
@@ -14,10 +14,10 @@ solver supplies only the step that updates the low-rank and sparse parts:
 
 All solves are deterministic: identical inputs give bit-identical outputs.
 A single solve is sequential; distinct solves may run concurrently.  A solve
-holds three (d, n) float64 buffers besides ``x``; the low-rank part is kept
-as factors and formed one row block at a time.  ``x`` is read in C order, so
-a Fortran-ordered or strided input is copied once; a C-ordered float64
-input is not copied.
+holds two (d, n) float64 buffers besides ``x``, and derives the multiplier
+from them; the low-rank part is kept as factors, formed a row block at a
+time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
+copied once; a C-ordered float64 input is not copied.
 """
 
 import math
@@ -75,7 +75,7 @@ SVT_FULL_SHARE = 0.15
 
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
 
-# Entries per row block of _alm's fused passes; a block holds ROW_BLOCK_ENTRIES // n
+# Entries per row block of _alm's passes; a block holds ROW_BLOCK_ENTRIES // n
 # rows, and at least two (see _alm).  Per solve_fffp at 2000x2000, k=5 (medians of
 # 5 alternating runs, 2-core x86-64, OpenBLAS): 2**14, 2**16 and 2**18 entries
 # took 0.87, 0.88 and 0.88 s, one whole-matrix block 1.07 s; 2**16 is 32 rows,
@@ -190,12 +190,12 @@ class SolveReport:
 class IterationState(NamedTuple):
     """End-of-iteration snapshot passed to ``on_iteration`` callbacks.
 
-    ``s`` and ``theta`` are two of the solver's three live (d, n) buffers
-    (the third, its workspace ``m``, is not handed out): they are
-    overwritten in place on the next iteration, so copy anything you keep.
-    ``u``, ``c`` and ``v`` are fresh arrays each iteration; the low-rank
-    part ``u @ c @ v.T`` is never held whole.  ``rho`` is the value after
-    the end-of-iteration growth step.
+    ``s`` is one of the solver's two live (d, n) buffers and is overwritten
+    in place on the next iteration, so copy it if you keep it.  ``theta``,
+    ``u``, ``c`` and ``v`` are fresh arrays; the low-rank part ``u @ c @ v.T``
+    is never held whole.  ``rho`` is the value after the end-of-iteration
+    growth step, and ``theta`` is the multiplier for it, formed on demand as
+    ``rho * (m - x + s)`` from the solver's workspace ``m``.
     """
 
     t: int
@@ -276,36 +276,35 @@ def _as_rows(x):
 def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps three (d, n)
-    buffers, the multiplier ``theta``, the sparse part ``s`` and the
-    solver's workspace ``m``, and walks them in contiguous row blocks of
-    about ``ROW_BLOCK_ENTRIES`` entries; ``blocks`` lists the row slices and
-    ``buf`` is a scratch array with the rows of the tallest block.  The
-    low-rank part is never a (d, n) buffer: it travels as a factor pair
-    ``(left, right)`` with ``L = left @ right.T`` and is formed one block at
-    a time in ``buf``.
+    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps two (d, n)
+    buffers, the sparse part ``s`` and the workspace ``m``, and makes every
+    pass over them, in contiguous row blocks of about ``ROW_BLOCK_ENTRIES``
+    entries.  Between iterations ``m = x + theta/rho - s``, so the
+    multiplier ``theta = rho * (m - x + s)`` is never stored.  The low-rank
+    part travels as factors ``(left, right)``, ``L = left @ right.T``, formed
+    one block at a time in a scratch.  The penalty starts at
+    ``min(scaled_rho0(), RHO_CAP)``, called after the norm check, so the
+    solver's rule may divide by a scale of ``x``.
 
-    The penalty starts at ``min(scaled_rho0(), RHO_CAP)``, called after the
-    norm check, so the solver's rule may divide by a scale of ``x``.
-    ``step(theta, rho, s, m, blocks, buf)`` updates ``s`` in place, may
-    overwrite ``m`` and ``buf``, and returns ``(left, right, svds)``: the
-    new low-rank factor pair and its thin-SVD count.  The driver then adds
-    ``rho * (x - left @ right.T - s)`` to ``theta`` block by block, summing
-    the squared residual on the way, grows rho, calls
-    ``after(t, s, theta, rho, residual)`` if given, and stops at ``cfg.tol``
-    or ``cfg.max_iter``.  ``summary(s, sparse_l1)`` gives the final rank and
-    objective from the l1 norm of ``s`` measured here; wall time counts from
-    ``t_start``.  Returns ``(s, report)``.  Raises ValueError if ``||x||_F``
-    is 0 or underflows to 0 (no relative residual).
+    ``step(m, rho, sparse)`` reads but does not write ``m``, calls the sparse
+    pass ``sparse(left, right, weight)`` once, which sets ``s =
+    soft_threshold(m + s - L, weight/rho)`` and ``m`` to match, and returns
+    the new ``(left, right, svds)`` with its thin-SVD count.  The residual
+    pass then sums ``||x - L - s||^2`` and moves ``m`` to the grown rho as
+    ``m = x - s + (rho/rho_next) * (m - L)``: ``m - L`` is the updated
+    ``theta/rho``.  ``after(t, s, m, rho_next, residual)`` runs if given; the
+    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s, sparse_l1)``
+    gives the final rank and objective; wall time counts from ``t_start``.
+    Returns ``(s, report)``.  Raises ValueError if ``||x||_F`` is 0 or
+    underflows to 0 (no relative residual).
     """
     norm_x = np.linalg.norm(x)
     if norm_x == 0.0:
         raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
                          "that the norm underflows); the relative residual is undefined")
     d, n = x.shape
-    theta = np.zeros((d, n))
     s = np.zeros((d, n))
-    m = np.empty((d, n))
+    m = x.copy()  # x + theta/rho - s, with theta and s still 0
     # numpy multiplies a single row by gemv, which rounds differently from the
     # gemm of more rows, so no block has one row unless x has
     rows = max(2, ROW_BLOCK_ENTRIES // n)
@@ -313,35 +312,46 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
     if len(starts) > 1 and starts[-1] == d - 1:
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
-    buf = np.empty((min(rows + 1, d), n))
+    low, rest = np.empty((2, min(rows + 1, d), n))  # per-block scratch
     rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
     svd_count = 0
 
+    def sparse(left, right, weight):
+        for b in blocks:
+            # w = x + theta/rho in m; the misfit w - left @ right.T in the scratch
+            w = np.add(m[b], s[b], out=m[b])
+            misfit = np.matmul(left[b], right.T, out=low[:b.stop - b.start])
+            np.subtract(w, misfit, out=misfit)
+            soft_threshold(misfit, weight / rho, out=s[b])
+            w -= s[b]
+
     for t in range(1, cfg.max_iter + 1):
         try:
-            left, right, svds = step(theta, rho, s, m, blocks, buf)
+            left, right, svds = step(m, rho, sparse)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         svd_count += svds
+        rho_next = min(rho * KAPPA, RHO_CAP)
+        ratio = rho / rho_next
         squares = 0.0
         for b in blocks:
-            # r = x - left @ right.T - s, then theta += rho * r, in the scratch
-            r = np.matmul(left[b], right.T, out=buf[:b.stop - b.start])
-            np.subtract(x[b], r, out=r)
-            r -= s[b]
-            flat = r.ravel()
-            squares += float(flat @ flat)
-            r *= rho
-            np.add(theta[b], r, out=theta[b])
+            # r = (x - s) - L, summed; m = (x - s) + (rho/rho_next) * (m - L)
+            l_b = np.matmul(left[b], right.T, out=low[:b.stop - b.start])
+            x_s = np.subtract(x[b], s[b], out=rest[:b.stop - b.start])
+            mb = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
+            r = np.subtract(x_s, l_b, out=l_b).ravel()
+            squares += float(r @ r)
+            mb *= ratio
+            mb += x_s
+        rho = rho_next
         residual = math.sqrt(squares) / float(norm_x)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
-        rho = min(rho * KAPPA, RHO_CAP)
         if after is not None:
-            after(t, s, theta, rho, residual)
+            after(t, s, m, rho, residual)
         if residual <= cfg.tol:
             break
 
@@ -375,17 +385,10 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
 
-    def step(theta, rho, s, m, blocks, buf):
+    def step(m, rho, sparse):
         nonlocal u, c, v
         uc = u @ c
-        for b in blocks:
-            # w = x + theta/rho, in m; the misfit w - (u @ c) @ v.T, in the scratch
-            w = np.divide(theta[b], rho, out=m[b])
-            w += x[b]
-            misfit = np.matmul(uc[b], v.T, out=buf[:b.stop - b.start])
-            np.subtract(w, misfit, out=misfit)
-            soft_threshold(misfit, 1.0 / rho, out=s[b])
-            w -= s[b]  # m = x + theta/rho - s
+        sparse(uc, v, 1.0)  # m = x + theta/rho - s
         # m.T @ uc as (uc.T @ m).T: the same bits, and at 2000x2000 about 2 ms
         # instead of 5-16 ms
         v = polar_orthogonal((uc.T @ m).T)
@@ -400,11 +403,11 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         # 1/max|x|, with max|x| taken without a (d, n) temporary
         return 1.0 / max(x.max(), -x.min())
 
-    def after(t, s, theta, rho, residual):
+    def after(t, s, m, rho, residual):
         if not (_orthonormal(u) and _orthonormal(v)):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
         if on_iteration is not None:
-            on_iteration(IterationState(t, s, u, c, v, theta, rho, residual))
+            on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s), rho, residual))
 
     def summary(s, sparse_l1):
         objective = sparse_l1 + lam_ld * log_det_surrogate(c)
@@ -423,9 +426,9 @@ def solve_fffp(x, cfg, on_iteration=None):
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
     residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP``).  Stops when the
     relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
-    Each iteration makes two fused row-block passes over the (d, n) buffers,
-    the sparse step and the residual and multiplier step, plus three
-    products with the workspace; a non-C-ordered ``x`` is copied once.
+    Each iteration makes the driver's two row-block passes over the (d, n)
+    buffers, the sparse pass and the residual and multiplier pass, plus
+    three products with the workspace; a non-C-ordered ``x`` is copied once.
 
     Returns ``(factors, s, report)``.
     """
@@ -506,9 +509,11 @@ def solve_ialm(x, cfg):
     value survives the threshold.  Once the predicted width reaches
     ``SVT_FULL_SHARE`` times min(d, n) the full thin SVD is used instead,
     so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
-    seeds the Gaussian columns; the solve is deterministic.  The thresholded
-    low-rank part is kept as factors in the loop and formed once at the end;
-    a non-C-ordered ``x`` is copied once.
+    seeds the Gaussian columns; the solve is deterministic.  Each iteration
+    thresholds the driver's workspace ``x - s + theta/rho`` as it stands and
+    makes the driver's two row-block passes.  The thresholded low-rank part
+    is kept as factors in the loop and formed once at the end; a
+    non-C-ordered ``x`` is copied once.
 
     Returns ``(l, s, report)``.
     """
@@ -521,22 +526,10 @@ def solve_ialm(x, cfg):
     rng = np.random.default_rng(cfg.seed)
     rank, left, v_kept, shrunk = SVT_START_RANK, None, None, None
 
-    def step(theta, rho, s, m, blocks, buf):
+    def step(m, rho, sparse):
         nonlocal rank, left, v_kept, shrunk
-        for b in blocks:
-            # m = x - s + theta/rho, with theta/rho in the scratch
-            shift = np.divide(theta[b], rho, out=buf[:b.stop - b.start])
-            mb = np.subtract(x[b], s[b], out=m[b])
-            mb += shift
         left, shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng)
-        for b in blocks:
-            # s = soft_threshold(x - l + theta/rho, lam/rho), with theta/rho in
-            # m, which the thresholding has finished reading
-            shift = np.divide(theta[b], rho, out=m[b])
-            w = np.matmul(left[b], v_kept.T, out=buf[:b.stop - b.start])
-            np.subtract(x[b], w, out=w)
-            w += shift
-            soft_threshold(w, lam / rho, out=s[b])
+        sparse(left, v_kept, lam)
         return left, v_kept, svds
 
     def scaled_rho0():

@@ -7,8 +7,10 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
 
 * library solves on 400x400, 300x120 and 120x300 problems: the start
   factors, ``solve_fffp``, ``solve_uffp`` at a positive weight and at 0,
-  ``solve_ialm`` converged and at the iteration cap, the default lambda
-  grid, and every ``lambda_sweep`` entry and the selected index;
+  the last ``IterationState``'s ``theta`` and ``rho`` of the ``solve_fffp``
+  and positive-weight ``solve_uffp`` runs, ``solve_ialm`` converged and at
+  the iteration cap, the default lambda grid, and every ``lambda_sweep``
+  entry and the selected index;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
   ``background`` (fffp, sweep), ``anomaly`` (converged, capped, threshold),
   ``bench``, and inputs that must be refused (non-finite weights and
@@ -17,12 +19,13 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
   weight): every file they write and every exit code.
 
 Arrays are compared by dtype, shape and raw bytes, reports field by field
-without ``wall_time`` (a field only one tree has is one differing key), JSON files leaf by leaf with every ``wall_time`` key
-dropped, other files as raw bytes.  The script prints each key that
-differs (a file only one tree wrote as a single line), followed, for a
-report field or JSON leaf that holds a float or a list of floats on both
-sides, by the largest relative difference of its entries; it exits 1 if any
-key differs, 0 otherwise.  Timings (``bench``'s
+without ``wall_time`` (a field only one tree has is one differing key), JSON
+files leaf by leaf with every ``wall_time`` key dropped, other files as raw
+bytes.  The script prints each key that differs (a file only one tree wrote
+as a single line), followed by the largest relative difference: per entry
+for a report field or JSON leaf that holds a float or a list of floats on
+both sides, and relative to the largest magnitude on either side for float
+arrays of one shape.  It exits 1 if any key differs, 0 otherwise.  Timings (``bench``'s
 ``scaling.csv`` and ``fit.json``) always differ.  Both trees must accept the
 calls below; a tree whose API moved needs the corpus edited to match.
 """
@@ -44,8 +47,7 @@ LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
 
 
 def _array(a):
-    a = np.asarray(a)
-    return pickle.dumps((a.dtype.str, a.shape)) + a.tobytes()
+    return pickle.dumps(np.ascontiguousarray(a))
 
 
 def _put_report(out, key, report):
@@ -76,8 +78,13 @@ def _library(out):
         out[tag + "/init/v"] = _array(start.v)
         grid = default_lambda_grid(x)
         out[tag + "/grid"] = _array(grid)
-        _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
-        _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=float(grid[7]))))
+        for name, solve, cfg in (("fffp", solve_fffp, SolverConfig(k=k)),
+                                 ("uffp", solve_uffp, SolverConfig(k=k, lam=float(grid[7])))):
+            last = {}
+            _put_factored(out, "%s/%s" % (tag, name),
+                          *solve(x, cfg, on_iteration=lambda st: last.update(state=st)))
+            out["%s/%s/last/theta" % (tag, name)] = _array(last["state"].theta)
+            out["%s/%s/last/rho" % (tag, name)] = pickle.dumps(last["state"].rho)
         _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
         for name, cfg in (("ialm", SolverConfig(k=k)),
                           ("ialm_capped", SolverConfig(k=k, max_iter=3))):
@@ -94,12 +101,18 @@ def _library(out):
 
 
 def _float_gap(key, a, b):
-    """Largest relative difference between the floats, or equally long lists
-    of floats, that the report field or JSON leaf ``key`` holds on the two
-    sides; None for any other key or value."""
-    if "/report/" not in key and ":" not in key:
+    """Largest relative difference between the two sides of ``key``: per
+    entry between floats or equally long lists of floats, relative to the
+    largest magnitude on either side between float arrays of one shape;
+    None for a file's raw bytes or any other value."""
+    if key.startswith("cli/files/") and ":" not in key:
         return None
     a, b = pickle.loads(a), pickle.loads(b)  # pickled by our own subprocesses
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.shape != b.shape or a.size == 0 or a.dtype.kind != "f" or b.dtype.kind != "f":
+            return None
+        scale = max(np.abs(a).max(), np.abs(b).max())
+        return float(np.abs(a - b).max() / scale) if scale > 0 else 0.0
     if isinstance(a, float) and isinstance(b, float):
         a, b = [a], [b]
     if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)

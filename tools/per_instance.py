@@ -1,0 +1,132 @@
+"""Compare two source trees of robustpca instance by instance on the benchmark's workloads.
+
+    python tools/per_instance.py OLD_TREE NEW_TREE
+
+Each tree's ``src`` and its ``perfbench/workloads.py`` are imported in their
+own subprocess (read only), which builds every instance of seeds 1-5 of the
+four workloads at full size, runs one operation on each and applies the
+workload's correctness gate.  This is what the ``perfbench`` medians cannot
+show: a run-level median covers however many operations fit in its time.
+
+For every instance whose iteration count or recovery error differs, the
+script prints both values and the relative change.  A change that makes the
+figure worse by more than its ``BENCHMARK.json`` bound (read from the checkout
+that holds this script) is flagged ``BEYOND BOUND``, and every gate failure is
+printed with its tree and the gate's message.  A summary line per workload
+follows.  The script exits 1 if any change is beyond its bound or any gate
+failed, 0 otherwise.  One full run takes a few minutes per tree.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3, 4, 5)
+WORKLOADS = ("fffp_2000", "sweep_cli_400", "background_cli", "ialm_400")
+FIGURES = ("iterations", "recovery_error")
+
+
+def collect(tree, dump, scale="full", seeds=SEEDS):
+    """Run every instance in ``tree`` (already first on sys.path) into ``dump``:
+    ``{(workload, seed, instance): (iterations, recovery_error, problems)}``."""
+    import robustpca
+    import workloads
+
+    root = Path(tree).resolve()
+    for module, home in ((robustpca, root / "src"), (workloads, root / "perfbench")):
+        if not Path(module.__file__).resolve().is_relative_to(home):
+            raise RuntimeError("imported %s, not the module under %s" % (module.__file__, home))
+    out = {}
+    for name in WORKLOADS:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as work:
+                workload = workloads.WORKLOADS[name](seed, scale, work)
+                workload.generate()
+                for index in range(len(workload.cases)):
+                    workload.prepare()
+                    # the CLI workloads print their summaries
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        outcome = workload.check(workload.op())
+                    out[name, seed, index] = (outcome.iterations, outcome.recovery_error,
+                                              list(outcome.problems))
+    with open(dump, "wb") as f:
+        pickle.dump(out, f)
+
+
+def _run_tree(tree, dump):
+    root = Path(tree).resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    subprocess.run([sys.executable, __file__, "--collect", str(root), str(dump)],
+                   env=env, check=True)
+    with open(dump, "rb") as f:
+        return pickle.load(f)  # written just now by our own subprocess
+
+
+def bounds():
+    """The relative bound of each compared figure, from BENCHMARK.json."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"] if m["name"] in FIGURES}
+
+
+def compare(old, new, limits):
+    """Lines describing the differences of two ``collect`` maps, and whether
+    any change is beyond its bound or any gate failed."""
+    lines, bad = [], False
+    for key in sorted(old.keys() | new.keys()):
+        label = "%s seed %d instance %d" % key
+        if key not in old or key not in new:
+            lines.append("%s: only in %s" % (label, "new" if key in new else "old"))
+            bad = True
+            continue
+        for figure, a, b in zip(FIGURES, old[key], new[key]):
+            if a == b:
+                continue
+            if a is None or b is None:
+                lines.append("%s: %s %r -> %r" % (label, figure, a, b))
+                continue
+            change = (b - a) / a if a else float("inf")
+            beyond = change > limits[figure]  # both figures are better lower
+            bad |= beyond
+            lines.append("%s: %s %.6g -> %.6g (%+.3g)%s" % (
+                label, figure, a, b, change, "  BEYOND BOUND" if beyond else ""))
+        for side, result in (("old", old[key]), ("new", new[key])):
+            for problem in result[2]:
+                lines.append("%s: gate failed in %s tree: %s" % (label, side, problem))
+                bad = True
+    for name in WORKLOADS:
+        keys = [key for key in old if key[0] == name and key in new]
+        parts = []
+        for i, figure in enumerate(FIGURES):
+            pairs = [(old[key][i], new[key][i]) for key in keys
+                     if old[key][i] != new[key][i] and None not in (old[key][i], new[key][i])]
+            worst = max(((b - a) / a for a, b in pairs if a), default=0.0)
+            parts.append("%s differ in %d (largest increase %+.3g)" % (figure, len(pairs), worst))
+        lines.append("%s: %d instances; %s" % (name, len(keys), "; ".join(parts)))
+    return lines, bad
+
+
+def main(argv):
+    if len(argv) == 4 and argv[1] == "--collect":
+        collect(argv[2], argv[3])
+        return 0
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _run_tree(argv[1], Path(tmp) / "old.pkl")
+        new = _run_tree(argv[2], Path(tmp) / "new.pkl")
+    lines, bad = compare(old, new, bounds())
+    for line in lines:
+        print(line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
