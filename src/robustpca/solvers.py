@@ -312,19 +312,20 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
     if len(starts) > 1 and starts[-1] == d - 1:
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
-    low, rest = np.empty((2, min(rows + 1, d), n))  # per-block scratch
+    l_buf, xs_buf = np.empty((2, min(rows + 1, d), n))  # per-block scratch
     rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
     svd_count = 0
 
     def sparse(left, right, weight):
+        tau = weight / rho
         for b in blocks:
             # w = x + theta/rho in m; the misfit w - left @ right.T in the scratch
             w = np.add(m[b], s[b], out=m[b])
-            misfit = np.matmul(left[b], right.T, out=low[:b.stop - b.start])
+            misfit = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
             np.subtract(w, misfit, out=misfit)
-            soft_threshold(misfit, weight / rho, out=s[b])
+            soft_threshold(misfit, tau, out=s[b])
             w -= s[b]
 
     for t in range(1, cfg.max_iter + 1):
@@ -338,8 +339,8 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
         squares = 0.0
         for b in blocks:
             # r = (x - s) - L, summed; m = (x - s) + (rho/rho_next) * (m - L)
-            l_b = np.matmul(left[b], right.T, out=low[:b.stop - b.start])
-            x_s = np.subtract(x[b], s[b], out=rest[:b.stop - b.start])
+            l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
+            x_s = np.subtract(x[b], s[b], out=xs_buf[:b.stop - b.start])
             mb = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
             r = np.subtract(x_s, l_b, out=l_b).ravel()
             squares += float(r @ r)

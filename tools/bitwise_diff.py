@@ -25,9 +25,10 @@ bytes.  The script prints each key that differs (a file only one tree wrote
 as a single line), followed by the largest relative difference: per entry
 for a report field or JSON leaf that holds a float or a list of floats on
 both sides, and relative to the largest magnitude on either side for float
-arrays of one shape.  It exits 1 if any key differs, 0 otherwise.  Timings (``bench``'s
-``scaling.csv`` and ``fit.json``) always differ.  Both trees must accept the
-calls below; a tree whose API moved needs the corpus edited to match.
+arrays of one shape.  It exits 1 if any key differs, 0 otherwise.  Timings
+(``bench``'s ``scaling.csv`` and ``fit.json``) always differ.  Both trees
+must accept the calls below; a tree whose API moved needs the corpus edited
+to match.
 """
 
 import contextlib
@@ -80,11 +81,10 @@ def _library(out):
         out[tag + "/grid"] = _array(grid)
         for name, solve, cfg in (("fffp", solve_fffp, SolverConfig(k=k)),
                                  ("uffp", solve_uffp, SolverConfig(k=k, lam=float(grid[7])))):
-            last = {}
-            _put_factored(out, "%s/%s" % (tag, name),
-                          *solve(x, cfg, on_iteration=lambda st: last.update(state=st)))
-            out["%s/%s/last/theta" % (tag, name)] = _array(last["state"].theta)
-            out["%s/%s/last/rho" % (tag, name)] = pickle.dumps(last["state"].rho)
+            states = []
+            _put_factored(out, "%s/%s" % (tag, name), *solve(x, cfg, on_iteration=states.append))
+            out["%s/%s/last/theta" % (tag, name)] = _array(states[-1].theta)
+            out["%s/%s/last/rho" % (tag, name)] = pickle.dumps(states[-1].rho)
         _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
         for name, cfg in (("ialm", SolverConfig(k=k)),
                           ("ialm_capped", SolverConfig(k=k, max_iter=3))):
