@@ -338,11 +338,15 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
         ratio = rho / rho_next
         squares = 0.0
         for b in blocks:
-            # r = (x - s) - L, summed; m = (x - s) + (rho/rho_next) * (m - L)
+            # r = (x - L) - s, summed in relative_residual's order, so a
+            # residual lost to cancellation reads the same in both;
+            # m = (x - s) + (rho/rho_next) * (m - L)
             l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
             x_s = np.subtract(x[b], s[b], out=xs_buf[:b.stop - b.start])
             mb = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
-            r = np.subtract(x_s, l_b, out=l_b).ravel()
+            r = np.subtract(x[b], l_b, out=l_b)
+            r -= s[b]
+            r = r.ravel()
             squares += float(r @ r)
             mb *= ratio
             mb += x_s
