@@ -108,13 +108,12 @@ def cmd_synth(args):
 
 
 def _solve_with_method(x, args, cfg):
-    """Dispatch one decomposition; returns (l_dense, factors_or_none, s, report, extra)."""
+    """Dispatch one decomposition; returns ``(low_rank, s, report, extra)``, where
+    ``low_rank`` is ialm's dense l or the factors of fffp and uffp."""
     if args.method == "fffp":
-        factors, s, report = solve_fffp(x, cfg)
-        return factors.dense(), factors, s, report, {}
+        return (*solve_fffp(x, cfg), {})
     if args.method == "ialm":
-        l, s, report = solve_ialm(x, cfg)
-        return l, None, s, report, {}
+        return (*solve_ialm(x, cfg), {})
     if args.lambda_sweep:
         entries, selected = lambda_sweep(x, cfg)
         chosen = entries[selected]
@@ -125,9 +124,8 @@ def _solve_with_method(x, args, cfg):
             for e in entries
         ]
         extra = {"sweep": sweep_table, "selected_lam": chosen.lam}
-        return chosen.factors.dense(), chosen.factors, chosen.s, chosen.report, extra
-    factors, s, report = solve_uffp(x, cfg)
-    return factors.dense(), factors, s, report, {}
+        return chosen.factors, chosen.s, chosen.report, extra
+    return (*solve_uffp(x, cfg), {})
 
 
 def cmd_decompose(args):
@@ -135,24 +133,27 @@ def cmd_decompose(args):
     start = time.perf_counter()
     x = read_matrix(args.input)
     cfg = _config_from_args(args)
-    l, factors, s, report, extra = _solve_with_method(x, args, cfg)
+    low_rank, s, report, extra = _solve_with_method(x, args, cfg)
 
     out = _out_dir(args)
     outputs = []
-    if factors is not None:
-        for name, matrix in (("U", factors.u), ("C", factors.c), ("V", factors.v)):
+    if args.method == "ialm":
+        path = out / "L.ffpm"
+        write_matrix(path, low_rank)
+        outputs.append(path)
+    else:
+        for name, matrix in (("U", low_rank.u), ("C", low_rank.c), ("V", low_rank.v)):
             path = out / ("%s.ffpm" % name)
             write_matrix(path, matrix)
             outputs.append(path)
-    else:
-        path = out / "L.ffpm"
-        write_matrix(path, l)
-        outputs.append(path)
     s_path = out / "S.ffpm"
     write_matrix(s_path, s)
     outputs.append(s_path)
 
-    l_star = read_matrix(args.truth) if args.truth else None
+    l, l_star = None, None  # the dense factored L is formed only to score it
+    if args.truth:
+        l_star = read_matrix(args.truth)
+        l = low_rank if args.method == "ialm" else low_rank.dense()
     metrics = compute_metrics(report, l, l_star=l_star)
     return _finish(out, args, [args.input], outputs, start, report, cfg,
                    metrics=metrics, extra=extra)
@@ -163,21 +164,24 @@ def cmd_background(args):
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
     cfg = _config_from_args(args)
-    l, _, s, report, extra = _solve_with_method(stack.matrix, args, cfg)
+    low_rank, s, report, extra = _solve_with_method(stack.matrix, args, cfg)
 
+    # frames are formed one at a time, so no (d, n) array is added to the
+    # input and the solve's outputs
+    uc = None if args.method == "ialm" else low_rank.u @ low_rank.c
     out = _out_dir(args)
     outputs = []
-    foreground = np.abs(s)
     for j, name in enumerate(stack.frame_names):
         stem = Path(name).stem
         bg_path = out / ("background_%s.pgm" % stem)
         fg_path = out / ("foreground_%s.pgm" % stem)
-        write_frame(l[:, j], stack.frame_height, stack.frame_width, bg_path)
-        write_frame(foreground[:, j], stack.frame_height, stack.frame_width, fg_path)
+        background = low_rank[:, j] if uc is None else uc @ low_rank.v[j]
+        write_frame(background, stack.frame_height, stack.frame_width, bg_path)
+        write_frame(np.abs(s[:, j]), stack.frame_height, stack.frame_width, fg_path)
         outputs += [bg_path, fg_path]
 
     return _finish(out, args, [args.frames], outputs, start, report, cfg,
-                   metrics=compute_metrics(report, l), extra=extra)
+                   metrics=compute_metrics(report, None), extra=extra)
 
 
 def cmd_anomaly(args):

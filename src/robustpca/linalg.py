@@ -136,7 +136,10 @@ def soft_threshold(m, tau, out=None):
 
     This is the proximal map of ``tau * sum(|m_ij|)``; entries with
     magnitude at most ``tau`` become exactly zero.  Computed as
-    ``m - clip(m, -tau, tau)`` in two passes over ``m``.
+    ``m - clip(m, -tau, tau)`` in two passes over ``m``.  The factored
+    solvers' row-block pass (``solvers._alm``) forms the same two steps
+    inline, since it reuses the clipped values for its workspace, so only
+    solve_ialm's sparse step calls this function.
 
     ``out``, if given, is a float64 array of the shape of ``m`` that
     receives the result and is returned; it must not overlap ``m``.

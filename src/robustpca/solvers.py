@@ -13,10 +13,12 @@ the stop test and the report; each solver supplies only its low-rank step:
   alternating singular-value and elementwise soft-thresholding.
 
 All solves are deterministic: identical inputs give bit-identical outputs.
-A single solve is sequential; distinct solves may run concurrently.  A solve
-holds two (d, n) float64 buffers besides ``x``, and derives the multiplier
-from them; the low-rank part is kept as factors, formed a row block at a
-time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
+A single solve is sequential; distinct solves may run concurrently.  Besides
+``x``, solve_fffp and solve_uffp hold three (d, n) float64 buffers (the
+sparse part, double-buffered, and one workspace) and solve_ialm two, and
+each derives the multiplier from them.  Every iteration makes one row-block
+pass over them; the low-rank part is kept as factors, formed a row block at
+a time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
 copied once; a C-ordered float64 input is not copied.
 """
 
@@ -190,12 +192,15 @@ class SolveReport:
 class IterationState(NamedTuple):
     """End-of-iteration snapshot passed to ``on_iteration`` callbacks.
 
-    ``s`` is one of the solver's two live (d, n) buffers and is overwritten
-    in place on the next iteration, so copy it if you keep it.  ``theta``,
-    ``u``, ``c`` and ``v`` are fresh arrays; the low-rank part ``u @ c @ v.T``
-    is never held whole.  ``rho`` is the value after the end-of-iteration
-    growth step, and ``theta`` is the multiplier for it, formed on demand as
-    ``rho * (m - x + s)`` from the solver's workspace ``m``.
+    ``s`` is the sparse part that the residual of ``u @ c @ v.T`` was
+    measured with.  It is one of the solver's two live sparse buffers: the
+    same pass has already written the next iteration's sparse part into the
+    other, and the next pass overwrites this one, so copy it if you keep it.
+    ``theta``, ``u``, ``c`` and ``v`` are fresh arrays; the low-rank part
+    ``u @ c @ v.T`` is never held whole.  ``rho`` is the value after the
+    end-of-iteration growth step, and ``theta`` is the multiplier for it,
+    formed on demand as ``rho * (m - x + s_next)`` from the solver's
+    workspace ``m`` and that next sparse part ``s_next``.
     """
 
     t: int
@@ -273,38 +278,52 @@ def _as_rows(x):
     return np.ascontiguousarray(_as_matrix(x, "x"))
 
 
-def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
+def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps two (d, n)
-    buffers, the sparse part ``s`` and the workspace ``m``, and makes every
-    pass over them, in contiguous row blocks of about ``ROW_BLOCK_ENTRIES``
-    entries.  Between iterations ``m = x + theta/rho - s``, so the
-    multiplier ``theta = rho * (m - x + s)`` is never stored.  The low-rank
+    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps the sparse part
+    ``s`` and the workspace ``m`` as (d, n) buffers and makes every pass over
+    them: one per iteration, in contiguous row blocks of about
+    ``ROW_BLOCK_ENTRIES`` entries.  Between iterations ``m = x + theta/rho -
+    s'``, where ``s'`` is the sparse part the next step reads, so the
+    multiplier ``theta = rho * (m - x + s')`` is never stored.  The low-rank
     part travels as factors ``(left, right)``, ``L = left @ right.T``, formed
-    one block at a time in a scratch.  The penalty starts at
+    once per block and iteration in a scratch.  The penalty starts at
     ``min(scaled_rho0(), RHO_CAP)``, called after the norm check, so the
     solver's rule may divide by a scale of ``x``.
 
-    ``step(m, rho, sparse)`` reads but does not write ``m``, calls the sparse
-    pass ``sparse(left, right, weight)`` once, which sets ``s =
-    soft_threshold(m + s - L, weight/rho)`` and ``m`` to match, and returns
-    the new ``(left, right, svds)`` with its thin-SVD count.  The residual
-    pass then sums ``||x - L - s||^2`` and moves ``m`` to the grown rho as
-    ``m = x - s + (rho/rho_next) * (m - L)``: ``m - L`` is the updated
-    ``theta/rho``.  ``after(t, s, m, rho_next, residual)`` runs if given; the
-    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(s, sparse_l1)``
-    gives the final rank and objective; wall time counts from ``t_start``.
-    Returns ``(s, report)``.  Raises ValueError if ``||x||_F`` is 0 or
-    underflows to 0 (no relative residual).
+    ``step(m, rho)`` reads but does not write ``m`` and returns the new
+    ``(left, right, weight, svds)``: the low-rank factors, the weight of the
+    l1 term and its thin-SVD count.  The pass then runs the sparse step
+    ``s = soft_threshold(x + theta/rho - L, weight/rho)`` and the residual
+    and multiplier step (sum ``||x - L - s||^2``; ``theta += rho * (x - L -
+    s)``; rho grows to ``rho_next``) block by block, in one of two orders:
+
+    * ``start`` given (the factored solvers): the residual of this
+      iteration, then the next iteration's sparse step at ``weight/rho_next``
+      into a second buffer, so ``s`` is double-buffered and a stop still
+      returns the ``s`` that matches ``L``.  Per block, ``a = x - L``, ``r =
+      a - s``, ``g = a + (rho/rho_next) * (m - L)`` (``x + theta/rho_next -
+      L``), ``s' = g - clip(g, -tau, tau)`` and ``m = L + clip(g, -tau,
+      tau)``.  ``start = (left, right, weight)`` are the starting factors:
+      a pre-pass before iteration 1 runs the first sparse step on
+      ``g = x - L`` (theta is 0).
+    * ``start`` None (solve_ialm): the sparse step of this iteration on
+      ``m``, then the residual, with ``m`` moved to the grown rho as ``m = x
+      - s + (rho/rho_next) * (m - L)``.  ``s`` is one buffer, starting at 0.
+
+    ``after(t, s, s_next, m, rho_next, residual)`` runs if given, where
+    ``s_next`` is the sparse buffer the next step reads (``s`` itself for
+    solve_ialm); the loop stops at ``cfg.tol`` or ``cfg.max_iter``.
+    ``summary(s, sparse_l1)`` gives the final rank and objective; wall time
+    counts from ``t_start``.  Returns ``(s, report)``.  Raises ValueError if
+    ``||x||_F`` is 0 or underflows to 0 (no relative residual).
     """
     norm_x = np.linalg.norm(x)
     if norm_x == 0.0:
         raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
                          "that the norm underflows); the relative residual is undefined")
     d, n = x.shape
-    s = np.zeros((d, n))
-    m = x.copy()  # x + theta/rho - s, with theta and s still 0
     # numpy multiplies a single row by gemv, which rounds differently from the
     # gemm of more rows, so no block has one row unless x has
     rows = max(2, ROW_BLOCK_ENTRIES // n)
@@ -312,51 +331,76 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None):
     if len(starts) > 1 and starts[-1] == d - 1:
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
-    l_buf, xs_buf = np.empty((2, min(rows + 1, d), n))  # per-block scratch
+    l_buf, a_buf = np.empty((2, min(rows + 1, d), n))  # per-block scratch
     rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
     svd_count = 0
 
-    def sparse(left, right, weight):
-        tau = weight / rho
+    def shrink(b, g, l_b, tau):
+        # s_next = soft_threshold(g, tau) and m = L + clip(g, -tau, tau), which
+        # is g + L - s_next; g is a view of m[b]
+        clipped = np.clip(g, -tau, tau, out=a_buf[:len(l_b)])
+        np.subtract(g, clipped, out=s_next[b])
+        np.add(l_b, clipped, out=m[b])
+
+    if start is None:
+        s = s_next = np.zeros((d, n))
+        m = x.copy()  # x + theta/rho - s, with theta and s still 0
+    else:
+        s, s_next, m = np.empty((d, n)), np.empty((d, n)), np.empty((d, n))
+        left, right, weight = start
         for b in blocks:
-            # w = x + theta/rho in m; the misfit w - left @ right.T in the scratch
-            w = np.add(m[b], s[b], out=m[b])
-            misfit = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
-            np.subtract(w, misfit, out=misfit)
-            soft_threshold(misfit, tau, out=s[b])
-            w -= s[b]
+            l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
+            shrink(b, np.subtract(x[b], l_b, out=m[b]), l_b, weight / rho)
 
     for t in range(1, cfg.max_iter + 1):
+        s, s_next = s_next, s  # s_next holds the sparse part this step reads
         try:
-            left, right, svds = step(m, rho, sparse)
+            left, right, weight, svds = step(m, rho)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         svd_count += svds
         rho_next = min(rho * KAPPA, RHO_CAP)
         ratio = rho / rho_next
+        # the factored pass forms the next iteration's s, solve_ialm's this one's
+        tau = weight / (rho_next if start is not None else rho)
         squares = 0.0
         for b in blocks:
-            # r = (x - L) - s, summed in relative_residual's order, so a
-            # residual lost to cancellation reads the same in both;
-            # m = (x - s) + (rho/rho_next) * (m - L)
-            l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
-            x_s = np.subtract(x[b], s[b], out=xs_buf[:b.stop - b.start])
-            mb = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
-            r = np.subtract(x[b], l_b, out=l_b)
-            r -= s[b]
-            r = r.ravel()
-            squares += float(r @ r)
-            mb *= ratio
-            mb += x_s
+            h = b.stop - b.start
+            l_b = np.matmul(left[b], right.T, out=l_buf[:h])
+            if start is not None:
+                # r = (x - L) - s, summed in relative_residual's order, so a
+                # residual lost to cancellation reads the same in both; r is
+                # formed in the block of s_next that the sparse step overwrites
+                a = np.subtract(x[b], l_b, out=a_buf[:h])
+                r = np.subtract(a, s[b], out=s_next[b])
+                squares += float(r.ravel() @ r.ravel())
+                g = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
+                g *= ratio
+                g += a
+                shrink(b, g, l_b, tau)
+            else:
+                # w = x + theta/rho in m and s = soft(w - L); then r as above,
+                # and m = (x - s) + ratio * (w - s - L)
+                w = np.add(m[b], s[b], out=m[b])
+                soft_threshold(np.subtract(w, l_b, out=a_buf[:h]), tau, out=s[b])
+                w -= s[b]
+                x_s = np.subtract(x[b], s[b], out=a_buf[:h])
+                mb = np.subtract(m[b], l_b, out=m[b])
+                r = np.subtract(x[b], l_b, out=l_b)
+                r -= s[b]
+                r = r.ravel()
+                squares += float(r @ r)
+                mb *= ratio
+                mb += x_s
         rho = rho_next
         residual = math.sqrt(squares) / float(norm_x)
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
         if after is not None:
-            after(t, s, m, rho, residual)
+            after(t, s, s_next, m, rho, residual)
         if residual <= cfg.tol:
             break
 
@@ -390,35 +434,35 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = factors.u, factors.c, factors.v
 
-    def step(m, rho, sparse):
+    def step(m, rho):
+        # m = x + theta/rho - s, read by two products: (uc.T @ m).T, which is
+        # m.T @ uc to the bit and at 2000x2000 about 2 ms instead of 5-16 ms,
+        # and m @ v, which serves both the u and the core update
         nonlocal u, c, v
-        uc = u @ c
-        sparse(uc, v, 1.0)  # m = x + theta/rho - s
-        # m.T @ uc as (uc.T @ m).T: the same bits, and at 2000x2000 about 2 ms
-        # instead of 5-16 ms
-        v = polar_orthogonal((uc.T @ m).T)
-        u = polar_orthogonal(m @ (v @ c.T))
-        c = (u.T @ m) @ v
+        v = polar_orthogonal(((u @ c).T @ m).T)
+        mv = m @ v
+        u = polar_orthogonal(mv @ c.T)
+        c = u.T @ mv
         tau = lam_ld / rho
         if tau > 0.0:
             c = ld_shrink(c, tau)
-        return u @ c, v, 3 if tau > 0.0 else 2
+        return u @ c, v, 1.0, 3 if tau > 0.0 else 2
 
     def scaled_rho0():
         # 1/max|x|, with max|x| taken without a (d, n) temporary
         return 1.0 / max(x.max(), -x.min())
 
-    def after(t, s, m, rho, residual):
+    def after(t, s, s_next, m, rho, residual):
         if not (_orthonormal(u) and _orthonormal(v)):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
         if on_iteration is not None:
-            on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s), rho, residual))
+            on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s_next), rho, residual))
 
     def summary(s, sparse_l1):
         objective = sparse_l1 + lam_ld * log_det_surrogate(c)
         return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
 
-    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0, after)
+    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0, after, (u @ c, v, 1.0))
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -431,9 +475,10 @@ def solve_fffp(x, cfg, on_iteration=None):
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
     residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP``).  Stops when the
     relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
-    Each iteration makes the driver's two row-block passes over the (d, n)
-    buffers, the sparse pass and the residual and multiplier pass, plus
-    three products with the workspace; a non-C-ordered ``x`` is copied once.
+    Each iteration makes one row-block pass of the driver over the (d, n)
+    buffers, which sums the residual and forms the next iteration's sparse
+    part and workspace, plus two products with the workspace; one pre-pass
+    forms the first sparse part.  A non-C-ordered ``x`` is copied once.
 
     Returns ``(factors, s, report)``.
     """
@@ -516,7 +561,8 @@ def solve_ialm(x, cfg):
     so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
     seeds the Gaussian columns; the solve is deterministic.  Each iteration
     thresholds the driver's workspace ``x - s + theta/rho`` as it stands and
-    makes the driver's two row-block passes.  The thresholded low-rank part
+    makes one row-block pass of the driver, which runs the sparse step and
+    then the residual block by block.  The thresholded low-rank part
     is kept as factors in the loop and formed once at the end; a
     non-C-ordered ``x`` is copied once.
 
@@ -531,11 +577,10 @@ def solve_ialm(x, cfg):
     rng = np.random.default_rng(cfg.seed)
     rank, left, v_kept, shrunk = SVT_START_RANK, None, None, None
 
-    def step(m, rho, sparse):
+    def step(m, rho):
         nonlocal rank, left, v_kept, shrunk
         left, shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng)
-        sparse(left, v_kept, lam)
-        return left, v_kept, svds
+        return left, v_kept, lam, svds
 
     def scaled_rho0():
         # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from a rank-1 randomized

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from robustpca import cli
 from robustpca.cli import build_parser, main
-from robustpca.dataio import read_matrix, read_pgm, write_matrix, write_pgm
+from robustpca.dataio import load_frame_stack, read_matrix, read_pgm, write_frame, \
+    write_matrix, write_pgm
 from robustpca.linalg import RANGE_OVERSAMPLE
-from robustpca.solvers import SolverConfig
+from robustpca.solvers import SolverConfig, solve_uffp
 
 
 def run(*argv):
@@ -234,6 +236,44 @@ class TestBackground:
         empty = tmp_path / "none"
         empty.mkdir()
         assert run("background", empty, "--k", "1", "--out", tmp_path / "o") == 2
+
+    def test_output_phase_holds_no_dense_copy(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        base = rng.uniform(40, 200, (60, 50))
+        frames = []
+        for j in range(40):
+            frame = base + rng.normal(0, 2, base.shape)
+            frame[j:j + 8, 10:18] = 250
+            frames.append(np.clip(frame, 0, 255).round())
+        frames_dir = tmp_path / "frames"
+        write_frames(frames_dir, frames)
+        d, n = 60 * 50, 40
+        memory = []
+        real = cli.write_frame
+
+        def traced(column, *rest):
+            memory.append(tracemalloc.get_traced_memory()[0])
+            real(column, *rest)
+
+        monkeypatch.setattr(cli, "write_frame", traced)
+        out = tmp_path / "sep"
+        tracemalloc.start()
+        try:
+            code = run("background", frames_dir, "--method", "uffp", "--lambda", "100",
+                       "--k", "2", "--out", out)
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(memory) == 2 * n
+        # the input stack and s are one (d, n) array each; a dense L or |s| is a third
+        assert max(memory) <= 2.5 * 8 * d * n
+        # frames streamed from the factors match frames cut from the dense L
+        stack = load_frame_stack(frames_dir)
+        factors, _, _ = solve_uffp(stack.matrix, SolverConfig(k=2, lam=100.0))
+        dense = factors.dense()
+        for j, name in enumerate(stack.frame_names):
+            path = tmp_path / name
+            write_frame(dense[:, j], 60, 50, path)
+            assert (out / ("background_" + name)).read_bytes() == path.read_bytes()
 
     def test_downsample_factor(self, tmp_path):
         frames_dir = tmp_path / "frames"

@@ -288,6 +288,26 @@ class TestAlmDriver:
             assert np.isclose(scaled.rho0 * scale, report.rho0, rtol=1e-12, atol=0.0)
             assert np.max(np.abs(s_scaled / scale - s)) <= 1e-12 * np.abs(s).max()
 
+    @pytest.mark.parametrize("max_iter", [200, 3], ids=["converged", "capped"])
+    @pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5)],
+                             ids=["fffp", "uffp"])
+    def test_each_state_pairs_s_with_its_factors(self, solve, lam, max_iter, monkeypatch):
+        # the factored solvers write the next s into a second buffer in the
+        # residual pass; every state, and the result, must still hold the s
+        # that the residual of its own factors was measured with
+        monkeypatch.setattr(solvers, "ROW_BLOCK_ENTRIES", 7 * 50)
+        x = make_problem(60, 50, 3, 0.08, seed=8).x
+        states = []
+        _, s, report = solve(x, SolverConfig(k=3, lam=lam, max_iter=max_iter),
+                             on_iteration=lambda state: states.append(
+                                 state._replace(s=state.s.copy())))
+        assert len(states) == report.iterations and report.converged == (max_iter == 200)
+        for state in states:
+            l = (state.u @ state.c) @ state.v.T
+            assert np.isclose(relative_residual(x, l, state.s), state.residual,
+                              rtol=1e-12, atol=0.0), state.t
+        assert np.array_equal(states[-1].s, s)
+
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(1, 40), n=st.integers(1, 40), full=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
@@ -769,15 +789,15 @@ class TestRowBlocks:
             assert got.per_iter_residual == want.per_iter_residual
             assert got.iterations == want.iterations
 
-    @pytest.mark.parametrize("solve", [
-        lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)),
-        lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)),
-        lambda x: solve_ialm(x, SolverConfig(k=5, max_iter=4)),
+    @pytest.mark.parametrize("solve, buffers", [
+        (lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)), 3),
+        (lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)), 3),
+        (lambda x: solve_ialm(x, SolverConfig(k=5, max_iter=4)), 2),
     ], ids=["fffp", "uffp", "ialm"])
-    def test_peak_memory_is_two_buffers(self, solve):
-        # s and m are (d, n); the multiplier is derived from m, and the
-        # low-rank part is never formed whole in the loop (ialm forms it once
-        # the loop has released m)
+    def test_peak_memory_matches_the_buffer_count(self, solve, buffers):
+        # s and m are (d, n), and the factored solvers double-buffer s; the
+        # multiplier is derived from m, and the low-rank part is never formed
+        # whole in the loop (ialm forms it once the loop has released m)
         x = make_problem(1000, 800, 5, 0.05, seed=3).x
         tracemalloc.start()
         try:
@@ -785,4 +805,4 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * x.size
+        assert peak <= (buffers + 0.5) * 8 * x.size

@@ -12,7 +12,7 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
   the iteration cap, the default lambda grid, and every ``lambda_sweep``
   entry and the selected index;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
-  ``background`` (fffp, sweep), ``anomaly`` (converged, capped, threshold),
+  ``background`` (fffp, ialm, sweep), ``anomaly`` (converged, capped, threshold),
   ``bench``, and inputs that must be refused (non-finite weights and
   thresholds, the removed ``--init``, and every ``--method``, ``--lambda``
   and ``--lambda-sweep`` mix that leaves a flag unused or uffp without a
@@ -151,6 +151,7 @@ def _cli_runs():
         ("decompose_capped", ["decompose", "prob/X.ffpm", "--method", "fffp", *problem,
                               "--max-iter", "3"]),
         ("background_fffp", ["background", "frames", "--k", "1"]),
+        ("background_ialm", ["background", "frames", "--method", "ialm", "--k", "1"]),
         ("background_sweep", ["background", "frames", "--method", "uffp", "--lambda-sweep",
                               "--k", "3"]),
         ("anomaly_top_m", anomaly + ["--top-m", "4"]),
