@@ -93,7 +93,14 @@ def _fix_signs(u, v):
 
 # randomized range finder (Halko, Martinsson & Tropp 2011)
 RANGE_OVERSAMPLE = 10  # test-matrix columns beyond the wanted rank
-RANGE_POWER_STEPS = 4  # power iterations, each re-orthonormalized by QR
+RANGE_POWER_STEPS = 4  # power iterations from a Gaussian start, each re-orthonormalized by QR
+# Power iterations from a warm start, a basis an earlier call returned.  The low
+# rank parts of a 200x180 rank-4 solve_ialm under seeds 3 and 4 differed by
+# 1.1e-7 relative with 1 warm step, 4.1e-9 with 2, 3.1e-10 with 3 and 5.6e-11
+# with 4, against 9.1e-9 for 4 steps from the kept singular vectors alone (9
+# iterations each).  At 400x400 rank 5, solve_ialm with 2 warm steps took 0.045 s
+# against 0.068 s with 4 steps from the kept vectors (medians of 12 runs).
+WARM_POWER_STEPS = 2
 
 
 def _range_basis(a, width, rng, start=None):
@@ -102,14 +109,17 @@ def _range_basis(a, width, rng, start=None):
     The randomized range finder of Halko, Martinsson & Tropp (2011): the
     test block is ``start`` (an (n, j) array, j <= width) followed by
     ``width - j`` Gaussian columns drawn from ``rng``; its image under
-    ``a`` is orthonormalized and refined by ``RANGE_POWER_STEPS`` power
-    steps, each re-orthonormalized by QR.  The cost is O(m * n * width)
-    per step.
+    ``a`` is orthonormalized and refined by power steps, each
+    re-orthonormalized by QR: ``RANGE_POWER_STEPS`` of them from a Gaussian
+    block, and ``WARM_POWER_STEPS`` when ``start`` has a column, since a
+    start that already spans most of the dominant space needs fewer.  The
+    cost is O(m * n * width) per step.
     """
-    fresh = rng.standard_normal((a.shape[1], width - (0 if start is None else start.shape[1])))
-    omega = fresh if start is None else np.hstack([start, fresh])
+    j = 0 if start is None else start.shape[1]
+    fresh = rng.standard_normal((a.shape[1], width - j))
+    omega = fresh if j == 0 else np.hstack([start, fresh])
     q, _ = np.linalg.qr(a @ omega)
-    for _ in range(RANGE_POWER_STEPS):
+    for _ in range(WARM_POWER_STEPS if j else RANGE_POWER_STEPS):
         z, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ z)
     return q

@@ -32,11 +32,11 @@ import numpy as np
 from .linalg import (
     RANGE_OVERSAMPLE,
     RANGE_POWER_STEPS,
+    ThinSvd,
     _as_matrix,
     _fix_signs,
     _range_basis,
     ld_shrink,
-    log_det_surrogate,
     polar_orthogonal,
     soft_threshold,
     thin_svd,
@@ -70,9 +70,16 @@ KAPPA = 1.5  # geometric penalty growth per iteration
 SVT_START_RANK = 10  # predicted rank of the first iteration
 SVT_RANK_GROWTH = 0.05  # share of min(d, n) added to the rank when every value is kept
 # From this share of min(d, n) on, a range-finder width takes the full thin SVD
-# instead: with 4 power steps the partial step measured faster than the full
-# SVD up to 0.15 at 400x400, 800x800, 1000x400 and 400x1000, and slower at
-# 0.25 except at 800x800 (parity).
+# instead.  Medians of 7-15 calls on a 2-core x86-64 (OpenBLAS), partial step
+# with WARM_POWER_STEPS against the full SVD, in ms:
+#   share      0.10  0.15  0.20  0.25  0.30 | full SVD
+#   400x400     8.1  16.3  26.3  41.0  54.1 |  40.1
+#   800x800    54.8   105   147   143   185 |   259
+#   1000x400   14.9  26.5  39.8  64.3  81.2 |  87.1
+#   400x1000   14.4  32.1  47.4  69.0  86.9 |  97.1
+# So a warm step is faster up to 0.20 and at parity at 400x400 from 0.25 (a
+# cold step, 4 power steps, takes about 1.6x as long); a widened retry costs
+# a second step.  The share stays at its 4-step crossover for now.
 SVT_FULL_SHARE = 0.15
 
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
@@ -136,8 +143,9 @@ class SolverConfig:
 
     The penalty schedule is fixed: it starts at ``1/max|x|`` for the factored
     solvers (the first sparse threshold 1/rho reaches the largest entry) and
-    at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, and grows by
-    ``KAPPA`` per iteration, always capped at ``RHO_CAP``.
+    at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, with sigma_1 from
+    the factorization of ``x`` that its first singular-value step thresholds,
+    and grows by ``KAPPA`` per iteration, always capped at ``RHO_CAP``.
     """
 
     k: int
@@ -161,14 +169,16 @@ class SolverConfig:
 class SolveReport:
     """Terminal and per-iteration statistics for one solve.
 
-    svd_count is the raw number of thin-SVD invocations inside the
-    iteration loop (the factor-orthogonalization and core updates for the
-    factored solvers, the singular-value thresholding for the baseline);
-    the start is not counted (the factored solvers' initial factors, the
-    baseline's rank-1 estimate of sigma_1).  A widened retry of the baseline's
-    partial thresholding counts as a further SVD, so its svd_count can
-    exceed its iteration count.  rho0 is the penalty weight of the first
-    iteration, the solver's data-scaled start (see :class:`SolverConfig`).
+    svd_count is the raw number of thin-SVD invocations of the iteration
+    steps (the factor-orthogonalization and core updates for the factored
+    solvers, the singular-value thresholding for the baseline).  The
+    factored solvers' initial factors are not counted.  The baseline takes
+    no SVD outside its steps: its sigma_1 comes from the first step's
+    factorization, computed before the loop and counted once, as step 1's.
+    A widened retry of the baseline's partial thresholding counts as a
+    further SVD, so its svd_count can exceed its iteration count.  rho0 is
+    the penalty weight of the first iteration, the solver's data-scaled
+    start (see :class:`SolverConfig`).
     per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
     iteration, with the squares summed over the driver's row blocks, so it
     can differ from :func:`relative_residual` in the last bits;
@@ -459,8 +469,9 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
             on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s_next), rho, residual))
 
     def summary(s, sparse_l1):
-        objective = sparse_l1 + lam_ld * log_det_surrogate(c)
-        return _spectrum_rank(np.linalg.svd(c, compute_uv=False)), objective
+        # one factorization of the core for the rank and log_det_surrogate's sum
+        sigma = np.linalg.svd(c, compute_uv=False)
+        return _spectrum_rank(sigma), sparse_l1 + lam_ld * float(np.log1p(sigma).sum())
 
     s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0, after, (u @ c, v, 1.0))
     return FactoredLowRank(u, c, v), s, report
@@ -502,45 +513,61 @@ def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     return _solve_factored(x, cfg, float(cfg.lam), on_iteration, _init)
 
 
-def _svt_step(m, tau, rank, start, rng):
+def _ritz_triplets(m, rank, start, rng):
+    """Singular triplets of ``m`` for :func:`_svt_step`'s ``rank``, as a ThinSvd.
+
+    A range finder of width ``rank + RANGE_OVERSAMPLE`` (at most min(d, n))
+    gives the Ritz triplets of ``m``: the exact ones of ``m`` projected onto
+    the basis.  It starts from the first ``width`` columns of ``start`` (or
+    None) and pads them with Gaussian columns from ``rng``.  A width of at
+    least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin SVD instead,
+    which is exact, draws nothing and, at that width, is no slower.
+    """
+    full = min(m.shape)
+    width = min(rank + RANGE_OVERSAMPLE, full)
+    if width >= SVT_FULL_SHARE * full:
+        return thin_svd(m)
+    q = _range_basis(m, width, rng, None if start is None else start[:, :width])
+    f = thin_svd(q.T @ m)
+    return ThinSvd(q @ f.u, f.s, f.v)
+
+
+def _svt_step(m, tau, rank, start, rng, first=None):
     """Singular-value thresholding of ``m`` at ``tau``, returned as factors.
 
     Only the top singular triplets are computed.  ``rank`` is the
-    predicted number of singular values above tau, and ``start`` holds the
-    right singular vectors the previous step kept (or None).  A randomized
-    range finder of width ``rank + RANGE_OVERSAMPLE``, started from
-    ``start`` and padded with Gaussian columns from ``rng``, yields the
-    Ritz triplets.  If every Ritz value exceeds tau, some value above tau
-    may lie outside the basis, so the rank grows and the step is redone.
-    A width of at least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin
-    SVD instead, which is exact and, at that width, no slower.
+    predicted number of singular values above tau, and ``start`` is the
+    right Ritz basis the previous step returned (or None); the steps thus
+    continue one subspace iteration, with ``WARM_POWER_STEPS`` power steps
+    each.  :func:`_ritz_triplets` computes the triplets at the width that
+    ``rank`` asks for; ``first``, if given, is that result for ``m`` and
+    this ``rank``, computed already.  If every Ritz value exceeds tau, some
+    value above tau may lie outside the basis, so the rank grows and the
+    step is redone, started from the basis it just computed.  The full thin
+    SVD, once the width reaches its share, is final.
 
-    Returns ``(left, shrunk, v, rank, svds)``: the left singular vectors
-    scaled by the kept singular values minus tau, those shrunk values
-    (nonincreasing), their right singular vectors, the predicted rank of
-    the next step (Lin, Chen & Ma's rule) and the number of thin SVDs
-    computed.  The thresholded matrix is ``left @ v.T``; it is not formed.
+    Returns ``(left, shrunk, v, basis, rank, svds)``: the left singular
+    vectors scaled by the kept singular values minus tau, those shrunk
+    values (nonincreasing), their right singular vectors, the whole right
+    Ritz basis of the last factorization (the full ``v`` of a full SVD)
+    for the next step's ``start``, the predicted rank of the next step (Lin,
+    Chen & Ma's rule) and the number of thin SVDs computed.  The
+    thresholded matrix is ``left @ v.T``; it is not formed.
     """
     full = min(m.shape)
     growth = max(1, round(SVT_RANK_GROWTH * full))
     svds = 0
     while True:
-        width = min(rank + RANGE_OVERSAMPLE, full)
+        f = _ritz_triplets(m, rank, start, rng) if first is None else first
+        first = None
         svds += 1
-        if width >= SVT_FULL_SHARE * full:
-            f = thin_svd(m)
-            kept = int((f.s > tau).sum())
-            u = f.u[:, :kept]
-            break
-        q = _range_basis(m, width, rng, start)
-        f = thin_svd(q.T @ m)
         kept = int((f.s > tau).sum())
-        if kept < width:
-            u = q @ f.u[:, :kept]
+        if kept < f.s.size or f.s.size == full:  # a value at or below tau, or the full SVD
             break
-        rank = kept + growth
+        rank, start = kept + growth, f.v
     shrunk = f.s[:kept] - tau
-    return u * shrunk, shrunk, f.v[:, :kept], kept + 1 if kept < rank else kept + growth, svds
+    return (f.u[:, :kept] * shrunk, shrunk, f.v[:, :kept], f.v,
+            kept + 1 if kept < rank else kept + growth, svds)
 
 
 def solve_ialm(x, cfg):
@@ -554,12 +581,15 @@ def solve_ialm(x, cfg):
     the singular-value step computes only a partial SVD: the number of
     singular values above the threshold is predicted from the previous
     iteration (starting at ``SVT_START_RANK``), a seeded randomized range
-    finder warm-started from the previous right singular vectors finds
-    the top triplets, and the step is redone wider when every computed
-    value survives the threshold.  Once the predicted width reaches
-    ``SVT_FULL_SHARE`` times min(d, n) the full thin SVD is used instead,
-    so small inputs and high-rank iterates take the exact path.  ``cfg.seed``
-    seeds the Gaussian columns; the solve is deterministic.  Each iteration
+    finder warm-started from the previous step's whole Ritz basis finds the
+    top triplets with ``WARM_POWER_STEPS`` power steps, and the step is
+    redone wider when every computed value survives the threshold.  Once
+    the predicted width reaches ``SVT_FULL_SHARE`` times min(d, n) the full
+    thin SVD is used instead, so small inputs and high-rank iterates take
+    the exact path.  The first step thresholds ``x`` itself, so its
+    factorization, computed before the loop, also gives the start's
+    sigma_1; no other SVD of ``x`` is taken.  ``cfg.seed`` seeds the
+    Gaussian columns; the solve is deterministic.  Each iteration
     thresholds the driver's workspace ``x - s + theta/rho`` as it stands and
     makes one row-block pass of the driver, which runs the sparse step and
     then the residual block by block.  The thresholded low-rank part
@@ -575,17 +605,21 @@ def solve_ialm(x, cfg):
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(d, n))
     rng = np.random.default_rng(cfg.seed)
-    rank, left, v_kept, shrunk = SVT_START_RANK, None, None, None
+    rank, first, left, v_kept, basis, shrunk = SVT_START_RANK, None, None, None, None, None
 
     def step(m, rho):
-        nonlocal rank, left, v_kept, shrunk
-        left, shrunk, v_kept, rank, svds = _svt_step(m, 1.0 / rho, rank, v_kept, rng)
+        nonlocal rank, first, left, v_kept, basis, shrunk
+        left, shrunk, v_kept, basis, rank, svds = _svt_step(m, 1.0 / rho, rank, basis, rng,
+                                                            first)
+        first = None
         return left, v_kept, lam, svds
 
     def scaled_rho0():
-        # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from a rank-1 randomized
-        # SVD: O(d * n), and its own generator leaves rng's draws unchanged
-        return 1.25 / init_factors(x, 1, cfg.seed).c[0, 0]
+        # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from the first step's
+        # factorization: the driver's workspace is x itself at iteration 1
+        nonlocal first
+        first = _ritz_triplets(x, rank, None, rng)
+        return 1.25 / first.s[0]
 
     def summary(s, sparse_l1):
         return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
@@ -609,9 +643,10 @@ def default_lambda_grid(x):
     swallows ``x``.  The transition between "keeps every direction" and
     "keeps only the real ones" can span less than half a decade, so the
     grid steps in quarter decades through the region where that window
-    sits in practice and coarsens toward the collapse end.  Anchoring at
-    the spectral norm keeps the grid scale-free: the same exponents work
-    for unit-scale synthetic data and 0..255 pixel stacks alike.
+    sits in practice and coarsens toward the collapse end.  The grid
+    scales with the data, but the selection does not: the surrogate
+    log(1 + sigma) is not homogeneous, so data of very small scale selects
+    toward the top of the grid.
     """
     x = _as_matrix(x, "x")
     top = float(np.linalg.norm(x, 2))

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from robustpca.linalg import (
+    RANGE_POWER_STEPS,
+    WARM_POWER_STEPS,
+    _range_basis,
     ld_shrink,
     log_det_surrogate,
     polar_orthogonal,
@@ -253,3 +256,23 @@ class TestSvt:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.5)
+
+
+class TestRangeBasis:
+    # a start without columns is a Gaussian start
+    @pytest.mark.parametrize("start_cols, steps", [(None, RANGE_POWER_STEPS),
+                                                   (0, RANGE_POWER_STEPS),
+                                                   (1, WARM_POWER_STEPS),
+                                                   (8, WARM_POWER_STEPS)])
+    def test_power_steps_follow_the_start(self, start_cols, steps, monkeypatch):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((50, 40))
+        start = None
+        if start_cols is not None:
+            start = np.linalg.qr(rng.standard_normal((40, start_cols)))[0]
+        calls = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda b: calls.append(b.shape) or real(b))
+        q = _range_basis(a, 8, np.random.default_rng(0), start)
+        assert len(calls) == 1 + 2 * steps
+        assert q.shape == (50, 8) and np.allclose(q.T @ q, np.eye(8), rtol=0.0, atol=1e-12)

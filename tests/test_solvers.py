@@ -264,7 +264,9 @@ class TestAlmDriver:
         x = make_problem(40, 40, 2, 0.1, seed=3).x
         _, _, report = solve(x, SolverConfig(k=2, lam=lam, seed=5))
         if solve is solve_ialm:
-            want = 1.25 / init_factors(x, 1, 5).c[0, 0]  # Lin, Chen & Ma's 1.25/sigma_1
+            # Lin, Chen & Ma's 1.25/sigma_1; at 40 columns the first step's
+            # factorization, which gives sigma_1, is the full SVD
+            want = 1.25 / solvers.thin_svd(x).s[0]
         else:
             want = 1.0 / np.abs(x).max()
         assert report.rho0 == want
@@ -583,6 +585,38 @@ class TestIalm:
         with pytest.raises(DivergenceError, match=r"non-finite iterate at iteration 2$"):
             solve_ialm(prob.x, SolverConfig(k=2))
 
+    def test_start_reads_sigma_1_from_the_partial_first_step(self):
+        # 180 columns: the first step's width 20 takes the range finder, whose
+        # top Ritz value reads sigma_1 to 8.4e-12 relative here
+        x = make_problem(200, 180, 4, 0.05, seed=14).x
+        _, _, report = solve_ialm(x, SolverConfig(k=4, max_iter=1))
+        want = 1.25 / np.linalg.norm(x, 2)
+        assert abs(report.rho0 - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("shape", [(400, 400), (200, 180)])
+    def test_warm_steps_keep_the_exact_rank(self, shape, monkeypatch):
+        # the steps continue one subspace iteration across the solve: each
+        # keeps the rank of the exact svt of its input, and the last one,
+        # whose input has converged, matches svt to round-off
+        prob = make_problem(*shape, 5, 0.05, seed=21)
+        real = solvers._svt_step
+        steps = []
+
+        def recording(m, tau, *rest):
+            out = real(m, tau, *rest)
+            sigma = np.linalg.svd(m, compute_uv=False)
+            steps.append((out[1].size, int((sigma > tau).sum()), out[3].shape[1]))
+            recording.last = m.copy(), tau, out, sigma[0]
+            return out
+
+        monkeypatch.setattr(solvers, "_svt_step", recording)
+        _, _, report = solve_ialm(prob.x, SolverConfig(k=5))
+        assert report.converged and len(steps) == report.iterations
+        for kept, exact, width in steps:
+            assert kept == exact and width < 0.15 * min(shape)  # the partial path
+        m, tau, (left, _, v, *_), sigma_1 = recording.last
+        assert np.max(np.abs(left @ v.T - svt(m, tau))) <= 1e-10 * sigma_1
+
     def test_buffered_loop_matches_out_of_place_reference(self):
         prob = make_problem(180, 160, 3, 0.05, seed=17)
         cfg = SolverConfig(k=3)
@@ -591,13 +625,15 @@ class TestIalm:
         # the IALM iteration written out of place around the same
         # thresholding step, one fresh array per step
         rng = np.random.default_rng(cfg.seed)
-        rank, v_kept = solvers.SVT_START_RANK, None
-        # the default start: 1.25/sigma_1 from a seeded rank-1 randomized SVD
-        rho = min(1.25 / init_factors(x, 1, cfg.seed).c[0, 0], solvers.RHO_CAP)
+        rank, basis = solvers.SVT_START_RANK, None
+        # the default start: 1.25/sigma_1 from the first step's factorization of x,
+        # which the first step reuses; each step starts from the last Ritz basis
+        first = solvers._ritz_triplets(x, rank, None, rng)
+        rho = min(1.25 / first.s[0], solvers.RHO_CAP)
         s, theta = np.zeros_like(x), np.zeros_like(x)
         for t in range(1, cfg.max_iter + 1):
-            left, _, v_kept, rank, _ = solvers._svt_step(x - s + theta / rho, 1.0 / rho,
-                                                         rank, v_kept, rng)
+            left, _, v_kept, basis, rank, _ = solvers._svt_step(
+                x - s + theta / rho, 1.0 / rho, rank, basis, rng, first if t == 1 else None)
             l_ref = left @ v_kept.T
             m = x - l_ref + theta / rho
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
@@ -630,7 +666,7 @@ class TestPartialSvt:
         shapes = []
         real = solvers.thin_svd
         monkeypatch.setattr(solvers, "thin_svd", lambda a: shapes.append(a.shape) or real(a))
-        left, shrunk, v, next_rank, svds = solvers._svt_step(
+        left, shrunk, v, _, next_rank, svds = solvers._svt_step(
             m, tau, rank, None, np.random.default_rng(0))
         out = left @ v.T
         assert svds == len(shapes)
@@ -671,6 +707,20 @@ class TestPartialSvt:
         assert shrunk.size == 25 and next_rank == 26
 
     @pytest.mark.parametrize("shape", SHAPES)
+    def test_widened_retry_starts_from_the_attempt_basis(self, shape, monkeypatch):
+        sigma = np.concatenate([np.linspace(20.0, 2.0, 25), np.geomspace(0.9, 1e-3, 40)])
+        m = prescribed(*shape, sigma, seed=3)
+        starts = []
+        real = solvers._range_basis
+        monkeypatch.setattr(solvers, "_range_basis",
+                            lambda a, width, rng, start: starts.append(start) or
+                            real(a, width, rng, start))
+        _, _, _, basis, _, _ = solvers._svt_step(m, 1.0, 10, None, np.random.default_rng(0))
+        first = solvers._ritz_triplets(m, 10, None, np.random.default_rng(0))
+        assert starts[0] is None and np.array_equal(starts[1], first.v)
+        assert first.v.shape == (shape[1], 20) and basis.shape == (shape[1], 50)
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_width_past_crossover_takes_full_svd(self, shape, monkeypatch):
         sigma = np.concatenate([np.linspace(20.0, 2.0, 55), np.geomspace(0.9, 1e-3, 40)])
         m = prescribed(*shape, sigma, seed=4)
@@ -694,7 +744,7 @@ class TestPartialSvt:
         sigma = np.concatenate([np.sort(rng.uniform(2.0, 20.0, above))[::-1],
                                 np.sort(rng.uniform(0.0, 0.05, below))[::-1]])
         m = prescribed(d, n, sigma, seed) if sigma.size else np.zeros((d, n))
-        left, shrunk, v, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng)
+        left, shrunk, v, _, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng)
         out = left @ v.T
         assert np.max(np.abs(out - svt(m, 1.0))) <= 1e-10 * 20.0
         assert np.allclose(shrunk, sigma[:above] - 1.0, rtol=0.0, atol=1e-10 * 20.0)

@@ -1,12 +1,13 @@
 """Compare two source trees of robustpca instance by instance on the benchmark's workloads.
 
-    python tools/per_instance.py OLD_TREE NEW_TREE
+    python tools/per_instance.py OLD_TREE NEW_TREE [WORKLOAD ...]
 
 Each tree's ``src`` and its ``perfbench/workloads.py`` are imported in their
 own subprocess (read only), which builds every instance of seeds 1-5 of the
-four workloads at full size, runs one operation on each and applies the
-workload's correctness gate.  This is what the ``perfbench`` medians cannot
-show: a run-level median covers however many operations fit in its time.
+named workloads (all four if none is named) at full size, runs one
+operation on each and applies the workload's correctness gate.  This is
+what the ``perfbench`` medians cannot show: a run-level median covers
+however many operations fit in its time.
 
 For every instance whose iteration count or recovery error differs, the
 script prints both values and the relative change.  A change that makes the
@@ -14,7 +15,8 @@ figure worse by more than its ``BENCHMARK.json`` bound (read from the checkout
 that holds this script) is flagged ``BEYOND BOUND``, and every gate failure is
 printed with its tree and the gate's message.  A summary line per workload
 follows.  The script exits 1 if any change is beyond its bound or any gate
-failed, 0 otherwise.  One full run takes a few minutes per tree.
+failed, 0 otherwise, and 2 on a usage error or an unknown workload.  A run of
+all four workloads took under a minute per tree on a 2-core x86-64.
 """
 
 import contextlib
@@ -32,8 +34,9 @@ WORKLOADS = ("fffp_2000", "sweep_cli_400", "background_cli", "ialm_400")
 FIGURES = ("iterations", "recovery_error")
 
 
-def collect(tree, dump, scale="full", seeds=SEEDS):
-    """Run every instance in ``tree`` (already first on sys.path) into ``dump``:
+def collect(tree, dump, names=WORKLOADS, scale="full", seeds=SEEDS):
+    """Run every instance of the workloads ``names`` in ``tree`` (already first
+    on sys.path) into ``dump``:
     ``{(workload, seed, instance): (iterations, recovery_error, problems)}``."""
     import robustpca
     import workloads
@@ -43,7 +46,7 @@ def collect(tree, dump, scale="full", seeds=SEEDS):
         if not Path(module.__file__).resolve().is_relative_to(home):
             raise RuntimeError("imported %s, not the module under %s" % (module.__file__, home))
     out = {}
-    for name in WORKLOADS:
+    for name in names:
         for seed in seeds:
             with tempfile.TemporaryDirectory() as work:
                 workload = workloads.WORKLOADS[name](seed, scale, work)
@@ -59,11 +62,11 @@ def collect(tree, dump, scale="full", seeds=SEEDS):
         pickle.dump(out, f)
 
 
-def _run_tree(tree, dump):
+def _run_tree(tree, dump, names):
     root = Path(tree).resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                        str(root / "perfbench")]))
-    subprocess.run([sys.executable, __file__, "--collect", str(root), str(dump)],
+    subprocess.run([sys.executable, __file__, "--collect", str(root), str(dump), *names],
                    env=env, check=True)
     with open(dump, "rb") as f:
         return pickle.load(f)  # written just now by our own subprocess
@@ -75,9 +78,10 @@ def bounds():
     return {m["name"]: m["bound"] for m in spec["end_to_end"] if m["name"] in FIGURES}
 
 
-def compare(old, new, limits):
-    """Lines describing the differences of two ``collect`` maps, and whether
-    any change is beyond its bound or any gate failed."""
+def compare(old, new, limits, names=WORKLOADS):
+    """Lines describing the differences of two ``collect`` maps of the
+    workloads ``names``, and whether any change is beyond its bound or any
+    gate failed."""
     lines, bad = [], False
     for key in sorted(old.keys() | new.keys()):
         label = "%s seed %d instance %d" % key
@@ -100,7 +104,7 @@ def compare(old, new, limits):
             for problem in result[2]:
                 lines.append("%s: gate failed in %s tree: %s" % (label, side, problem))
                 bad = True
-    for name in WORKLOADS:
+    for name in names:
         keys = [key for key in old if key[0] == name and key in new]
         parts = []
         for i, figure in enumerate(FIGURES):
@@ -113,16 +117,21 @@ def compare(old, new, limits):
 
 
 def main(argv):
-    if len(argv) == 4 and argv[1] == "--collect":
-        collect(argv[2], argv[3])
+    if len(argv) >= 4 and argv[1] == "--collect":
+        collect(argv[2], argv[3], argv[4:] or WORKLOADS)
         return 0
-    if len(argv) != 3:
+    names = tuple(dict.fromkeys(argv[3:])) or WORKLOADS
+    unknown = [name for name in names if name not in WORKLOADS]
+    if len(argv) < 3 or unknown:
+        if unknown:
+            print("unknown workload %s; choose from %s" % (", ".join(unknown),
+                                                         ", ".join(WORKLOADS)), file=sys.stderr)
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        old = _run_tree(argv[1], Path(tmp) / "old.pkl")
-        new = _run_tree(argv[2], Path(tmp) / "new.pkl")
-    lines, bad = compare(old, new, bounds())
+        old = _run_tree(argv[1], Path(tmp) / "old.pkl", names)
+        new = _run_tree(argv[2], Path(tmp) / "new.pkl", names)
+    lines, bad = compare(old, new, bounds(), names)
     for line in lines:
         print(line)
     return 1 if bad else 0
