@@ -5,7 +5,9 @@ a matrix file), ``background`` (split an image stack into background and
 foreground frames), ``anomaly`` (flag outlier columns), ``bench`` (wall-time
 scaling runs).  Every command writes a ``manifest.json`` next to its
 outputs echoing the full configuration, seed, tool version, and wall time,
-so any artifact can be regenerated from its manifest.
+so any artifact can be regenerated from its manifest, and the environment
+that produced the numbers: the numpy version, its BLAS, the CPU count and
+affinity, and the BLAS thread variables.
 
 Exit codes: 0 success (and solver convergence), 2 usage or argument error
 (such as a ``--lambda`` or ``--lambda-sweep`` that ``--method`` would ignore),
@@ -15,6 +17,7 @@ outputs still written, 4 I/O or file-format error.
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,6 +37,23 @@ USAGE_ERROR = 2
 ITERATION_CAP_EXIT = 3
 IO_ERROR = 4
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment():
+    """What a number depends on beyond the inputs: float64 solves call dgemm
+    and float32 ones sgemm, from the BLAS that numpy was built with."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": None if affinity is None else len(affinity),
+        "blas_thread_vars": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
 
 def _write_manifest(out_dir, args, inputs, outputs, start, config=None):
     """Write ``manifest.json``; ``config`` defaults to every parsed argument."""
@@ -47,6 +67,7 @@ def _write_manifest(out_dir, args, inputs, outputs, start, config=None):
         "seed": args.seed,
         "version": __version__,
         "wall_time": time.perf_counter() - start,
+        "environment": _environment(),
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -193,7 +193,9 @@ def load_frame_stack(dir_path, downsample_factor=1):
     size.  A downsample factor f keeps every f-th pixel along each axis
     (decimation, no averaging).  Columns are the column-major vectorization
     of each (possibly downsampled) frame, so :func:`write_frame` inverts
-    the mapping.
+    the mapping.  The matrix is float32, which holds every 8-bit gray level
+    exactly, so the factored solvers run on it in float32.  Each frame is
+    cast as it is read, so no float64 copy of the whole stack is made.
     """
     if downsample_factor < 1 or int(downsample_factor) != downsample_factor:
         raise ValueError("downsample_factor must be a positive integer, got %r" % downsample_factor)
@@ -213,7 +215,7 @@ def load_frame_stack(dir_path, downsample_factor=1):
                 "frame %s has size %dx%d after downsampling, expected %dx%d"
                 % (name, frame.shape[0], frame.shape[1], shape[0], shape[1])
             )
-        columns.append(frame.ravel(order="F"))
+        columns.append(frame.ravel(order="F").astype(np.float32))
     return FrameStack(
         matrix=np.column_stack(columns),
         frame_height=shape[0],

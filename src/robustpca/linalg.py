@@ -33,9 +33,15 @@ class ThinSvd(NamedTuple):
     v: np.ndarray
 
 
-def _as_matrix(a, name="matrix"):
-    """Coerce to a nonempty 2-D float64 array with finite entries."""
-    a = np.asarray(a, dtype=np.float64)
+def _as_matrix(a, name="matrix", keep_float32=False):
+    """Coerce to a nonempty 2-D float64 array with finite entries.
+
+    With ``keep_float32`` a float32 array keeps its dtype (and is not
+    copied); the solvers that run in the data's precision pass it.  Every
+    other dtype, and float32 without the flag, converts to float64.
+    """
+    float32 = keep_float32 and getattr(a, "dtype", None) == np.float32
+    a = np.asarray(a, dtype=np.float32 if float32 else np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("%s must be a nonempty 2-D array, got shape %r" % (name, a.shape))
     if not np.isfinite(a).all():
@@ -113,16 +119,30 @@ def _range_basis(a, width, rng, start=None):
     re-orthonormalized by QR: ``RANGE_POWER_STEPS`` of them from a Gaussian
     block, and ``WARM_POWER_STEPS`` when ``start`` has a column, since a
     start that already spans most of the dominant space needs fewer.  The
-    cost is O(m * n * width) per step.
+    cost is O(m * n * width) per step.  ``a`` may be float32: each product
+    with it then runs in float32 and is upcast before its QR, so ``a`` is
+    never copied and the basis is float64.
     """
     j = 0 if start is None else start.shape[1]
     fresh = rng.standard_normal((a.shape[1], width - j))
     omega = fresh if j == 0 else np.hstack([start, fresh])
-    q, _ = np.linalg.qr(a @ omega)
+    q, _ = np.linalg.qr(_product(a, omega, a.dtype))
     for _ in range(WARM_POWER_STEPS if j else RANGE_POWER_STEPS):
-        z, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ z)
+        z, _ = np.linalg.qr(_product(a.T, q, a.dtype))
+        q, _ = np.linalg.qr(_product(a, z, a.dtype))
     return q
+
+
+def _product(a, b, dtype):
+    """``a @ b`` computed in ``dtype`` and returned as float64.
+
+    ``dtype`` is that of the large operand, a (d, n) data matrix or buffer,
+    so only the small one is cast: a float64 factor would otherwise upcast a
+    float32 matrix into a (d, n) temporary.  For float64 nothing is cast or
+    copied, and the product is ``a @ b`` bit for bit.
+    """
+    return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.float64,
+                                                                             copy=False)
 
 
 def polar_orthogonal(a):

@@ -14,12 +14,23 @@ the stop test and the report; each solver supplies only its low-rank step:
 
 All solves are deterministic: identical inputs give bit-identical outputs.
 A single solve is sequential; distinct solves may run concurrently.  Besides
-``x``, solve_fffp and solve_uffp hold three (d, n) float64 buffers (the
-sparse part, double-buffered, and one workspace) and solve_ialm two, and
-each derives the multiplier from them.  Every iteration makes one row-block
-pass over them; the low-rank part is kept as factors, formed a row block at
-a time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
-copied once; a C-ordered float64 input is not copied.
+``x``, solve_fffp and solve_uffp hold three (d, n) buffers (the sparse
+part, double-buffered, and one workspace) and solve_ialm two, and each
+derives the multiplier from them.  Every iteration makes one row-block pass
+over them; the low-rank part is kept as factors, formed a row block at a
+time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
+copied once.
+
+solve_fffp and solve_uffp solve in the data's precision: for float32 ``x``
+the buffers, the block scratch and every product with them are float32,
+which halves the bytes each pass moves; for float64 ``x`` they are
+float64.  Any other dtype converts to float64, as does float32 input to
+solve_ialm and lambda_sweep.  The factors, the core and every small
+factorization stay float64.  A C-ordered input of the solve's precision
+is not copied.  Float32 buffers sum squares in float32, so float32 data
+needs ``||x||_F`` below about 1e19 (a DivergenceError otherwise) and
+entries not all below about 1e-22 in magnitude (a ValueError for a norm
+that underflows); convert data outside that range to float64.
 """
 
 import math
@@ -35,6 +46,7 @@ from .linalg import (
     ThinSvd,
     _as_matrix,
     _fix_signs,
+    _product,
     _range_basis,
     ld_shrink,
     polar_orthogonal,
@@ -135,7 +147,10 @@ class SolverConfig:
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    tol      : relative-residual stopping threshold, in (0, 1)
+    tol      : relative-residual stopping threshold, in (0, 1).  For float32
+               data (see the module docstring) keep it at or above about
+               1e-6: the residual of float32 buffers stalls near 1e-7, so a
+               smaller tol runs to max_iter and reports converged=False.
     max_iter : iteration cap
     seed     : seed of the Gaussian draws: the test matrix of the factored
                solvers' randomized truncated-SVD start (:func:`init_factors`)
@@ -182,8 +197,10 @@ class SolveReport:
     per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
     iteration, with the squares summed over the driver's row blocks, so it
     can differ from :func:`relative_residual` in the last bits;
-    final_residual is its last entry.  sparse_l1 is the l1 norm of the
-    final s.
+    final_residual is its last entry.  Float32 buffers sum each block's
+    squares in float32 (the blocks' sums add up in float64), so there the
+    two agree only to about 1e-5 relative.  sparse_l1 is the l1 norm of the
+    final s, summed in float64.
     """
 
     iterations: int
@@ -210,7 +227,9 @@ class IterationState(NamedTuple):
     ``u @ c @ v.T`` is never held whole.  ``rho`` is the value after the
     end-of-iteration growth step, and ``theta`` is the multiplier for it,
     formed on demand as ``rho * (m - x + s_next)`` from the solver's
-    workspace ``m`` and that next sparse part ``s_next``.
+    workspace ``m`` and that next sparse part ``s_next``.  ``s`` and
+    ``theta`` have the dtype of the solver's buffers (float32 for float32
+    data); ``u``, ``c`` and ``v`` are float64.
     """
 
     t: int
@@ -251,15 +270,17 @@ def init_factors(x, k, seed=0):
     ``x`` projected onto that basis.  The singular values go on the
     diagonal of ``c``, and the columns follow the sign convention of
     :func:`thin_svd`.  The cost is O(d * n * k); no (d, n) matrix is
-    factorized.  Deterministic for fixed inputs and seed.
+    factorized.  Deterministic for fixed inputs and seed.  A float32 ``x``
+    is not upcast: its products run in float32, and the factors are
+    float64 either way.
     """
-    x = _as_matrix(x, "x")
+    x = _as_matrix(x, "x", keep_float32=True)
     d, n = x.shape
     if not 1 <= k <= min(d, n):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
-    f = thin_svd(q.T @ x)
+    f = thin_svd(_product(q.T, x, x.dtype))
     u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
     return FactoredLowRank(u, np.diag(f.s[:k]), v)
 
@@ -282,25 +303,28 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _as_rows(x):
-    """``x`` as a C-ordered float64 matrix with finite entries, so that its row
-    blocks are contiguous: no copy for C-ordered input, one copy otherwise."""
-    return np.ascontiguousarray(_as_matrix(x, "x"))
+def _as_rows(x, keep_float32=False):
+    """``x`` as a C-ordered matrix with finite entries, so that its row blocks
+    are contiguous: no copy for C-ordered input, one copy otherwise.  The
+    matrix is float64, or float32 for float32 ``x`` with ``keep_float32``."""
+    return np.ascontiguousarray(_as_matrix(x, "x", keep_float32))
 
 
 def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
     ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps the sparse part
-    ``s`` and the workspace ``m`` as (d, n) buffers and makes every pass over
-    them: one per iteration, in contiguous row blocks of about
-    ``ROW_BLOCK_ENTRIES`` entries.  Between iterations ``m = x + theta/rho -
-    s'``, where ``s'`` is the sparse part the next step reads, so the
-    multiplier ``theta = rho * (m - x + s')`` is never stored.  The low-rank
-    part travels as factors ``(left, right)``, ``L = left @ right.T``, formed
-    once per block and iteration in a scratch.  The penalty starts at
-    ``min(scaled_rho0(), RHO_CAP)``, called after the norm check, so the
-    solver's rule may divide by a scale of ``x``.
+    ``s`` and the workspace ``m`` as (d, n) buffers of the dtype of ``x``
+    (float32 or float64) and makes every pass over them: one per iteration,
+    in contiguous row blocks of about ``ROW_BLOCK_ENTRIES`` entries.  Between
+    iterations ``m = x + theta/rho - s'``, where ``s'`` is the sparse part
+    the next step reads, so the multiplier ``theta = rho * (m - x + s')`` is
+    never stored.  The low-rank part travels as factors ``(left, right)``,
+    ``L = left @ right.T``, formed once per block and iteration in a scratch;
+    the factors are cast to the buffers' dtype once per iteration, so no
+    block product upcasts.  The penalty starts at ``min(scaled_rho0(),
+    RHO_CAP)``, called after the norm check, so the solver's rule may divide
+    by a scale of ``x``.
 
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
     ``(left, right, weight, svds)``: the low-rank factors, the weight of the
@@ -334,6 +358,7 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
         raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
                          "that the norm underflows); the relative residual is undefined")
     d, n = x.shape
+    dt = x.dtype
     # numpy multiplies a single row by gemv, which rounds differently from the
     # gemm of more rows, so no block has one row unless x has
     rows = max(2, ROW_BLOCK_ENTRIES // n)
@@ -341,7 +366,7 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
     if len(starts) > 1 and starts[-1] == d - 1:
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
-    l_buf, a_buf = np.empty((2, min(rows + 1, d), n))  # per-block scratch
+    l_buf, a_buf = np.empty((2, min(rows + 1, d), n), dt)  # per-block scratch
     rho0 = min(float(scaled_rho0()), RHO_CAP)
     rho = rho0
     residuals = []
@@ -355,11 +380,12 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
         np.add(l_b, clipped, out=m[b])
 
     if start is None:
-        s = s_next = np.zeros((d, n))
+        s = s_next = np.zeros((d, n), dt)
         m = x.copy()  # x + theta/rho - s, with theta and s still 0
     else:
-        s, s_next, m = np.empty((d, n)), np.empty((d, n)), np.empty((d, n))
+        s, s_next, m = np.empty((d, n), dt), np.empty((d, n), dt), np.empty((d, n), dt)
         left, right, weight = start
+        left, right = left.astype(dt, copy=False), right.astype(dt, copy=False)
         for b in blocks:
             l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
             shrink(b, np.subtract(x[b], l_b, out=m[b]), l_b, weight / rho)
@@ -370,6 +396,7 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
             left, right, weight, svds = step(m, rho)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
+        left, right = left.astype(dt, copy=False), right.astype(dt, copy=False)
         svd_count += svds
         rho_next = min(rho * KAPPA, RHO_CAP)
         ratio = rho / rho_next
@@ -414,7 +441,7 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
         if residual <= cfg.tol:
             break
 
-    sparse_l1 = float(np.abs(s, out=m).sum())
+    sparse_l1 = float(np.abs(s, out=m).sum(dtype=np.float64))
     final_rank, objective = summary(s, sparse_l1)
     return s, SolveReport(
         iterations=t,
@@ -436,7 +463,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
     """
-    x = _as_rows(x)
+    x = _as_rows(x, keep_float32=True)
     d, n = x.shape
     cfg.validate(d, n)
     t_start = time.perf_counter()
@@ -445,12 +472,12 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     u, c, v = factors.u, factors.c, factors.v
 
     def step(m, rho):
-        # m = x + theta/rho - s, read by two products: (uc.T @ m).T, which is
-        # m.T @ uc to the bit and at 2000x2000 about 2 ms instead of 5-16 ms,
-        # and m @ v, which serves both the u and the core update
+        # m = x + theta/rho - s, read by two products in its dtype: (uc.T @ m).T,
+        # which is m.T @ uc to the bit and at 2000x2000 about 2 ms instead of
+        # 5-16 ms, and m @ v, which serves both the u and the core update
         nonlocal u, c, v
-        v = polar_orthogonal(((u @ c).T @ m).T)
-        mv = m @ v
+        v = polar_orthogonal(_product((u @ c).T, m, m.dtype).T)
+        mv = _product(m, v, m.dtype)
         u = polar_orthogonal(mv @ c.T)
         c = u.T @ mv
         tau = lam_ld / rho
@@ -460,7 +487,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
 
     def scaled_rho0():
         # 1/max|x|, with max|x| taken without a (d, n) temporary
-        return 1.0 / max(x.max(), -x.min())
+        return 1.0 / float(max(x.max(), -x.min()))
 
     def after(t, s, s_next, m, rho, residual):
         if not (_orthonormal(u) and _orthonormal(v)):
@@ -594,7 +621,10 @@ def solve_ialm(x, cfg):
     makes one row-block pass of the driver, which runs the sparse step and
     then the residual block by block.  The thresholded low-rank part
     is kept as factors in the loop and formed once at the end; a
-    non-C-ordered ``x`` is copied once.
+    non-C-ordered ``x`` is copied once.  The solve runs in float64: a
+    float32 ``x`` is converted (one (d, n) copy), so its solve is that of
+    ``x.astype(np.float64)`` bit for bit.  The partial thresholding's
+    accuracy was measured in float64 only.
 
     Returns ``(l, s, report)``.
     """
@@ -679,7 +709,10 @@ def lambda_sweep(x, cfg):
 
     The grid is solved in order, every run from the same factors, built
     once (the init is seeded, so this matches building it per run bit for bit).
-    A non-C-ordered ``x`` is copied once for the whole sweep.
+    A non-C-ordered ``x`` is copied once for the whole sweep.  The sweep runs
+    in float64, also for float32 ``x``: entry ranks below the selection move
+    with round-off (a grid scaled by 1 + 1e-12 already moves some), and
+    float32's is far larger.
     """
     x = _as_rows(x)
     grid = default_lambda_grid(x)

@@ -15,6 +15,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_environment(manifest):
+    """The manifest names what its numbers depend on beyond the inputs."""
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["cpu_count"] >= 1
+    assert env["cpu_affinity"] is None or env["cpu_affinity"] >= 1  # None: not Linux
+    assert set(env["blas_thread_vars"]) == set(cli.BLAS_THREAD_VARS)
+    assert "OPENBLAS_NUM_THREADS" in env["blas_thread_vars"]
+
+
 def synth_args(out, d=80, n=80, rank=2, fraction=0.05, seed=7):
     return ["synth", "--d", d, "--n", n, "--rank", rank,
             "--fraction", fraction, "--seed", seed, "--out", out]
@@ -89,6 +100,7 @@ class TestDecompose:
         assert "func" not in config and "jobs" not in config
         assert manifest["inputs"] == [str(problem_dir / "X.ffpm")]
         assert str(out / "report.json") in manifest["outputs"]
+        assert_environment(manifest)
 
     def test_uffp_without_lambda_exits_2(self, problem_dir, tmp_path):
         code = run("decompose", problem_dir / "X.ffpm", "--method", "uffp", "--k", "6",
@@ -208,6 +220,7 @@ class TestBackground:
         out = tmp_path / "sep"
         code = run("background", frames_dir, "--k", "1", "--method", "fffp", "--out", out)
         assert code == 0
+        assert_environment(json.loads((out / "manifest.json").read_text()))
         for j in range(10):
             bg = read_pgm(out / ("background_frame_%03d.pgm" % j))
             fg = read_pgm(out / ("foreground_frame_%03d.pgm" % j))

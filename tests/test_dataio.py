@@ -185,6 +185,9 @@ class TestFrameStack:
         stack = load_frame_stack(tmp_path, 1)
         assert stack.matrix.shape == (16, 1)
         assert stack.frame_height == stack.frame_width == 4
+        # float32 holds every gray level exactly
+        assert stack.matrix.dtype == np.float32
+        assert np.array_equal(stack.matrix[:, 0], pixels.ravel(order="F"))
         # column-major: the first frame_height entries are the first pixel column
         assert np.array_equal(stack.matrix[:4, 0], pixels[:, 0])
 

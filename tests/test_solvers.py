@@ -422,20 +422,22 @@ class TestLoopInvariants:
 
 class TestUffp:
     def test_zero_lam_matches_fffp_bitwise(self):
-        prob = make_problem(50, 40, 2, 0.08, seed=5)
-        cfg_f = SolverConfig(k=2)
-        cfg_u = SolverConfig(k=2, lam=0.0)
-        trace_f, trace_u = [], []
-        grab = lambda store: lambda st: store.append(
-            (st.s.copy(), st.u.copy(), st.c.copy(), st.v.copy(), st.theta.copy())
-        )
-        rf = solve_fffp(prob.x, cfg_f, on_iteration=grab(trace_f))
-        ru = solve_uffp(prob.x, cfg_u, on_iteration=grab(trace_u))
-        assert len(trace_f) == len(trace_u)
-        for snap_f, snap_u in zip(trace_f, trace_u):
-            for a, b in zip(snap_f, snap_u):
-                assert np.array_equal(a, b)
-        assert ru[2].svd_count == rf[2].svd_count
+        for dtype in (np.float64, np.float32):  # float32 data solves in float32
+            x = make_problem(50, 40, 2, 0.08, seed=5).x.astype(dtype)
+            cfg_f = SolverConfig(k=2)
+            cfg_u = SolverConfig(k=2, lam=0.0)
+            trace_f, trace_u = [], []
+            grab = lambda store: lambda st: store.append(
+                (st.s.copy(), st.u.copy(), st.c.copy(), st.v.copy(), st.theta.copy())
+            )
+            rf = solve_fffp(x, cfg_f, on_iteration=grab(trace_f))
+            ru = solve_uffp(x, cfg_u, on_iteration=grab(trace_u))
+            assert rf[1].dtype == ru[1].dtype == trace_f[-1][4].dtype == dtype
+            assert len(trace_f) == len(trace_u)
+            for snap_f, snap_u in zip(trace_f, trace_u):
+                for a, b in zip(snap_f, snap_u):
+                    assert np.array_equal(a, b)
+            assert ru[2].svd_count == rf[2].svd_count
 
     def test_objective_includes_surrogate(self):
         prob = make_problem(60, 60, 2, 0.05, seed=6)
@@ -761,6 +763,8 @@ def _sweep(x, cfg):
 BLOCK_CASES = {
     "fffp": lambda x: solve_fffp(x, SolverConfig(k=3)),
     "uffp": lambda x: solve_uffp(x, SolverConfig(k=6, lam=2.0)),
+    "fffp_f32": lambda x: solve_fffp(x.astype(np.float32), SolverConfig(k=3)),
+    "uffp_f32": lambda x: solve_uffp(x.astype(np.float32), SolverConfig(k=6, lam=2.0)),
     "ialm_partial": lambda x: solve_ialm(x, SolverConfig(k=3)),
     "ialm_full": lambda x: solve_ialm(x, SolverConfig(k=3)),
     "sweep": lambda x: _sweep(x, SolverConfig(k=6)),
@@ -809,8 +813,9 @@ class TestRowBlocks:
                 (want.iterations, want.svd_count, want.final_rank, want.converged)
             assert (got.sparse_l1, got.sparsity_ratio, got.final_objective, got.rho0) == \
                 (want.sparse_l1, want.sparsity_ratio, want.final_objective, want.rho0)
+            # float32 buffers sum each block's squares in float32 (eps 1.2e-7)
             np.testing.assert_allclose(got.per_iter_residual, want.per_iter_residual,
-                                       rtol=1e-14, atol=0.0)
+                                       rtol=1e-6 if case.endswith("f32") else 1e-14, atol=0.0)
 
     def test_partial_case_takes_the_partial_path(self, monkeypatch):
         widths = []
@@ -839,20 +844,67 @@ class TestRowBlocks:
             assert got.per_iter_residual == want.per_iter_residual
             assert got.iterations == want.iterations
 
-    @pytest.mark.parametrize("solve, buffers", [
-        (lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)), 3),
-        (lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)), 3),
-        (lambda x: solve_ialm(x, SolverConfig(k=5, max_iter=4)), 2),
-    ], ids=["fffp", "uffp", "ialm"])
-    def test_peak_memory_matches_the_buffer_count(self, solve, buffers):
+    @pytest.mark.parametrize("solve, buffers, dtype", [
+        (lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)), 3, np.float64),
+        (lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)), 3, np.float64),
+        (lambda x: solve_ialm(x, SolverConfig(k=5, max_iter=4)), 2, np.float64),
+        (lambda x: solve_fffp(x, SolverConfig(k=5, max_iter=4)), 3, np.float32),
+        (lambda x: solve_uffp(x, SolverConfig(k=5, lam=1.0, max_iter=4)), 3, np.float32),
+    ], ids=["fffp", "uffp", "ialm", "fffp_f32", "uffp_f32"])
+    def test_peak_memory_matches_the_buffer_count(self, solve, buffers, dtype):
         # s and m are (d, n), and the factored solvers double-buffer s; the
         # multiplier is derived from m, and the low-rank part is never formed
-        # whole in the loop (ialm forms it once the loop has released m)
-        x = make_problem(1000, 800, 5, 0.05, seed=3).x
+        # whole in the loop (ialm forms it once the loop has released m).
+        # Float32 data gets float32 buffers, and nothing upcasts it.
+        x = make_problem(1000, 800, 5, 0.05, seed=3).x.astype(dtype)
         tracemalloc.start()
         try:
             solve(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (buffers + 0.5) * 8 * x.size
+        assert peak <= (buffers + 0.5) * x.itemsize * x.size
+
+
+class TestFloat32:
+    """Float32 data runs the factored solvers in float32 buffers; the factors,
+    the core and the small factorizations stay float64."""
+
+    def test_acceptance_problem_agrees_with_float64(self):
+        x = make_problem(400, 400, 5, 0.05, seed=7).x
+        f64, _, r64 = solve_fffp(x, SolverConfig(k=5))
+        f32, s32, r32 = solve_fffp(x.astype(np.float32), SolverConfig(k=5))
+        assert s32.dtype == np.float32
+        assert f32.u.dtype == f32.c.dtype == f32.v.dtype == np.float64
+        assert (r32.iterations, r32.final_rank) == (r64.iterations, r64.final_rank)
+        assert recovery_error(f32.dense(), f64.dense()) <= 1e-5
+
+    # float64 takes 22 and 27 iterations; the float32 residual stalls near 1e-7
+    @pytest.mark.parametrize("tol, same_iterations", [(1e-6, True), (1e-9, False)])
+    def test_tol_floor(self, tol, same_iterations):
+        x = make_problem(300, 300, 5, 0.05, seed=0).x
+        cfg = SolverConfig(k=5, tol=tol)
+        r64 = solve_fffp(x, cfg)[2]
+        r32 = solve_fffp(x.astype(np.float32), cfg)[2]
+        assert r64.converged
+        if same_iterations:
+            assert r32.converged and r32.iterations == r64.iterations
+        else:
+            assert not r32.converged and r32.iterations == cfg.max_iter
+
+    @pytest.mark.parametrize("shape, rank", [((400, 400), 5), ((19200, 200), 1)],
+                             ids=["400x400", "19200x200"])
+    def test_final_residual_matches_a_float64_residual(self, shape, rank):
+        # the pass sums each block's squares in float32
+        x = make_problem(*shape, rank, 0.05, seed=3).x.astype(np.float32)
+        factors, s, report = solve_fffp(x, SolverConfig(k=rank))
+        want = relative_residual(x, factors.dense(), s)
+        assert abs(report.final_residual - want) <= 1e-4 * want
+
+    def test_ialm_solves_in_float64(self):
+        x = make_problem(120, 90, 4, 0.05, seed=1).x.astype(np.float32)
+        l32, s32, r32 = solve_ialm(x, SolverConfig(k=4))
+        l64, s64, r64 = solve_ialm(x.astype(np.float64), SolverConfig(k=4))
+        assert s32.dtype == np.float64
+        assert np.array_equal(l32, l64) and np.array_equal(s32, s64)
+        assert r32.per_iter_residual == r64.per_iter_residual

@@ -11,6 +11,8 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
   and positive-weight ``solve_uffp`` runs, ``solve_ialm`` converged and at
   the iteration cap, the default lambda grid, and every ``lambda_sweep``
   entry and the selected index;
+* ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 300x120
+  problem cast to float32, which they solve in float32;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
   ``background`` (fffp, ialm, sweep), ``anomaly`` (converged, capped, threshold),
   ``bench``, and inputs that must be refused (non-finite weights and
@@ -98,6 +100,12 @@ def _library(out):
             key = "%s/sweep/%02d" % (tag, i)
             out[key + "/lam"] = pickle.dumps(e.lam)
             _put_factored(out, key, e.factors, e.s, e.report)
+    (d, n), k = LIB_CASES[1]
+    x = make_problem(d, n, 5, 0.05, seed=7).x.astype(np.float32)
+    tag = "lib/%dx%d/float32" % (d, n)
+    lam = float(default_lambda_grid(x)[7])
+    _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
+    _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=lam)))
 
 
 def _float_gap(key, a, b):
