@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives and the shrinkage operators the solvers are built from.
 
 Everything here is a pure function of its inputs: arguments are never
-modified (apart from an explicit ``out=`` buffer), and a fixed sign
-convention on the SVD factors makes repeated calls bit-reproducible.
+modified, and a fixed sign convention on the SVD factors makes repeated
+calls bit-reproducible.
 """
 
 from typing import NamedTuple
@@ -126,23 +126,24 @@ def _range_basis(a, width, rng, start=None):
     j = 0 if start is None else start.shape[1]
     fresh = rng.standard_normal((a.shape[1], width - j))
     omega = fresh if j == 0 else np.hstack([start, fresh])
-    q, _ = np.linalg.qr(_product(a, omega, a.dtype))
+    q, _ = np.linalg.qr(_product(a, omega))
     for _ in range(WARM_POWER_STEPS if j else RANGE_POWER_STEPS):
-        z, _ = np.linalg.qr(_product(a.T, q, a.dtype))
-        q, _ = np.linalg.qr(_product(a, z, a.dtype))
+        z, _ = np.linalg.qr(_product(a.T, q))
+        q, _ = np.linalg.qr(_product(a, z))
     return q
 
 
-def _product(a, b, dtype):
-    """``a @ b`` computed in ``dtype`` and returned as float64.
+def _product(a, b):
+    """``a @ b`` computed in float32 if either operand is float32, in float64
+    otherwise, and returned as float64.
 
-    ``dtype`` is that of the large operand, a (d, n) data matrix or buffer,
-    so only the small one is cast: a float64 factor would otherwise upcast a
-    float32 matrix into a (d, n) temporary.  For float64 nothing is cast or
-    copied, and the product is ``a @ b`` bit for bit.
+    The float32 operand is the large one, a (d, n) data matrix or buffer, so
+    only the small one is cast: a float64 factor would otherwise upcast a
+    float32 matrix into a (d, n) temporary.  For float64 operands nothing is
+    cast or copied, and the product is ``a @ b`` bit for bit.
     """
-    return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.float64,
-                                                                             copy=False)
+    dt = np.float32 if np.float32 in (a.dtype, b.dtype) else np.float64
+    return (a.astype(dt, copy=False) @ b.astype(dt, copy=False)).astype(np.float64, copy=False)
 
 
 def polar_orthogonal(a):
@@ -161,28 +162,20 @@ def polar_orthogonal(a):
     return f.u @ f.v.T
 
 
-def soft_threshold(m, tau, out=None):
+def soft_threshold(m, tau):
     """Elementwise shrinkage toward zero, ``sign(m) * max(|m| - tau, 0)``.
 
     This is the proximal map of ``tau * sum(|m_ij|)``; entries with
     magnitude at most ``tau`` become exactly zero.  Computed as
-    ``m - clip(m, -tau, tau)`` in two passes over ``m``.  The factored
-    solvers' row-block pass (``solvers._alm``) forms the same two steps
-    inline, since it reuses the clipped values for its workspace, so only
-    solve_ialm's sparse step calls this function.
-
-    ``out``, if given, is a float64 array of the shape of ``m`` that
-    receives the result and is returned; it must not overlap ``m``.
+    ``m - clip(m, -tau, tau)`` in two passes over ``m``.  No solver calls
+    it: the row-block pass of ``solvers._alm`` writes the same
+    ``m - clip(m, -tau, tau)`` inline, since it reuses the clipped values
+    for its workspace.
     """
     tau = _check_tau(tau)
     m = np.asarray(m, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(m)
-    elif out.shape != m.shape or out.dtype != np.float64 or np.may_share_memory(out, m):
-        raise ValueError("out must be a float64 array of shape %r that does not overlap m"
-                         % (m.shape,))
-    np.clip(m, -tau, tau, out=out)
-    return np.subtract(m, out, out=out)
+    clipped = np.clip(m, -tau, tau)
+    return np.subtract(m, clipped, out=clipped)
 
 
 def ld_shrink(d, tau):
@@ -205,7 +198,7 @@ def ld_shrink(d, tau):
     Returns
     -------
     (m, n) ndarray with the same shape as ``d``; its i-th singular value
-    never exceeds s_i.
+    exceeds s_i by at most a few ulps of 1 + s_i, the rounding of xi_i.
     """
     tau = _check_tau(tau)
     d = _as_matrix(d, "d")

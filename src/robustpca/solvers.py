@@ -50,7 +50,6 @@ from .linalg import (
     _range_basis,
     ld_shrink,
     polar_orthogonal,
-    soft_threshold,
     thin_svd,
 )
 
@@ -280,7 +279,7 @@ def init_factors(x, k, seed=0):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
-    f = thin_svd(_product(q.T, x, x.dtype))
+    f = thin_svd(_product(q.T, x))
     u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
     return FactoredLowRank(u, np.diag(f.s[:k]), v)
 
@@ -310,7 +309,7 @@ def _as_rows(x, keep_float32=False):
     return np.ascontiguousarray(_as_matrix(x, "x", keep_float32))
 
 
-def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
+def _alm(x, cfg, weight, t_start, step, summary, scaled_rho0, after=None, start=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
     ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps the sparse part
@@ -326,25 +325,29 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
     RHO_CAP)``, called after the norm check, so the solver's rule may divide
     by a scale of ``x``.
 
+    ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
-    ``(left, right, weight, svds)``: the low-rank factors, the weight of the
-    l1 term and its thin-SVD count.  The pass then runs the sparse step
-    ``s = soft_threshold(x + theta/rho - L, weight/rho)`` and the residual
-    and multiplier step (sum ``||x - L - s||^2``; ``theta += rho * (x - L -
-    s)``; rho grows to ``rho_next``) block by block, in one of two orders:
+    ``(left, right, svds)``: the low-rank factors and their thin-SVD count.
+    The pass then runs the sparse step ``s = soft_threshold(x + theta/rho -
+    L, weight/rho)`` and the residual and multiplier step (sum ``||x - L -
+    s||^2``; ``theta += rho * (x - L - s)``; rho grows to ``rho_next``)
+    block by block, in one of two orders.  Both write the sparse step
+    through one helper, ``shrink``, as ``g - c`` with the clip ``c =
+    clip(g, -tau, tau)``, and build ``m`` from ``c``:
 
     * ``start`` given (the factored solvers): the residual of this
       iteration, then the next iteration's sparse step at ``weight/rho_next``
       into a second buffer, so ``s`` is double-buffered and a stop still
       returns the ``s`` that matches ``L``.  Per block, ``a = x - L``, ``r =
       a - s``, ``g = a + (rho/rho_next) * (m - L)`` (``x + theta/rho_next -
-      L``), ``s' = g - clip(g, -tau, tau)`` and ``m = L + clip(g, -tau,
-      tau)``.  ``start = (left, right, weight)`` are the starting factors:
-      a pre-pass before iteration 1 runs the first sparse step on
-      ``g = x - L`` (theta is 0).
-    * ``start`` None (solve_ialm): the sparse step of this iteration on
-      ``m``, then the residual, with ``m`` moved to the grown rho as ``m = x
-      - s + (rho/rho_next) * (m - L)``.  ``s`` is one buffer, starting at 0.
+      L``), ``s' = g - c`` and ``m = L + c``.  ``start = (left, right)`` are
+      the starting factors: a pre-pass before iteration 1 runs the first
+      sparse step on ``g = x - L`` (theta is 0).
+    * ``start`` None (solve_ialm): the sparse step of this iteration at
+      ``weight/rho``, then the residual.  Per block, ``g = (m + s) - L``
+      (``x + theta/rho - L``), ``s = g - c``, ``r = (x - L) - s`` and ``m =
+      (x - s) + (rho/rho_next) * c``: the updated multiplier's ``theta/rho``
+      is ``g - s``, which is the clip.  ``s`` is one buffer, starting at 0.
 
     ``after(t, s, s_next, m, rho_next, residual)`` runs if given, where
     ``s_next`` is the sparse buffer the next step reads (``s`` itself for
@@ -372,28 +375,27 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
     residuals = []
     svd_count = 0
 
-    def shrink(b, g, l_b, tau):
-        # s_next = soft_threshold(g, tau) and m = L + clip(g, -tau, tau), which
-        # is g + L - s_next; g is a view of m[b]
-        clipped = np.clip(g, -tau, tau, out=a_buf[:len(l_b)])
+    def shrink(b, g, tau):
+        # the sparse step s_next[b] = soft_threshold(g, tau), written as
+        # g - clip(g, -tau, tau); returns the clip, held in the block scratch
+        clipped = np.clip(g, -tau, tau, out=a_buf[:b.stop - b.start])
         np.subtract(g, clipped, out=s_next[b])
-        np.add(l_b, clipped, out=m[b])
+        return clipped
 
     if start is None:
         s = s_next = np.zeros((d, n), dt)
         m = x.copy()  # x + theta/rho - s, with theta and s still 0
     else:
         s, s_next, m = np.empty((d, n), dt), np.empty((d, n), dt), np.empty((d, n), dt)
-        left, right, weight = start
-        left, right = left.astype(dt, copy=False), right.astype(dt, copy=False)
+        left, right = (f.astype(dt, copy=False) for f in start)
         for b in blocks:
             l_b = np.matmul(left[b], right.T, out=l_buf[:b.stop - b.start])
-            shrink(b, np.subtract(x[b], l_b, out=m[b]), l_b, weight / rho)
+            np.add(l_b, shrink(b, np.subtract(x[b], l_b, out=m[b]), weight / rho), out=m[b])
 
     for t in range(1, cfg.max_iter + 1):
         s, s_next = s_next, s  # s_next holds the sparse part this step reads
         try:
-            left, right, weight, svds = step(m, rho)
+            left, right, svds = step(m, rho)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         left, right = left.astype(dt, copy=False), right.astype(dt, copy=False)
@@ -416,21 +418,19 @@ def _alm(x, cfg, t_start, step, summary, scaled_rho0, after=None, start=None):
                 g = np.subtract(m[b], l_b, out=m[b])  # theta/rho, theta updated
                 g *= ratio
                 g += a
-                shrink(b, g, l_b, tau)
+                np.add(l_b, shrink(b, g, tau), out=m[b])
             else:
-                # w = x + theta/rho in m and s = soft(w - L); then r as above,
-                # and m = (x - s) + ratio * (w - s - L)
-                w = np.add(m[b], s[b], out=m[b])
-                soft_threshold(np.subtract(w, l_b, out=a_buf[:h]), tau, out=s[b])
-                w -= s[b]
-                x_s = np.subtract(x[b], s[b], out=a_buf[:h])
-                mb = np.subtract(m[b], l_b, out=m[b])
+                # g = (x + theta/rho) - L and s = soft(g); then r as above, and
+                # m = (x - s) + ratio * (g - s), where g - s is the clip
+                g = np.add(m[b], s[b], out=m[b])
+                g -= l_b
+                clipped = shrink(b, g, tau)
                 r = np.subtract(x[b], l_b, out=l_b)
                 r -= s[b]
                 r = r.ravel()
                 squares += float(r @ r)
-                mb *= ratio
-                mb += x_s
+                clipped *= ratio
+                np.add(np.subtract(x[b], s[b], out=m[b]), clipped, out=m[b])
         rho = rho_next
         residual = math.sqrt(squares) / float(norm_x)
         if not math.isfinite(residual):
@@ -476,14 +476,14 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         # which is m.T @ uc to the bit and at 2000x2000 about 2 ms instead of
         # 5-16 ms, and m @ v, which serves both the u and the core update
         nonlocal u, c, v
-        v = polar_orthogonal(_product((u @ c).T, m, m.dtype).T)
-        mv = _product(m, v, m.dtype)
+        v = polar_orthogonal(_product((u @ c).T, m).T)
+        mv = _product(m, v)
         u = polar_orthogonal(mv @ c.T)
         c = u.T @ mv
         tau = lam_ld / rho
         if tau > 0.0:
             c = ld_shrink(c, tau)
-        return u @ c, v, 1.0, 3 if tau > 0.0 else 2
+        return u @ c, v, 3 if tau > 0.0 else 2
 
     def scaled_rho0():
         # 1/max|x|, with max|x| taken without a (d, n) temporary
@@ -500,7 +500,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         sigma = np.linalg.svd(c, compute_uv=False)
         return _spectrum_rank(sigma), sparse_l1 + lam_ld * float(np.log1p(sigma).sum())
 
-    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0, after, (u @ c, v, 1.0))
+    s, report = _alm(x, cfg, 1.0, t_start, step, summary, scaled_rho0, after, (u @ c, v))
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -619,12 +619,13 @@ def solve_ialm(x, cfg):
     Gaussian columns; the solve is deterministic.  Each iteration
     thresholds the driver's workspace ``x - s + theta/rho`` as it stands and
     makes one row-block pass of the driver, which runs the sparse step and
-    then the residual block by block.  The thresholded low-rank part
-    is kept as factors in the loop and formed once at the end; a
-    non-C-ordered ``x`` is copied once.  The solve runs in float64: a
-    float32 ``x`` is converted (one (d, n) copy), so its solve is that of
-    ``x.astype(np.float64)`` bit for bit.  The partial thresholding's
-    accuracy was measured in float64 only.
+    then the residual block by block; the workspace for the grown rho is
+    formed from the sparse step's clip, the updated ``theta/rho``.  The
+    thresholded low-rank part is kept as factors in the loop and formed
+    once at the end; a non-C-ordered ``x`` is copied once.  The solve runs
+    in float64: a float32 ``x`` is converted (one (d, n) copy), so its
+    solve is that of ``x.astype(np.float64)`` bit for bit.  The partial
+    thresholding's accuracy was measured in float64 only.
 
     Returns ``(l, s, report)``.
     """
@@ -642,7 +643,7 @@ def solve_ialm(x, cfg):
         left, shrunk, v_kept, basis, rank, svds = _svt_step(m, 1.0 / rho, rank, basis, rng,
                                                             first)
         first = None
-        return left, v_kept, lam, svds
+        return left, v_kept, svds
 
     def scaled_rho0():
         # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from the first step's
@@ -654,7 +655,7 @@ def solve_ialm(x, cfg):
     def summary(s, sparse_l1):
         return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
 
-    s, report = _alm(x, cfg, t_start, step, summary, scaled_rho0)
+    s, report = _alm(x, cfg, lam, t_start, step, summary, scaled_rho0)
     return left @ v_kept.T, s, report
 
 

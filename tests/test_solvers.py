@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import robustpca.solvers as solvers
 from robustpca.datagen import make_problem
-from robustpca.linalg import polar_orthogonal, soft_threshold, svt
+from robustpca.linalg import polar_orthogonal, svt
 from robustpca.solvers import (
     DivergenceError,
     FactoredLowRank,
@@ -573,17 +573,18 @@ class TestIalm:
 
     def test_divergence_error_names_iteration(self, monkeypatch):
         prob = make_problem(40, 40, 2, 0.1, seed=3)
+        real = solvers._svt_step
         calls = []
 
-        def poisoned(m, tau, out=None):
-            # the sparse step of the second iteration yields a NaN entry
-            out = soft_threshold(m, tau, out=out)
-            calls.append(tau)
+        def poisoned(*args):
+            # the singular-value step of the second iteration yields a NaN entry
+            out = real(*args)
+            calls.append(out)
             if len(calls) == 2:
-                out[0, 0] = np.nan
+                out[0][0, 0] = np.nan  # left, a fresh array
             return out
 
-        monkeypatch.setattr(solvers, "soft_threshold", poisoned)
+        monkeypatch.setattr(solvers, "_svt_step", poisoned)
         with pytest.raises(DivergenceError, match=r"non-finite iterate at iteration 2$"):
             solve_ialm(prob.x, SolverConfig(k=2))
 
