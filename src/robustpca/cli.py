@@ -102,9 +102,12 @@ def _config_from_args(args):
 
 
 def _check_method_flags(args):
-    """Refuse a weight flag that ``--method`` would ignore, and uffp without a
-    weight (ValueError, so exit 2); run before any input is read or generated.
-    ``bench`` has no ``--lambda-sweep``."""
+    """Refuse fffp or uffp without ``--k``, a weight flag that ``--method`` would
+    ignore, and uffp without a weight (ValueError, so exit 2); run before any
+    input is read or generated.  ialm reads no ``--k``.  ``bench`` has no
+    ``--lambda-sweep``."""
+    if args.k is None and args.method != "ialm":
+        raise ValueError("--method %s needs --k" % args.method)
     sweep = getattr(args, "lambda_sweep", False)
     if sweep and (args.method != "uffp" or args.lam is not None):
         raise ValueError("--lambda-sweep needs --method uffp and no --lambda")
@@ -258,9 +261,9 @@ def cmd_bench(args):
     return 0
 
 
-def _add_solver_flags(parser, require_k=True):
-    parser.add_argument("--k", type=int, required=require_k, default=None if require_k else 1,
-                        help="factor width (upper bound on the recovered rank)")
+def _add_solver_flags(parser, k_default=None):
+    parser.add_argument("--k", type=int, default=k_default,
+                        help="factor width (upper bound on the recovered rank); ialm reads none")
     parser.add_argument("--tol", type=float, default=SolverConfig.tol,
                         help="relative-residual stop threshold")
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
@@ -318,7 +321,7 @@ def build_parser():
     anom.add_argument("--top-m", type=int, default=10,
                       help="flag the m highest-scoring columns when no threshold is given")
     anom.add_argument("--out", required=True)
-    _add_solver_flags(anom, require_k=False)
+    _add_solver_flags(anom, k_default=1)
     anom.set_defaults(func=cmd_anomaly)
 
     bench = commands.add_parser("bench", help="measure wall time against problem size")

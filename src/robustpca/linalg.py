@@ -151,8 +151,12 @@ def polar_orthogonal(a):
 
     For a (m, p) input with m >= p, returns the (m, p) matrix ``w`` with
     ``w.T @ w = I`` that maximizes ``trace(w.T @ a)``.  Computed as
-    ``u @ v.T`` from the thin SVD of ``a``.  Rank deficiency is harmless:
-    the SVD's sign convention resolves the free directions.
+    ``u @ v.T`` from the thin SVD of ``a``.  For a rank-deficient ``a`` the
+    maximizer is not unique, and the result is the one that LAPACK's
+    singular vectors for the zero values give: they are deterministic, so
+    identical inputs still give bit-identical outputs.  The sign convention
+    of :func:`thin_svd` plays no part, since it flips paired columns of
+    ``u`` and ``v`` and the flips cancel in ``u @ v.T`` bit for bit.
     """
     a = _as_matrix(a, "a")
     m, p = a.shape

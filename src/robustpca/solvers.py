@@ -142,7 +142,10 @@ class FactoredLowRank:
 class SolverConfig:
     """Tunables shared by all solvers.
 
-    k        : factor width; upper bound on the recovered rank
+    k        : factor width; upper bound on the recovered rank.  Only the
+               factored solvers read it, through :func:`init_factors`, which
+               checks ``1 <= k <= min(d, n)``; solve_ialm has no rank
+               parameter and ignores it, so it may be None there.
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
@@ -162,15 +165,13 @@ class SolverConfig:
     and grows by ``KAPPA`` per iteration, always capped at ``RHO_CAP``.
     """
 
-    k: int
+    k: int | None
     lam: float | None = None
     tol: float = 1e-3
     max_iter: int = 200
     seed: int = 0
 
-    def validate(self, d, n):
-        if not 1 <= self.k <= min(d, n):
-            raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), self.k))
+    def validate(self):
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
         if not 0 < self.tol < 1:
@@ -271,11 +272,12 @@ def init_factors(x, k, seed=0):
     :func:`thin_svd`.  The cost is O(d * n * k); no (d, n) matrix is
     factorized.  Deterministic for fixed inputs and seed.  A float32 ``x``
     is not upcast: its products run in float32, and the factors are
-    float64 either way.
+    float64 either way.  Raises ValueError unless ``1 <= k <= min(d, n)``
+    (a None ``k`` included); no solver checks ``k`` anywhere else.
     """
     x = _as_matrix(x, "x", keep_float32=True)
     d, n = x.shape
-    if not 1 <= k <= min(d, n):
+    if k is None or not 1 <= k <= min(d, n):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
@@ -303,27 +305,37 @@ def relative_residual(x, l, s):
 
 
 def _as_rows(x, keep_float32=False):
-    """``x`` as a C-ordered matrix with finite entries, so that its row blocks
-    are contiguous: no copy for C-ordered input, one copy otherwise.  The
-    matrix is float64, or float32 for float32 ``x`` with ``keep_float32``."""
-    return np.ascontiguousarray(_as_matrix(x, "x", keep_float32))
+    """The entry gate of every solve: ``(x, norm_x)``, with ``x`` as a C-ordered
+    matrix with finite entries, so that its row blocks are contiguous (no copy
+    for C-ordered input, one copy otherwise), and ``norm_x`` its Frobenius
+    norm.  The matrix is float64, or float32 for float32 ``x`` with
+    ``keep_float32``.  Raises ValueError if ``norm_x`` is 0 or underflows to
+    0: no relative residual exists, so no solve starts and nothing is drawn.
+    """
+    x = np.ascontiguousarray(_as_matrix(x, "x", keep_float32))
+    norm_x = np.linalg.norm(x)
+    if norm_x == 0.0:
+        raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
+                         "that the norm underflows); the relative residual is undefined")
+    return x, norm_x
 
 
-def _alm(x, cfg, weight, t_start, step, summary, scaled_rho0, after=None, start=None):
+def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, start=None):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    ``x`` is C-ordered (see :func:`_as_rows`).  The loop keeps the sparse part
-    ``s`` and the workspace ``m`` as (d, n) buffers of the dtype of ``x``
-    (float32 or float64) and makes every pass over them: one per iteration,
-    in contiguous row blocks of about ``ROW_BLOCK_ENTRIES`` entries.  Between
+    ``x`` and its Frobenius norm ``norm_x`` come from :func:`_as_rows`, so
+    ``x`` is C-ordered and ``norm_x`` is positive.  The loop keeps the
+    sparse part ``s`` and the workspace ``m`` as (d, n) buffers of the dtype
+    of ``x`` (float32 or float64) and makes every pass over them: one per
+    iteration, in contiguous row blocks of about ``ROW_BLOCK_ENTRIES``
+    entries.  Between
     iterations ``m = x + theta/rho - s'``, where ``s'`` is the sparse part
     the next step reads, so the multiplier ``theta = rho * (m - x + s')`` is
     never stored.  The low-rank part travels as factors ``(left, right)``,
     ``L = left @ right.T``, formed once per block and iteration in a scratch;
     the factors are cast to the buffers' dtype once per iteration, so no
-    block product upcasts.  The penalty starts at ``min(scaled_rho0(),
-    RHO_CAP)``, called after the norm check, so the solver's rule may divide
-    by a scale of ``x``.
+    block product upcasts.  The penalty starts at ``min(rho0, RHO_CAP)``,
+    where ``rho0`` is the solver's data-scaled start.
 
     ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
@@ -353,13 +365,8 @@ def _alm(x, cfg, weight, t_start, step, summary, scaled_rho0, after=None, start=
     ``s_next`` is the sparse buffer the next step reads (``s`` itself for
     solve_ialm); the loop stops at ``cfg.tol`` or ``cfg.max_iter``.
     ``summary(s, sparse_l1)`` gives the final rank and objective; wall time
-    counts from ``t_start``.  Returns ``(s, report)``.  Raises ValueError if
-    ``||x||_F`` is 0 or underflows to 0 (no relative residual).
+    counts from ``t_start``.  Returns ``(s, report)``.
     """
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
-                         "that the norm underflows); the relative residual is undefined")
     d, n = x.shape
     dt = x.dtype
     # numpy multiplies a single row by gemv, which rounds differently from the
@@ -370,7 +377,7 @@ def _alm(x, cfg, weight, t_start, step, summary, scaled_rho0, after=None, start=
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
     l_buf, a_buf = np.empty((2, min(rows + 1, d), n), dt)  # per-block scratch
-    rho0 = min(float(scaled_rho0()), RHO_CAP)
+    rho0 = min(float(rho0), RHO_CAP)
     rho = rho0
     residuals = []
     svd_count = 0
@@ -463,9 +470,8 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
     """
-    x = _as_rows(x, keep_float32=True)
-    d, n = x.shape
-    cfg.validate(d, n)
+    x, norm_x = _as_rows(x, keep_float32=True)
+    cfg.validate()
     t_start = time.perf_counter()
 
     factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
@@ -485,10 +491,6 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
             c = ld_shrink(c, tau)
         return u @ c, v, 3 if tau > 0.0 else 2
 
-    def scaled_rho0():
-        # 1/max|x|, with max|x| taken without a (d, n) temporary
-        return 1.0 / float(max(x.max(), -x.min()))
-
     def after(t, s, s_next, m, rho, residual):
         if not (_orthonormal(u) and _orthonormal(v)):
             raise DivergenceError("factors lost orthonormality at iteration %d" % t)
@@ -500,7 +502,9 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         sigma = np.linalg.svd(c, compute_uv=False)
         return _spectrum_rank(sigma), sparse_l1 + lam_ld * float(np.log1p(sigma).sum())
 
-    s, report = _alm(x, cfg, 1.0, t_start, step, summary, scaled_rho0, after, (u @ c, v))
+    # 1/max|x|, with max|x| taken without a (d, n) temporary
+    rho0 = 1.0 / float(max(x.max(), -x.min()))
+    s, report = _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary, after, (u @ c, v))
     return FactoredLowRank(u, c, v), s, report
 
 
@@ -604,8 +608,10 @@ def solve_ialm(x, cfg):
     ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
     shared with the factored solvers (same multiplier and penalty schedule;
     the start is Lin, Chen & Ma's 1.25/sigma_1(x)).  ``cfg.lam``
-    defaults to 1/sqrt(max(d, n)).  As in Lin, Chen & Ma's inexact ALM,
-    the singular-value step computes only a partial SVD: the number of
+    defaults to 1/sqrt(max(d, n)).  The convex model has no rank
+    parameter, so ``cfg.k`` is not read (it may be None), as solve_fffp
+    ignores ``cfg.lam``.  As in Lin, Chen & Ma's inexact ALM, the
+    singular-value step computes only a partial SVD: the number of
     singular values above the threshold is predicted from the previous
     iteration (starting at ``SVT_START_RANK``), a seeded randomized range
     finder warm-started from the previous step's whole Ritz basis finds the
@@ -614,29 +620,32 @@ def solve_ialm(x, cfg):
     the predicted width reaches ``SVT_FULL_SHARE`` times min(d, n) the full
     thin SVD is used instead, so small inputs and high-rank iterates take
     the exact path.  The first step thresholds ``x`` itself, so its
-    factorization, computed before the loop, also gives the start's
-    sigma_1; no other SVD of ``x`` is taken.  ``cfg.seed`` seeds the
-    Gaussian columns; the solve is deterministic.  Each iteration
-    thresholds the driver's workspace ``x - s + theta/rho`` as it stands and
-    makes one row-block pass of the driver, which runs the sparse step and
-    then the residual block by block; the workspace for the grown rho is
-    formed from the sparse step's clip, the updated ``theta/rho``.  The
-    thresholded low-rank part is kept as factors in the loop and formed
-    once at the end; a non-C-ordered ``x`` is copied once.  The solve runs
-    in float64: a float32 ``x`` is converted (one (d, n) copy), so its
-    solve is that of ``x.astype(np.float64)`` bit for bit.  The partial
-    thresholding's accuracy was measured in float64 only.
+    factorization, computed before the loop (after :func:`_as_rows` has
+    refused a zero-norm ``x``), also gives the start's sigma_1; no other SVD
+    of ``x`` is taken.  ``cfg.seed`` seeds the Gaussian columns; the solve
+    is deterministic.  Each iteration thresholds the driver's workspace
+    ``x - s + theta/rho`` as it stands and makes one row-block pass of the
+    driver, which runs the sparse step and then the residual block by block;
+    the workspace for the grown rho is formed from the sparse step's clip,
+    the updated ``theta/rho``.  The thresholded low-rank part is kept as
+    factors in the loop and formed once at the end; a non-C-ordered ``x``
+    is copied once.  The solve runs in float64: a float32 ``x`` is
+    converted (one (d, n) copy), so its solve is that of
+    ``x.astype(np.float64)`` bit for bit.  The partial thresholding's
+    accuracy was measured in float64 only.
 
     Returns ``(l, s, report)``.
     """
-    x = _as_rows(x)
-    d, n = x.shape
-    cfg.validate(d, n)
+    x, norm_x = _as_rows(x)
+    cfg.validate()
     t_start = time.perf_counter()
 
-    lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(d, n))
+    lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(x.shape))
     rng = np.random.default_rng(cfg.seed)
-    rank, first, left, v_kept, basis, shrunk = SVT_START_RANK, None, None, None, None, None
+    # the driver's workspace is x itself at iteration 1, so step 1 thresholds
+    # this factorization, which also gives Lin, Chen & Ma's 1.25/||x||_2
+    first = _ritz_triplets(x, SVT_START_RANK, None, rng)
+    rank, left, v_kept, basis, shrunk = SVT_START_RANK, None, None, None, None
 
     def step(m, rho):
         nonlocal rank, first, left, v_kept, basis, shrunk
@@ -645,17 +654,10 @@ def solve_ialm(x, cfg):
         first = None
         return left, v_kept, svds
 
-    def scaled_rho0():
-        # Lin, Chen & Ma's 1.25/||x||_2, with sigma_1 from the first step's
-        # factorization: the driver's workspace is x itself at iteration 1
-        nonlocal first
-        first = _ritz_triplets(x, rank, None, rng)
-        return 1.25 / first.s[0]
-
     def summary(s, sparse_l1):
         return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
 
-    s, report = _alm(x, cfg, lam, t_start, step, summary, scaled_rho0)
+    s, report = _alm(x, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step, summary)
     return left @ v_kept.T, s, report
 
 
@@ -678,9 +680,16 @@ def default_lambda_grid(x):
     scales with the data, but the selection does not: the surrogate
     log(1 + sigma) is not homogeneous, so data of very small scale selects
     toward the top of the grid.
+
+    The anchor sigma_1 is the top Ritz value of :func:`_ritz_triplets` at
+    rank 1: a seeded range finder of width ``1 + RANGE_OVERSAMPLE`` (seed
+    0), at O(d * n) cost, or the exact thin SVD when ``min(d, n)`` is at most
+    73.  So no large (d, n) matrix is factorized.  On ``make_problem(n, n, 5,
+    0.05, seed=7)`` the anchor differs from ``||x||_2`` by 1.4e-8 relative at
+    n = 74, 3.4e-10 at 200, 2.8e-12 at 400 and 0 at 2000.
     """
     x = _as_matrix(x, "x")
-    top = float(np.linalg.norm(x, 2))
+    top = float(_ritz_triplets(x, 1, None, np.random.default_rng(0)).s[0])
     if top == 0.0:
         raise ValueError("x is the zero matrix; no sensible grid exists")
     return top * 10.0 ** np.array(_GRID_EXPONENTS)
@@ -715,7 +724,7 @@ def lambda_sweep(x, cfg):
     with round-off (a grid scaled by 1 + 1e-12 already moves some), and
     float32's is far larger.
     """
-    x = _as_rows(x)
+    x, _ = _as_rows(x)
     grid = default_lambda_grid(x)
     init = init_factors(x, cfg.k, cfg.seed)
     entries = []

@@ -117,6 +117,11 @@ class TestDecompose:
         assert len(payload["sweep"]) >= 4
         assert payload["selected_lam"] > 0
 
+    def test_ialm_needs_no_k(self, problem_dir, tmp_path):
+        out = tmp_path / "ialm"
+        assert run("decompose", problem_dir / "X.ffpm", "--method", "ialm", "--out", out) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["k"] is None
+
     def test_ialm_writes_dense_low_rank(self, problem_dir, tmp_path):
         out = tmp_path / "ialm"
         code = run("decompose", problem_dir / "X.ffpm", "--method", "ialm", "--k", "3",
@@ -241,6 +246,14 @@ class TestBackground:
         assert max(quiet) <= 2.0
         assert loud[2:5, 2:5].min() >= 100.0
         assert loud[6:, 6:].max() <= 2.0
+
+    def test_ialm_needs_no_k(self, tmp_path):
+        frame = np.random.default_rng(3).integers(40, 200, (6, 5), dtype=np.uint8)
+        frames_dir = tmp_path / "frames"
+        write_frames(frames_dir, [frame] * 8)
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--method", "ialm", "--out", out) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["k"] is None
 
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "none"
@@ -446,6 +459,19 @@ class TestParser:
         assert run(command, "in", "--k", "2", "--out", out, *flags) == 2
         assert reads == [] and not out.exists()
         assert "--lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "background"])
+    @pytest.mark.parametrize("flags", [["--method", "fffp"], ["--method", "uffp", "--lambda", "1"]],
+                             ids=["fffp", "uffp"])
+    def test_factored_method_without_k_exits_2_before_reading(self, command, flags, tmp_path,
+                                                              monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "load_frame_stack", lambda *a: reads.append(a))
+        out = tmp_path / "out"
+        assert run(command, "in", "--out", out, *flags) == 2
+        assert reads == [] and not out.exists()
+        assert "%s needs --k" % flags[1] in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -494,6 +495,24 @@ class TestUffp:
         with pytest.raises(ValueError):
             default_lambda_grid(np.zeros((4, 4)))
 
+    def test_default_grid_takes_no_full_svd(self, monkeypatch):
+        # the anchor is a seeded rank-1 estimate of sigma_1, not a full SVD
+        x = make_problem(400, 400, 5, 0.05, seed=7).x
+        svd_shapes, spectral_norms = [], []
+        real_svd, real_norm = np.linalg.svd, np.linalg.norm
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *rest, **kw: svd_shapes.append(np.shape(a))
+                            or real_svd(a, *rest, **kw))
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda a, ord=None, *rest, **kw: spectral_norms.append(ord == 2)
+                            or real_norm(a, ord, *rest, **kw))
+        grid = default_lambda_grid(x)
+        monkeypatch.undo()
+        assert svd_shapes and max(min(shape) for shape in svd_shapes) < 400
+        assert not any(spectral_norms)
+        anchor = grid[list(solvers._GRID_EXPONENTS).index(0.0)]
+        assert abs(anchor - np.linalg.norm(x, 2)) <= 1e-9 * np.linalg.norm(x, 2)
+
 
 def with_entry(value):
     x = make_problem(20, 15, 2, 0.05, seed=16).x
@@ -519,6 +538,20 @@ def test_non_finite_or_empty_input_rejected(name, bad):
         ENTRY_POINTS[name](x)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "underflow"])
+@pytest.mark.parametrize("name", ["solve_fffp", "solve_uffp", "solve_ialm", "lambda_sweep"])
+def test_zero_norm_rejected_before_any_draw(name, scale, monkeypatch):
+    # at 160x150 the range finder serves init_factors, ialm's first step and
+    # the sweep's grid, so it would be the first random draw of every solve
+    def no_draw(*args):
+        raise AssertionError("the range finder ran on a zero-norm input")
+
+    monkeypatch.setattr(solvers, "_range_basis", no_draw)
+    x = scale * np.random.default_rng(18).standard_normal((160, 150))
+    with pytest.raises(ValueError, match="zero Frobenius norm"):
+        ENTRY_POINTS[name](x)
+
+
 class TestIalm:
     def test_synthetic_recovery_and_cross_solver_agreement(self):
         prob = make_problem(200, 200, 5, 0.05, seed=9)
@@ -537,6 +570,15 @@ class TestIalm:
         a = solve_ialm(prob.x, SolverConfig(k=2))
         b = solve_ialm(prob.x, SolverConfig(k=2))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_reads_no_k(self):
+        # the convex baseline has no rank parameter, so k is neither read nor checked
+        x = make_problem(120, 90, 4, 0.05, seed=12).x
+        l, s, report = solve_ialm(x, SolverConfig(k=1))
+        for k in (90, None, 91):
+            got_l, got_s, got = solve_ialm(x, SolverConfig(k=k))
+            assert np.array_equal(got_l, l) and np.array_equal(got_s, s)
+            assert replace(got, wall_time=0.0) == replace(report, wall_time=0.0)
 
     def test_seeded_partial_path_is_bit_reproducible(self):
         prob = make_problem(200, 180, 4, 0.05, seed=14)

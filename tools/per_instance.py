@@ -13,9 +13,13 @@ For every instance whose iteration count or recovery error differs, the
 script prints both values and the relative change.  A change that makes the
 figure worse by more than its ``BENCHMARK.json`` bound (read from the checkout
 that holds this script) is flagged ``BEYOND BOUND``, and every gate failure is
-printed with its tree and the gate's message.  A summary line per workload
-follows.  The script exits 1 if any change is beyond its bound or any gate
-failed, 0 otherwise, and 2 on a usage error or an unknown workload.  A run of
+printed with its tree and the gate's message.  For ``sweep_cli_400`` it
+also reads each instance's ``report.json`` and prints every instance whose
+selected grid index or selected rank differs; the selected rank is what the
+gate for non-bitwise changes holds fixed, so a rank change is ``RANK
+CHANGED``.  A summary line per workload follows.  The script exits 1 if any
+change is beyond its bound, any selected rank changed or any gate failed, 0
+otherwise, and 2 on a usage error or an unknown workload.  A run of
 all four workloads took under a minute per tree on a 2-core x86-64.
 """
 
@@ -32,12 +36,27 @@ from pathlib import Path
 SEEDS = (1, 2, 3, 4, 5)
 WORKLOADS = ("fffp_2000", "sweep_cli_400", "background_cli", "ialm_400")
 FIGURES = ("iterations", "recovery_error")
+SWEEP = "sweep_cli_400"
+
+
+def selection(workload):
+    """``(index, rank)`` of the sweep's selected run, read from the
+    ``report.json`` that the workload's last operation wrote; ``(None, None)``
+    if it wrote none."""
+    path = workload.out / "report.json"
+    if not path.is_file():
+        return None, None
+    report = json.loads(path.read_text())
+    lams = [entry["lam"] for entry in report["sweep"]]
+    return lams.index(report["selected_lam"]), report["report"]["final_rank"]
 
 
 def collect(tree, dump, names=WORKLOADS, scale="full", seeds=SEEDS):
     """Run every instance of the workloads ``names`` in ``tree`` (already first
     on sys.path) into ``dump``:
-    ``{(workload, seed, instance): (iterations, recovery_error, problems)}``."""
+    ``{(workload, seed, instance): (iterations, recovery_error, problems,
+    selection)}``, where ``selection`` is :func:`selection` for
+    ``sweep_cli_400`` and ``(None, None)`` otherwise."""
     import robustpca
     import workloads
 
@@ -56,8 +75,9 @@ def collect(tree, dump, names=WORKLOADS, scale="full", seeds=SEEDS):
                     # the CLI workloads print their summaries
                     with contextlib.redirect_stdout(io.StringIO()):
                         outcome = workload.check(workload.op())
+                    picked = selection(workload) if name == SWEEP else (None, None)
                     out[name, seed, index] = (outcome.iterations, outcome.recovery_error,
-                                              list(outcome.problems))
+                                              list(outcome.problems), picked)
     with open(dump, "wb") as f:
         pickle.dump(out, f)
 
@@ -80,8 +100,8 @@ def bounds():
 
 def compare(old, new, limits, names=WORKLOADS):
     """Lines describing the differences of two ``collect`` maps of the
-    workloads ``names``, and whether any change is beyond its bound or any
-    gate failed."""
+    workloads ``names``, and whether any change is beyond its bound, any
+    selected rank changed or any gate failed."""
     lines, bad = [], False
     for key in sorted(old.keys() | new.keys()):
         label = "%s seed %d instance %d" % key
@@ -100,6 +120,12 @@ def compare(old, new, limits, names=WORKLOADS):
             bad |= beyond
             lines.append("%s: %s %.6g -> %.6g (%+.3g)%s" % (
                 label, figure, a, b, change, "  BEYOND BOUND" if beyond else ""))
+        (index_a, rank_a), (index_b, rank_b) = old[key][3], new[key][3]
+        if (index_a, rank_a) != (index_b, rank_b):
+            moved = rank_a != rank_b
+            bad |= moved
+            lines.append("%s: selected index %r -> %r, rank %r -> %r%s" % (
+                label, index_a, index_b, rank_a, rank_b, "  RANK CHANGED" if moved else ""))
         for side, result in (("old", old[key]), ("new", new[key])):
             for problem in result[2]:
                 lines.append("%s: gate failed in %s tree: %s" % (label, side, problem))
@@ -112,6 +138,10 @@ def compare(old, new, limits, names=WORKLOADS):
                      if old[key][i] != new[key][i] and None not in (old[key][i], new[key][i])]
             worst = max(((b - a) / a for a, b in pairs if a), default=0.0)
             parts.append("%s differ in %d (largest increase %+.3g)" % (figure, len(pairs), worst))
+        if name == SWEEP:
+            for i, part in ((0, "selected index"), (1, "selected rank")):
+                moved = sum(old[key][3][i] != new[key][3][i] for key in keys)
+                parts.append("%s differs in %d" % (part, moved))
         lines.append("%s: %d instances; %s" % (name, len(keys), "; ".join(parts)))
     return lines, bad
 
