@@ -240,9 +240,6 @@ def cmd_bench(args):
     _check_method_flags(args)
     start = time.perf_counter()
     factors = [float(f) for f in args.factors.split(",") if f.strip()]
-    if not factors:
-        print("bench: --factors must list at least one positive scale", file=sys.stderr)
-        return USAGE_ERROR
     base = {"d": args.base_d, "n": args.base_n, "r": args.rank,
             "fraction": args.fraction, "seed": args.seed}
     rows = scaling_benchmark(base, args.axis, factors, args.iters, method=args.method,

@@ -244,27 +244,23 @@ def write_frame(column, frame_height, frame_width, path):
     write_pgm(path, frame.astype(np.uint8))
 
 
-def _jsonable(obj):
+def _plain(obj):
+    """``json.dumps``'s ``default``: the JSON value of a dataclass or a numpy
+    array or scalar; anything else is not serializable."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    if isinstance(obj, np.ndarray):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def write_report(path, report, config=None, metrics=None, extra=None):
     """Serialize a solve report (plus the config that produced it) to JSON."""
-    payload = {"report": _jsonable(report)}
+    payload = {"report": report}
     if config is not None:
-        payload["config"] = _jsonable(config)
+        payload["config"] = config
     if metrics is not None:
-        payload["metrics"] = _jsonable(metrics)
+        payload["metrics"] = metrics
     if extra:
-        payload.update(_jsonable(extra))
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        payload.update(extra)
+    Path(path).write_text(json.dumps(payload, indent=2, default=_plain) + "\n")

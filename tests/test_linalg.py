@@ -296,6 +296,31 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(shape=array_shapes(min_dims=2, max_dims=2, max_side=8),
+           seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0),
+           rank_one=st.booleans(), share=st.floats(0.0, 1.2))
+    @example(shape=(8, 8), seed=0, exponent=0.0, rank_one=False, share=0.0)
+    @example(shape=(5, 3), seed=1, exponent=3.0, rank_one=True, share=1.0)
+    def test_satisfies_prox_optimality(self, shape, seed, exponent, rank_one, share):
+        # y = svt(m, tau) is the nuclear-norm prox exactly when g = m - y lies
+        # in tau times the subdifferential of ||y||_*: ||g||_2 <= tau and
+        # <g, y> = tau * ||y||_*.  Over 40000 draws of this kind (shapes up to
+        # 8x8, tau up to 1.2 sigma_1) the spectral excess reached 8.1 and the
+        # inner-product gap 2.6 of the units below; the slack is 4x and 6x that
+        m = np.random.default_rng(seed).standard_normal(shape)
+        if rank_one:
+            m = np.outer(m[:, 0], m[0])
+        m *= 10.0**exponent
+        sigma_1 = np.linalg.norm(m, 2)
+        tau = share * sigma_1
+        y = svt(m, tau)
+        g = m - y
+        unit = np.finfo(float).eps * max(shape) * max(sigma_1, tau)
+        assert np.linalg.norm(g, 2) <= tau + 32 * unit
+        nuclear = np.linalg.svd(y, compute_uv=False).sum()
+        assert abs(np.vdot(g, y) - tau * nuclear) <= 16 * unit * max(sigma_1, tau)
+
 
 class TestRangeBasis:
     # a start without columns is a Gaussian start

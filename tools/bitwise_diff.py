@@ -27,7 +27,12 @@ bytes.  The script prints each key that differs (a file only one tree wrote
 as a single line), followed by the largest relative difference: per entry
 for a report field or JSON leaf that holds a float or a list of floats on
 both sides, and relative to the largest magnitude on either side for float
-arrays of one shape.  It exits 1 if any key differs, 0 otherwise.  Timings
+arrays of one shape.  A summary then gives, per group (a library case such
+as ``lib/400x400/sweep``, or a CLI run), the number of differing keys and
+the largest relative difference per leaf (such as ``u`` or
+``report/final_residual``), with sweep entry numbers and JSON list indices
+collapsed; ``-`` marks a leaf compared as raw bytes, of another type, or
+that only one tree has.  It exits 1 if any key differs, 0 otherwise.  Timings
 (``bench``'s ``scaling.csv`` and ``fit.json``) always differ.  Both trees
 must accept the calls below; a tree whose API moved needs the corpus edited
 to match.
@@ -39,6 +44,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -140,6 +146,28 @@ def _json_leaves(value, path=""):
             yield from _json_leaves(item, "%s[%d]" % (path, i))
     else:
         yield path, pickle.dumps(value)
+
+
+def _group(key):
+    """``(group, leaf)`` of ``key`` for the summary: the library case or CLI run
+    it belongs to, and the rest of the key without sweep entry numbers and
+    with every JSON list index as ``[*]``."""
+    name, _, json_leaf = key.partition(":")
+    parts = name.split("/")
+    if parts[0] == "cli":
+        parts = parts[2:] if parts[1] == "files" else parts[1:]
+        if parts[0] == "runs":  # cli/files/runs/<run>/<file>
+            parts = parts[1:]
+        group, rest = "cli/" + parts[0], parts[1:]
+    else:
+        cut = 4 if parts[2] == "float32" else 3  # lib/<shape>[/float32]/<case>
+        group, rest = "/".join(parts[:cut]), parts[cut:]
+        if rest and rest[0].isdigit():  # lib/<shape>/sweep/<entry>/...
+            rest = rest[1:]
+    leaf = "/".join(rest)
+    if json_leaf:
+        leaf += ":" + re.sub(r"\[\d+\]", "[*]", json_leaf)
+    return group, leaf or "-"
 
 
 def _cli_runs():
@@ -255,8 +283,10 @@ def main(argv):
     files = [{key.split(":")[0] for key in tree} for tree in (parent, change)]
     sides = (("parent", parent, change, files[1]), ("change", change, parent, files[0]))
     lines = {}  # one line per differing key, or per file that only one tree wrote
+    groups = {}  # group -> [number of differing keys, {leaf: largest gap or None}]
     for key in differ:
         name = key.split(":")[0]
+        gap = None
         for side, here, there, there_files in sides:
             if key in here and key not in there:
                 whole = name not in there_files
@@ -266,8 +296,19 @@ def main(argv):
             gap = _float_gap(key, parent[key], change[key])
             lines["differs:        " + key
                   + ("" if gap is None else "  (max rel diff %.3g)" % gap)] = None
+        group, leaf = _group(key)
+        tally = groups.setdefault(group, [0, {}])
+        tally[0] += 1
+        known = tally[1].get(leaf)
+        tally[1][leaf] = gap if known is None else max(known, gap or 0.0)
     for line in lines:
         print(line)
+    if groups:
+        print("per group: differing keys; largest relative difference per leaf")
+    for group, (count, leaves) in sorted(groups.items()):
+        print("%s  %d: %s" % (group, count, ", ".join(
+            "%s %s" % (leaf, "-" if gap is None else "%.3g" % gap)
+            for leaf, gap in leaves.items())))
     print("%d keys compared, %d differ" % (len(keys), len(differ)))
     return 1 if differ else 0
 
