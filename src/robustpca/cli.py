@@ -9,9 +9,10 @@ so any artifact can be regenerated from its manifest, and the environment
 that produced the numbers: the numpy version, its BLAS, the CPU count and
 affinity, and the BLAS thread variables.
 
-Exit codes: 0 success (and solver convergence), 2 usage or argument error
-(such as a ``--lambda`` or ``--lambda-sweep`` that ``--method`` would ignore),
-3 iteration-cap exit of ``decompose``, ``background`` or ``anomaly`` with
+Exit codes: 0 success (and solver convergence), 1 a solve produced a
+non-finite iterate (nothing is written), 2 usage or argument error (such as
+a ``--lambda`` or ``--lambda-sweep`` that ``--method`` would ignore), 3
+iteration-cap exit of ``decompose``, ``background`` or ``anomaly`` with
 outputs still written, 4 I/O or file-format error.
 """
 

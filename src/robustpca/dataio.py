@@ -159,8 +159,9 @@ def read_pgm(path):
 
     if token() != b"P5":
         raise FormatError("not a binary graymap (magic P5 missing)", offset=0)
+    fields = token(), token(), token()  # a header cut short is not a non-integer one
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise FormatError("non-integer header field", offset=pos) from None
     if width <= 0 or height <= 0:

@@ -326,7 +326,8 @@ def _as_rows(x, keep_float32=False):
     return x, norm_x
 
 
-def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, factored=False):
+def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None,
+         factored=False):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
     ``x`` and its Frobenius norm ``norm_x`` come from :func:`_as_rows`, so
@@ -337,17 +338,20 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, facto
     entries.  Between
     iterations ``m = x + theta/rho - s'``, where ``s'`` is the sparse part
     the next step reads, so the multiplier ``theta = rho * (m - x + s')`` is
-    never stored.  The low-rank part travels as factors ``(left, right)``,
-    ``L = left @ right.T``, formed once per block and iteration in a scratch;
-    the factors are cast to the buffers' dtype once per iteration, so no
-    block product upcasts.  The penalty starts at ``min(rho0, RHO_CAP)``,
+    never stored.  The low-rank part travels as ``u @ c @ v.T``, with
+    orthonormal ``u`` and ``v`` and a small core ``c``, and is formed once per
+    block and iteration in a scratch as ``L = (u @ c) @ v.T``; ``u @ c`` and
+    ``v`` are cast to the buffers' dtype once per iteration, so no block
+    product upcasts.  The penalty starts at ``min(rho0, RHO_CAP)``,
     where ``rho0`` is the solver's data-scaled start.  Every solve starts at
     ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of ``x`` and no
     pass runs before iteration 1.
 
     ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
-    ``(left, right, svds)``: the low-rank factors and their thin-SVD count.
+    iterate ``(u, c, v, svds)``: the low-rank part ``u @ c @ v.T`` and the
+    step's thin-SVD count.  The factored solvers' core is a full k x k
+    matrix; solve_ialm's is ``diag(sigma - tau)`` of its kept singular values.
     The pass then runs the sparse step ``s = soft_threshold(x + theta/rho -
     L, weight/rho)`` and the residual and multiplier step (sum ``||x - L -
     s||^2``; ``theta += rho * (x - L - s)``; rho grows to ``rho_next``)
@@ -367,11 +371,15 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, facto
       (x - s) + (rho/rho_next) * c``: the updated multiplier's ``theta/rho``
       is ``g - s``, which is the clip.  ``s`` is one buffer.
 
-    ``after(t, s, s_next, m, rho_next, residual)`` runs if given, where
-    ``s_next`` is the sparse buffer the next step reads (``s`` itself for
-    solve_ialm); the loop stops at ``cfg.tol`` or ``cfg.max_iter``.
-    ``summary(s, sparse_l1)`` gives the final rank and objective; wall time
-    counts from ``t_start``.  Returns ``(s, report)``.
+    After each pass, for every solver: a non-finite residual raises
+    DivergenceError; so do ``u`` or ``v`` that lost orthonormality (beyond
+    ``ORTHO_TOL``); then ``on_iteration``, if given, receives the
+    :class:`IterationState`, whose ``theta`` is formed from ``m`` and the
+    sparse buffer the next step reads (``s`` itself for solve_ialm).  The
+    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c,
+    sparse_l1)`` gives the final rank and objective from the last core; wall
+    time counts from ``t_start``.  Returns ``(FactoredLowRank(u, c, v), s,
+    report)`` for the last iterate.
     """
     d, n = x.shape
     dt = x.dtype
@@ -402,10 +410,10 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, facto
     for t in range(1, cfg.max_iter + 1):
         s, s_next = s_next, s  # s_next holds the sparse part this step reads
         try:
-            left, right, svds = step(m, rho)
+            u, c, v, svds = step(m, rho)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
-        left, right = left.astype(dt, copy=False), right.astype(dt, copy=False)
+        left, right = (u @ c).astype(dt, copy=False), v.astype(dt, copy=False)
         svd_count += svds
         rho_next = min(rho * KAPPA, RHO_CAP)
         ratio = rho / rho_next
@@ -443,14 +451,16 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, after=None, facto
         if not math.isfinite(residual):
             raise DivergenceError("non-finite iterate at iteration %d" % t)
         residuals.append(residual)
-        if after is not None:
-            after(t, s, s_next, m, rho, residual)
+        if not (_orthonormal(u) and _orthonormal(v)):
+            raise DivergenceError("factors lost orthonormality at iteration %d" % t)
+        if on_iteration is not None:
+            on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s_next), rho, residual))
         if residual <= cfg.tol:
             break
 
     sparse_l1 = float(np.abs(s, out=m).sum(dtype=np.float64))
-    final_rank, objective = summary(s, sparse_l1)
-    return s, SolveReport(
+    final_rank, objective = summary(c, sparse_l1)
+    return FactoredLowRank(u, c, v), s, SolveReport(
         iterations=t,
         svd_count=svd_count,
         rho0=rho0,
@@ -489,23 +499,16 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         tau = lam_ld / rho
         if tau > 0.0:
             c = ld_shrink(c, tau)
-        return u @ c, v, 3 if tau > 0.0 else 2
+        return u, c, v, 3 if tau > 0.0 else 2
 
-    def after(t, s, s_next, m, rho, residual):
-        if not (_orthonormal(u) and _orthonormal(v)):
-            raise DivergenceError("factors lost orthonormality at iteration %d" % t)
-        if on_iteration is not None:
-            on_iteration(IterationState(t, s, u, c, v, rho * (m - x + s_next), rho, residual))
-
-    def summary(s, sparse_l1):
+    def summary(c, sparse_l1):
         # one factorization of the core for the rank and log_det_surrogate's sum
         sigma = np.linalg.svd(c, compute_uv=False)
         return _spectrum_rank(sigma), sparse_l1 + lam_ld * float(np.log1p(sigma).sum())
 
     # 1/max|x|, with max|x| taken without a (d, n) temporary
     rho0 = 1.0 / float(max(x.max(), -x.min()))
-    s, report = _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary, after, factored=True)
-    return FactoredLowRank(u, c, v), s, report
+    return _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary, on_iteration, factored=True)
 
 
 def solve_fffp(x, cfg, on_iteration=None):
@@ -577,13 +580,13 @@ def _svt_step(m, tau, rank, start, rng, first=None):
     step is redone, started from the basis it just computed.  The full thin
     SVD, once the width reaches its share, is final.
 
-    Returns ``(left, shrunk, v, basis, rank, svds)``: the left singular
-    vectors scaled by the kept singular values minus tau, those shrunk
-    values (nonincreasing), their right singular vectors, the whole right
-    Ritz basis of the last factorization (the full ``v`` of a full SVD)
-    for the next step's ``start``, the predicted rank of the next step (Lin,
-    Chen & Ma's rule) and the number of thin SVDs computed.  The
-    thresholded matrix is ``left @ v.T``; it is not formed.
+    Returns ``(u, shrunk, v, basis, rank, svds)``: the left singular
+    vectors of the kept values, unscaled, those values minus tau
+    (nonincreasing), their right singular vectors, the whole right Ritz
+    basis of the last factorization (the full ``v`` of a full SVD) for the
+    next step's ``start``, the predicted rank of the next step (Lin, Chen &
+    Ma's rule) and the number of thin SVDs computed.  The thresholded matrix
+    is ``(u * shrunk) @ v.T``; it is not formed.
     """
     full = min(m.shape)
     growth = max(1, round(SVT_RANK_GROWTH * full))
@@ -597,7 +600,7 @@ def _svt_step(m, tau, rank, start, rng, first=None):
             break
         rank, start = kept + growth, f.v
     shrunk = f.s[:kept] - tau
-    return (f.u[:, :kept] * shrunk, shrunk, f.v[:, :kept], f.v,
+    return (f.u[:, :kept], shrunk, f.v[:, :kept], f.v,
             kept + 1 if kept < rank else kept + growth, svds)
 
 
@@ -645,20 +648,19 @@ def solve_ialm(x, cfg):
     # the driver's workspace is x itself at iteration 1, so step 1 thresholds
     # this factorization, which also gives Lin, Chen & Ma's 1.25/||x||_2
     first = _ritz_triplets(x, SVT_START_RANK, None, rng)
-    rank, left, v_kept, basis, shrunk = SVT_START_RANK, None, None, None, None
+    rank, basis = SVT_START_RANK, None
 
     def step(m, rho):
-        nonlocal rank, first, left, v_kept, basis, shrunk
-        left, shrunk, v_kept, basis, rank, svds = _svt_step(m, 1.0 / rho, rank, basis, rng,
-                                                            first)
+        nonlocal rank, first, basis
+        u, shrunk, v, basis, rank, svds = _svt_step(m, 1.0 / rho, rank, basis, rng, first)
         first = None
-        return left, v_kept, svds
+        return u, np.diag(shrunk), v, svds
 
-    def summary(s, sparse_l1):
-        return _spectrum_rank(shrunk), float(shrunk.sum() + lam * sparse_l1)
+    def summary(c, sparse_l1):
+        return _spectrum_rank(np.diag(c)), float(np.diag(c).sum() + lam * sparse_l1)
 
-    s, report = _alm(x, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step, summary)
-    return left @ v_kept.T, s, report
+    low_rank, s, report = _alm(x, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step, summary)
+    return low_rank.dense(), s, report
 
 
 # ascending, so the grid is too: lambda_sweep's entries keep this order

@@ -131,6 +131,10 @@ class TestComputeMetrics:
         metrics = compute_metrics(stub_report(), np.eye(3), l_star=2.0 * np.eye(3))
         assert metrics.recovery_error == 0.5
 
+    def test_zero_ground_truth_rejected(self):
+        with pytest.raises(ValueError, match="l_star is zero"):
+            compute_metrics(stub_report(), np.eye(3), l_star=np.zeros((3, 3)))
+
 
 class TestScalingBenchmark:
     BASE = {"d": 120, "n": 120, "r": 2, "fraction": 0.05, "seed": 0}
@@ -173,6 +177,10 @@ class TestLinearFit:
 
     def test_single_row_is_nan(self):
         assert np.isnan(linear_fit_r2([(100, 0.1)]))
+
+    def test_equal_timings_fit_exactly(self):
+        # a flat line explains flat timings: no variance is left to explain
+        assert linear_fit_r2([(100, 0.25), (200, 0.25), (300, 0.25)]) == 1.0
 
     def test_csv_rendering(self):
         text = benchmark_csv([(100, 0.125), (200, 0.25)])

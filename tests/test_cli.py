@@ -6,6 +6,7 @@ import pytest
 
 from robustpca import cli
 from robustpca.cli import build_parser, main
+from robustpca.datagen import make_problem
 from robustpca.dataio import load_frame_stack, read_matrix, read_pgm, write_frame, \
     write_matrix, write_pgm
 from robustpca.solvers import SolverConfig, solve_uffp
@@ -175,6 +176,16 @@ class TestDecompose:
             code = run("decompose", path, "--method", method, "--k", "2",
                        "--out", tmp_path / method)
             assert code == 2
+
+    @pytest.mark.parametrize("method", [["fffp", "--k", "2"], ["ialm"]], ids=["fffp", "ialm"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_iterate_exits_1_and_writes_nothing(self, tmp_path, method):
+        # finite entries up to about 6e157, but the residual's squares overflow
+        path = tmp_path / "huge.ffpm"
+        write_matrix(path, make_problem(60, 50, 2, 0.05, seed=1).x * 2.0**520)
+        out = tmp_path / "dec"
+        assert run("decompose", path, "--method", *method, "--out", out) == 1
+        assert not out.exists()
 
     def test_iteration_cap_exits_3_with_outputs(self, problem_dir, tmp_path):
         out = tmp_path / "cap"

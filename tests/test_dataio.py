@@ -112,6 +112,17 @@ class TestBinaryMatrix:
         with pytest.raises(FormatError, match="positive"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("data, message, offset", [
+        (FFPM_MAGIC, "truncated before version byte", 4),
+        (FFPM_MAGIC + bytes([1]) + bytes(8), "truncated dimension header", 13),
+    ], ids=["no-version", "half-dimensions"])
+    def test_truncated_header(self, tmp_path, data, message, offset):
+        path = tmp_path / "short.ffpm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message) as err:
+            read_matrix(path)
+        assert err.value.offset == offset
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.ffpm"
         path.write_bytes(FFPM_MAGIC + bytes([9]) + struct.pack("<QQ", 1, 1) + bytes(8))
@@ -176,6 +187,21 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
         with pytest.raises(FormatError, match="raster"):
             read_pgm(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n4 4\n", "truncated header"),
+        (b"P5\nx 4\n255\n", "non-integer header field"),
+        (b"P5\n0 2\n255\n", "dimensions must be positive"),
+    ], ids=["cut-short", "non-integer", "zero-width"])
+    def test_bad_header(self, tmp_path, header, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header)
+        with pytest.raises(FormatError, match=message):
+            read_pgm(path)
+
+    def test_write_rejects_a_one_dimensional_frame(self, tmp_path):
+        with pytest.raises(ValueError, match="2-D"):
+            write_pgm(tmp_path / "row.pgm", np.arange(4))
 
 
 class TestFrameStack:
@@ -278,3 +304,15 @@ class TestReportJson:
         assert payload["config"]["k"] == 2
         assert payload["config"]["lam"] == 0.5
         assert payload["note"] == [1, 2]
+
+    def test_numpy_values_become_plain_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        extra = {"half": np.float32(0.5), "steps": np.arange(3)}
+        write_report(path, None, config=SolverConfig(k=np.int64(3)), extra=extra)
+        payload = json.loads(path.read_text())
+        assert payload["config"]["k"] == 3 and type(payload["config"]["k"]) is int
+        assert payload["half"] == 0.5 and payload["steps"] == [0, 1, 2]
+
+    def test_unknown_value_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            write_report(tmp_path / "report.json", None, extra={"bad": object()})

@@ -151,6 +151,11 @@ class TestRelativeResidual:
         with pytest.raises(ValueError):
             relative_residual(z, z, z)
 
+    def test_shape_mismatch_rejected(self):
+        x = np.ones((3, 4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_residual(x, x, np.ones((4, 3)))
+
 
 class TestFffp:
     def test_exact_rank_one_leaves_sparse_empty(self):
@@ -516,6 +521,14 @@ class TestUffp:
         assert chosen.report.final_rank == 1
         assert recovery_error(chosen.factors.dense(), prob.l_star) <= 1e-2
 
+    def test_no_converged_run_selects_the_smallest_residual(self):
+        # two iterations converge no entry, so no gate applies
+        x = make_problem(60, 50, 2, 0.05, seed=1).x
+        entries, selected = lambda_sweep(x, SolverConfig(k=4, max_iter=2))
+        residuals = [e.report.final_residual for e in entries]
+        assert not any(e.report.converged for e in entries)
+        assert selected == residuals.index(min(residuals))
+
     def test_default_grid_rejects_zero_matrix(self):
         with pytest.raises(ValueError):
             default_lambda_grid(np.zeros((4, 4)))
@@ -684,8 +697,8 @@ class TestIalm:
         assert report.converged and len(steps) == report.iterations
         for kept, exact, width in steps:
             assert kept == exact and width < 0.15 * min(shape)  # the partial path
-        m, tau, (left, _, v, *_), sigma_1 = recording.last
-        assert np.max(np.abs(left @ v.T - svt(m, tau))) <= 1e-10 * sigma_1
+        m, tau, (u, shrunk, v, *_), sigma_1 = recording.last
+        assert np.max(np.abs((u * shrunk) @ v.T - svt(m, tau))) <= 1e-10 * sigma_1
 
     def test_buffered_loop_matches_out_of_place_reference(self):
         prob = make_problem(180, 160, 3, 0.05, seed=17)
@@ -702,9 +715,9 @@ class TestIalm:
         rho = min(1.25 / first.s[0], solvers.RHO_CAP)
         s, theta = np.zeros_like(x), np.zeros_like(x)
         for t in range(1, cfg.max_iter + 1):
-            left, _, v_kept, basis, rank, _ = solvers._svt_step(
+            u, shrunk, v_kept, basis, rank, _ = solvers._svt_step(
                 x - s + theta / rho, 1.0 / rho, rank, basis, rng, first if t == 1 else None)
-            l_ref = left @ v_kept.T
+            l_ref = (u * shrunk) @ v_kept.T
             m = x - l_ref + theta / rho
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
@@ -736,9 +749,9 @@ class TestPartialSvt:
         shapes = []
         real = solvers.thin_svd
         monkeypatch.setattr(solvers, "thin_svd", lambda a: shapes.append(a.shape) or real(a))
-        left, shrunk, v, _, next_rank, svds = solvers._svt_step(
+        u, shrunk, v, _, next_rank, svds = solvers._svt_step(
             m, tau, rank, None, np.random.default_rng(0))
-        out = left @ v.T
+        out = (u * shrunk) @ v.T
         assert svds == len(shapes)
         assert v.shape == (m.shape[1], shrunk.size)
         return out, shrunk, next_rank, shapes
@@ -814,8 +827,8 @@ class TestPartialSvt:
         sigma = np.concatenate([np.sort(rng.uniform(2.0, 20.0, above))[::-1],
                                 np.sort(rng.uniform(0.0, 0.05, below))[::-1]])
         m = prescribed(d, n, sigma, seed) if sigma.size else np.zeros((d, n))
-        left, shrunk, v, _, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng)
-        out = left @ v.T
+        u, shrunk, v, _, next_rank, svds = solvers._svt_step(m, 1.0, predicted, None, rng)
+        out = (u * shrunk) @ v.T
         assert np.max(np.abs(out - svt(m, 1.0))) <= 1e-10 * 20.0
         assert np.allclose(shrunk, sigma[:above] - 1.0, rtol=0.0, atol=1e-10 * 20.0)
         assert v.shape == (n, above) and svds >= 1
