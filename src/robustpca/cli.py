@@ -145,7 +145,8 @@ def _solve_with_method(x, args, cfg):
         sweep_table = [
             {"lam": e.lam, "rank": e.report.final_rank,
              "residual": e.report.final_residual, "iterations": e.report.iterations,
-             "converged": e.report.converged}
+             "converged": e.report.converged, "density": e.report.sparsity_ratio,
+             "sparse_l1": e.report.sparse_l1}
             for e in entries
         ]
         extra = {"sweep": sweep_table, "selected_lam": chosen.lam}

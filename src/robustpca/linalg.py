@@ -74,18 +74,22 @@ def thin_svd(a):
     -------
     ThinSvd
     """
-    a = _as_matrix(a, "a")
+    u, s, vt = _svd(_as_matrix(a, "a"))
+    u, v = _fix_signs(u, vt.T)
+    return ThinSvd(u, s, v)
+
+
+def _svd(a):
+    """``(u, s, vt)`` of the thin SVD of the checked matrix ``a``, as
+    ``np.linalg.svd`` returns them, with no sign convention."""
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        v = vt.T
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         # LAPACK's divide-and-conquer routine can fail to converge on finite
         # input with a cluster of tiny singular values; the transpose takes
         # a different path through it
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)
-        u = ut.T
-    u, v = _fix_signs(u, v)
-    return ThinSvd(u, s, v)
+        return ut.T, s, v.T
 
 
 def _fix_signs(u, v):
@@ -151,19 +155,21 @@ def polar_orthogonal(a):
 
     For a (m, p) input with m >= p, returns the (m, p) matrix ``w`` with
     ``w.T @ w = I`` that maximizes ``trace(w.T @ a)``.  Computed as
-    ``u @ v.T`` from the thin SVD of ``a``.  For a rank-deficient ``a`` the
+    ``u @ vt`` from the thin SVD of ``a``.  For a rank-deficient ``a`` the
     maximizer is not unique, and the result is the one that LAPACK's
     singular vectors for the zero values give: they are deterministic, so
-    identical inputs still give bit-identical outputs.  The sign convention
-    of :func:`thin_svd` plays no part, since it flips paired columns of
-    ``u`` and ``v`` and the flips cancel in ``u @ v.T`` bit for bit.
+    identical inputs still give bit-identical outputs.  The SVD is taken
+    bare, without :func:`thin_svd`'s sign convention: that convention flips
+    paired columns of ``u`` and ``v``, and the flips cancel in ``u @ vt``
+    bit for bit.  ``a`` is checked once; a non-finite entry raises
+    ValueError.
     """
     a = _as_matrix(a, "a")
     m, p = a.shape
     if m < p:
         raise ValueError("polar_orthogonal needs m >= p, got shape %r" % ((m, p),))
-    f = thin_svd(a)
-    return f.u @ f.v.T
+    u, _, vt = _svd(a)
+    return u @ vt
 
 
 def soft_threshold(m, tau):
@@ -197,7 +203,9 @@ def ld_shrink(d, tau):
     which is real only when (1 + s_i)**2 > 4 * tau and is clamped at 0
     when negative; xi_i is kept when it scores no worse than 0 on the
     objective above.  ``tau = 0`` performs no shrinkage, so the input is
-    returned unchanged (no factorization is computed).
+    returned unchanged (no factorization is computed).  The SVD is taken
+    bare, without :func:`thin_svd`'s sign convention, whose paired flips
+    cancel in ``(u * shrunk) @ vt`` bit for bit.
 
     Returns
     -------
@@ -208,15 +216,14 @@ def ld_shrink(d, tau):
     d = _as_matrix(d, "d")
     if tau == 0.0:
         return d.copy()
-    f = thin_svd(d)
-    s = f.s
+    u, s, vt = _svd(d)
     disc = 0.25 * (1.0 + s) ** 2 - tau
     gate = disc > 0.0
     xi = np.where(gate, 0.5 * (s - 1.0) + np.sqrt(np.maximum(disc, 0.0)), 0.0)
     np.maximum(xi, 0.0, out=xi)
     keep = gate & (0.5 * (xi - s) ** 2 + tau * np.log1p(xi) <= 0.5 * s**2)
     shrunk = np.where(keep, xi, 0.0)
-    return (f.u * shrunk) @ f.v.T
+    return (u * shrunk) @ vt
 
 
 def log_det_surrogate(c):

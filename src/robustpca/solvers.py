@@ -249,12 +249,32 @@ class IterationState(NamedTuple):
 
 
 class SweepEntry(NamedTuple):
-    """One lambda_sweep run: the weight tried and everything it produced."""
+    """One lambda_sweep run: the weight tried and everything it produced.
+
+    The fields are ``(lam, factors, sparse, report)``.  ``sparse`` holds the
+    run's sparse part as stored: the dense (d, n) array, or, when fewer
+    than half its entries are nonzero (``report.sparsity_ratio < 0.5``), the
+    pair ``(index, values)`` of its C-order flat indices (int64) and nonzero
+    values, at 16 bytes per nonzero instead of 8 per entry.  The property
+    ``s`` gives the dense (d, n) array either way, with every bit of the
+    solve's: the stored array of a dense entry, and a fresh array, built
+    on each access, of a compact one.  So read ``s`` once and keep it.
+    """
 
     lam: float
     factors: FactoredLowRank
-    s: np.ndarray
+    sparse: np.ndarray | tuple[np.ndarray, np.ndarray]
     report: SolveReport
+
+    @property
+    def s(self):
+        if isinstance(self.sparse, np.ndarray):
+            return self.sparse
+        index, values = self.sparse
+        # the solve writes its zeros as +0.0, so this is the same array bit for bit
+        s = np.zeros((self.factors.u.shape[0], self.factors.v.shape[0]), values.dtype)
+        s.put(index, values)
+        return s
 
 
 def _spectrum_rank(sigma):
@@ -721,6 +741,13 @@ def lambda_sweep(x, cfg):
 
     The grid is solved in order, every run from the same factors, built
     once (the init is seeded, so this matches building it per run bit for bit).
+    After each run the sweep keeps its sparse part compact, as flat indices
+    and values, when fewer than half its entries are nonzero, and dense
+    otherwise (see :class:`SweepEntry`): the ratio its report holds decides,
+    so no extra pass runs.  On sparse corruption the healthy runs are
+    compact, so their sparse parts take about as much memory as one copy of
+    ``x`` in all rather than one copy each; collapsed runs and dense noise
+    stay dense.
     A non-C-ordered ``x`` is copied once for the whole sweep.  The sweep runs
     in float64, also for float32 ``x``: entry ranks below the selection move
     with round-off (a grid scaled by 1 + 1e-12 already moves some), and
@@ -732,6 +759,9 @@ def lambda_sweep(x, cfg):
     entries = []
     for lam in grid:
         factors, s, report = solve_uffp(x, replace(cfg, lam=float(lam)), _init=init)
+        if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
+            index = np.flatnonzero(s)
+            s = index, s.ravel()[index]
         entries.append(SweepEntry(float(lam), factors, s, report))
 
     candidates = [

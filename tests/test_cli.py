@@ -117,6 +117,14 @@ class TestDecompose:
         assert payload["metrics"]["rank_l"] == 3
         assert len(payload["sweep"]) >= 4
         assert payload["selected_lam"] > 0
+        # each row shows the two figures the selection gates read
+        lams = [row["lam"] for row in payload["sweep"]]
+        assert lams == sorted(lams)
+        chosen = payload["sweep"][lams.index(payload["selected_lam"])]
+        assert chosen["density"] == payload["report"]["sparsity_ratio"]
+        assert chosen["sparse_l1"] == payload["report"]["sparse_l1"]
+        assert all(0 <= row["density"] <= 1 and row["sparse_l1"] >= 0
+                   for row in payload["sweep"])
 
     def test_ialm_needs_no_k(self, problem_dir, tmp_path):
         out = tmp_path / "ialm"

@@ -493,6 +493,40 @@ class TestUffp:
         assert np.array_equal(entries[4].s, s)
         assert entries[4].report.iterations == report.iterations
 
+    def test_sweep_keeps_sparse_parts_below_half_density_compact(self):
+        # entries 0-10 are 4.9-6.7% dense, entries 11 and 12 collapse (98.1%)
+        prob = make_problem(60, 60, 2, 0.05, seed=8)
+        entries, _ = lambda_sweep(prob.x, SolverConfig(k=6))
+        compact = [isinstance(e.sparse, tuple) for e in entries]
+        assert compact == [e.report.sparsity_ratio < 0.5 for e in entries]
+        assert compact == [True] * 11 + [False] * 2
+        index, values = entries[4].sparse
+        assert index.dtype == np.int64 and values.size == index.size
+        for i in (4, 12):  # one compact entry, one dense
+            _, s, _ = solve_uffp(prob.x, SolverConfig(k=6, lam=entries[i].lam))
+            got = entries[i].s
+            assert got.dtype == s.dtype and got.shape == s.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == s.tobytes()  # every zero is +0.0, as in the solve
+        assert entries[12].s is entries[12].sparse
+        assert entries[4].s is not entries[4].s  # a compact entry expands per access
+
+    def test_sweep_memory_with_compact_sparse_parts(self):
+        # in units of x: 13 dense sparse parts would peak at 18.1 and hold 15.5
+        # on return; with the 11 healthy ones (4.8-5.1% dense) compact and the
+        # 2 collapsed ones dense, the sweep peaks at 8.2 and holds 4.8
+        x = make_problem(400, 400, 5, 0.05, seed=3).x
+        unit = x.itemsize * x.size
+        tracemalloc.start()
+        try:
+            entries, _ = lambda_sweep(x, SolverConfig(k=25))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * unit
+        assert held <= 7 * unit
+        assert sum(isinstance(e.sparse, tuple) for e in entries) == 11
+
     @pytest.mark.parametrize("scale", [1 + 1e-12, 1 + 1e-6])
     @pytest.mark.parametrize("shape, k", [((200, 200), 25), ((300, 120), 10)],
                              ids=["200x200", "300x120"])
