@@ -162,19 +162,13 @@ def cmd_decompose(args):
     low_rank, s, report, extra = _solve_with_method(x, args, cfg)
 
     out = _out_dir(args)
+    parts = ([("L", low_rank)] if args.method == "ialm" else
+             [("U", low_rank.u), ("C", low_rank.c), ("V", low_rank.v)])
     outputs = []
-    if args.method == "ialm":
-        path = out / "L.ffpm"
-        write_matrix(path, low_rank)
+    for name, matrix in parts + [("S", s)]:
+        path = out / ("%s.ffpm" % name)
+        write_matrix(path, matrix)
         outputs.append(path)
-    else:
-        for name, matrix in (("U", low_rank.u), ("C", low_rank.c), ("V", low_rank.v)):
-            path = out / ("%s.ffpm" % name)
-            write_matrix(path, matrix)
-            outputs.append(path)
-    s_path = out / "S.ffpm"
-    write_matrix(s_path, s)
-    outputs.append(s_path)
 
     l, l_star = None, None  # the dense factored L is formed only to score it
     if args.truth:

@@ -1,8 +1,11 @@
 """Dense linear-algebra primitives and the shrinkage operators the solvers are built from.
 
-Everything here is a pure function of its inputs: arguments are never
-modified, and a fixed sign convention on the SVD factors makes repeated
-calls bit-reproducible.
+Everything here is a pure function of its inputs, and arguments are never
+modified.  Only :func:`thin_svd` applies a sign convention to its factors
+(and :func:`svt`, which calls it); every other SVD with singular vectors,
+here and in the solvers, is the bare ``_svd``.  Repeated calls are
+bit-reproducible because the LAPACK calls underneath are deterministic, not
+because of a sign convention.
 """
 
 from typing import NamedTuple
@@ -74,22 +77,24 @@ def thin_svd(a):
     -------
     ThinSvd
     """
-    u, s, vt = _svd(_as_matrix(a, "a"))
-    u, v = _fix_signs(u, vt.T)
+    u, s, v = _svd(_as_matrix(a, "a"))
+    u, v = _fix_signs(u, v)
     return ThinSvd(u, s, v)
 
 
 def _svd(a):
-    """``(u, s, vt)`` of the thin SVD of the checked matrix ``a``, as
-    ``np.linalg.svd`` returns them, with no sign convention."""
+    """The thin SVD of the checked matrix ``a`` as a ThinSvd, bare: the
+    factors are LAPACK's, with no sign convention, and ``v`` is the
+    transposed view of the ``vt`` that ``np.linalg.svd`` returns."""
     try:
-        return np.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         # LAPACK's divide-and-conquer routine can fail to converge on finite
         # input with a cluster of tiny singular values; the transpose takes
         # a different path through it
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)
-        return ut.T, s, v.T
+        return ThinSvd(ut.T, s, v)
+    return ThinSvd(u, s, vt.T)
 
 
 def _fix_signs(u, v):
@@ -155,12 +160,12 @@ def polar_orthogonal(a):
 
     For a (m, p) input with m >= p, returns the (m, p) matrix ``w`` with
     ``w.T @ w = I`` that maximizes ``trace(w.T @ a)``.  Computed as
-    ``u @ vt`` from the thin SVD of ``a``.  For a rank-deficient ``a`` the
+    ``u @ v.T`` from the thin SVD of ``a``.  For a rank-deficient ``a`` the
     maximizer is not unique, and the result is the one that LAPACK's
     singular vectors for the zero values give: they are deterministic, so
     identical inputs still give bit-identical outputs.  The SVD is taken
     bare, without :func:`thin_svd`'s sign convention: that convention flips
-    paired columns of ``u`` and ``v``, and the flips cancel in ``u @ vt``
+    paired columns of ``u`` and ``v``, and the flips cancel in ``u @ v.T``
     bit for bit.  ``a`` is checked once; a non-finite entry raises
     ValueError.
     """
@@ -168,8 +173,8 @@ def polar_orthogonal(a):
     m, p = a.shape
     if m < p:
         raise ValueError("polar_orthogonal needs m >= p, got shape %r" % ((m, p),))
-    u, _, vt = _svd(a)
-    return u @ vt
+    u, _, v = _svd(a)
+    return u @ v.T
 
 
 def soft_threshold(m, tau):
@@ -205,7 +210,7 @@ def ld_shrink(d, tau):
     objective above.  ``tau = 0`` performs no shrinkage, so the input is
     returned unchanged (no factorization is computed).  The SVD is taken
     bare, without :func:`thin_svd`'s sign convention, whose paired flips
-    cancel in ``(u * shrunk) @ vt`` bit for bit.
+    cancel in ``(u * shrunk) @ v.T`` bit for bit.
 
     Returns
     -------
@@ -216,14 +221,14 @@ def ld_shrink(d, tau):
     d = _as_matrix(d, "d")
     if tau == 0.0:
         return d.copy()
-    u, s, vt = _svd(d)
+    u, s, v = _svd(d)
     disc = 0.25 * (1.0 + s) ** 2 - tau
     gate = disc > 0.0
     xi = np.where(gate, 0.5 * (s - 1.0) + np.sqrt(np.maximum(disc, 0.0)), 0.0)
     np.maximum(xi, 0.0, out=xi)
     keep = gate & (0.5 * (xi - s) ** 2 + tau * np.log1p(xi) <= 0.5 * s**2)
     shrunk = np.where(keep, xi, 0.0)
-    return (u * shrunk) @ vt
+    return (u * shrunk) @ v.T
 
 
 def log_det_surrogate(c):

@@ -42,15 +42,14 @@ import numpy as np
 
 from .linalg import (
     RANGE_OVERSAMPLE,
-    RANGE_POWER_STEPS,
     ThinSvd,
     _as_matrix,
     _fix_signs,
     _product,
     _range_basis,
+    _svd,
     ld_shrink,
     polar_orthogonal,
-    thin_svd,
 )
 
 __all__ = [
@@ -294,8 +293,9 @@ def init_factors(x, k, seed=0):
     ``min(d, n)``) from ``seed``, runs ``RANGE_POWER_STEPS`` power steps
     re-orthonormalized by QR, and takes the top-k singular triplets of
     ``x`` projected onto that basis.  The singular values go on the
-    diagonal of ``c``, and the columns follow the sign convention of
-    :func:`thin_svd`.  The cost is O(d * n * k); no (d, n) matrix is
+    diagonal of ``c``.  The small SVD is taken bare, and the sign convention
+    of :func:`thin_svd` is applied once, to the lifted columns of ``u`` and
+    their paired ``v``.  The cost is O(d * n * k); no (d, n) matrix is
     factorized.  Deterministic for fixed inputs and seed.  A float32 ``x``
     is not upcast: its products run in float32, and the factors are
     float64 either way.  Raises ValueError unless ``1 <= k <= min(d, n)``
@@ -307,7 +307,7 @@ def init_factors(x, k, seed=0):
         raise ValueError("k must satisfy 1 <= k <= min(d, n) = %d, got %r" % (min(d, n), k))
     rng = np.random.default_rng(seed)
     q = _range_basis(x, min(k + RANGE_OVERSAMPLE, d, n), rng)
-    f = thin_svd(_product(q.T, x))
+    f = _svd(_product(q.T, x))
     u, v = _fix_signs(q @ f.u[:, :k], f.v[:, :k])
     return FactoredLowRank(u, np.diag(f.s[:k]), v)
 
@@ -575,14 +575,19 @@ def _ritz_triplets(m, rank, start, rng):
     the basis.  It starts from the first ``width`` columns of ``start`` (or
     None) and pads them with Gaussian columns from ``rng``.  A width of at
     least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin SVD instead,
-    which is exact, draws nothing and, at that width, is no slower.
+    which is exact, draws nothing and, at that width, is no slower.  Both
+    SVDs are bare, with no sign convention.  The callers read the values,
+    products of paired columns, and ``v`` as the next range finder's start;
+    a sign flip of paired columns cancels in the products and leaves the Q
+    of that range finder's Householder QR unchanged, so it would not move a
+    bit.
     """
     full = min(m.shape)
     width = min(rank + RANGE_OVERSAMPLE, full)
     if width >= SVT_FULL_SHARE * full:
-        return thin_svd(m)
+        return _svd(m)
     q = _range_basis(m, width, rng, None if start is None else start[:, :width])
-    f = thin_svd(q.T @ m)
+    f = _svd(q.T @ m)
     return ThinSvd(q @ f.u, f.s, f.v)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import robustpca.linalg as linalg
 import robustpca.solvers as solvers
 from robustpca.datagen import make_problem
 from robustpca.linalg import polar_orthogonal, svt
@@ -108,10 +109,10 @@ class TestInitFactors:
             rng = np.random.default_rng(seed)
             width = min(k + solvers.RANGE_OVERSAMPLE, *shape)
             q, _ = np.linalg.qr(x @ rng.standard_normal((shape[1], width)))
-            for _ in range(solvers.RANGE_POWER_STEPS):
+            for _ in range(linalg.RANGE_POWER_STEPS):
                 z, _ = np.linalg.qr(x.T @ q)
                 q, _ = np.linalg.qr(x @ z)
-            f = solvers.thin_svd(q.T @ x)
+            f = linalg.thin_svd(q.T @ x)
             u, v = solvers._fix_signs(q @ f.u[:, :k], f.v[:, :k])
             got = init_factors(x, k, seed=seed)
             assert np.array_equal(got.u, u)
@@ -272,7 +273,7 @@ class TestAlmDriver:
         if solve is solve_ialm:
             # Lin, Chen & Ma's 1.25/sigma_1; at 40 columns the first step's
             # factorization, which gives sigma_1, is the full SVD
-            want = 1.25 / solvers.thin_svd(x).s[0]
+            want = 1.25 / linalg.thin_svd(x).s[0]
         else:
             want = 1.0 / np.abs(x).max()
         assert report.rho0 == want
@@ -295,6 +296,23 @@ class TestAlmDriver:
             assert scaled.iterations == report.iterations
             assert np.isclose(scaled.rho0 * scale, report.rho0, rtol=1e-12, atol=0.0)
             assert np.max(np.abs(s_scaled / scale - s)) <= 1e-12 * np.abs(s).max()
+
+    @pytest.mark.xfail(strict=True, reason="the absolute RHO_CAP binds on data of scale 2**-40")
+    @pytest.mark.parametrize("solve", [solve_fffp, solve_ialm], ids=["fffp", "ialm"])
+    def test_power_of_two_scale_is_exact(self, solve):
+        # scaling by 2**-40 is exact, so a scale-free solve returns 2**-40 times
+        # its outputs in as many iterations; fffp runs to the 200-iteration cap
+        # instead of 11, with L off by 4.7 of its largest entry, and ialm
+        # takes 46 iterations instead of 9, with L off by 1.4e-3
+        x = make_problem(120, 90, 4, 0.05, seed=1).x
+        scale = 2.0**-40
+        low_rank, s, report = solve(x, SolverConfig(k=4))
+        low_scaled, s_scaled, scaled = solve(scale * x, SolverConfig(k=4))
+        if solve is solve_fffp:
+            low_rank, low_scaled = low_rank.dense(), low_scaled.dense()
+        assert scaled.iterations == report.iterations
+        assert np.array_equal(low_scaled, scale * low_rank)
+        assert np.array_equal(s_scaled, scale * s)
 
     @pytest.mark.parametrize("max_iter", [200, 3], ids=["converged", "capped"])
     @pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5)],
@@ -624,6 +642,46 @@ def test_zero_norm_rejected_before_any_draw(name, scale, monkeypatch):
         ENTRY_POINTS[name](x)
 
 
+class TestRecoveryMap:
+    """Cells of tools/recovery_map.py: make_problem(200, 200, r, f, seed=11)
+    swept with k >= r.  A cell passes when the sweep selects rank r at
+    recovery at most 1e-2."""
+
+    @staticmethod
+    def sweep(r, k, fraction):
+        prob = make_problem(200, 200, r, fraction, seed=11)
+        entries, selected = lambda_sweep(prob.x, SolverConfig(k=k))
+        chosen = entries[selected]
+        return prob, entries, chosen.report.final_rank, recovery_error(
+            chosen.factors.dense(), prob.l_star)
+
+    @pytest.mark.parametrize("r, k, fraction", [(2, 17, 0.05), (5, 20, 0.2), (10, 25, 0.05),
+                                                (10, 10, 0.2)])
+    def test_sweep_recovers_the_rank(self, r, k, fraction):
+        _, _, rank, error = self.sweep(r, k, fraction)
+        assert rank == r and error <= 1e-2
+
+    @pytest.mark.xfail(strict=True, reason="selection failure: the gates pass a partial "
+                                           "collapse although a rank-2 entry exists")
+    def test_selection_at_20_percent_with_k_above_the_rank(self):
+        # entry 10 has rank 2 at recovery 5.8e-4; the over-rank entries 0-9
+        # are 42-50% dense, which lifts both medians, and the sweep takes
+        # entry 11 (rank 1, recovery 0.66, density 0.96)
+        prob, entries, rank, error = self.sweep(2, 17, 0.2)
+        assert any(e.report.final_rank == 2
+                   and recovery_error(e.factors.dense(), prob.l_star) <= 1e-2 for e in entries)
+        assert rank == 2 and error <= 1e-2
+
+    @pytest.mark.xfail(strict=True, reason="grid failure: no grid weight reaches rank 10")
+    @pytest.mark.parametrize("k", [15, 25])
+    def test_rank_10_plateau_between_grid_points(self, k):
+        # entry 9 (exponent -0.75) keeps rank k and entry 10 (-0.5) falls to
+        # rank 9; the rank-10 plateau lies near -0.53, narrower than the grid
+        # step, and the sweep selects rank 15 (k = 15) or 9 (k = 25)
+        _, _, rank, error = self.sweep(10, k, 0.2)
+        assert rank == 10 and error <= 1e-2
+
+
 class TestIalm:
     def test_synthetic_recovery_and_cross_solver_agreement(self):
         prob = make_problem(200, 200, 5, 0.05, seed=9)
@@ -781,8 +839,8 @@ class TestPartialSvt:
     @staticmethod
     def step(m, tau, rank, monkeypatch):
         shapes = []
-        real = solvers.thin_svd
-        monkeypatch.setattr(solvers, "thin_svd", lambda a: shapes.append(a.shape) or real(a))
+        real = solvers._svd
+        monkeypatch.setattr(solvers, "_svd", lambda a: shapes.append(a.shape) or real(a))
         u, shrunk, v, _, next_rank, svds = solvers._svt_step(
             m, tau, rank, None, np.random.default_rng(0))
         out = (u * shrunk) @ v.T
@@ -846,6 +904,17 @@ class TestPartialSvt:
         assert shapes == [shape]
         # more values kept than the predicted rank: grow by 5% of min(d, n)
         assert shrunk.size == 55 and next_rank == 75
+
+    @pytest.mark.xfail(strict=True, reason="a flat spectrum straddling tau at predicted "
+                                           "rank 1 keeps values the basis resolves poorly")
+    def test_flat_spectrum_straddling_tau_from_rank_1(self, monkeypatch):
+        # 13 values in [0.1, 10] and tau = sigma_1 / 2: width 11 holds some
+        # values below tau, so the one SVD is final and no redo runs, but the
+        # kept triplets are off by 9.5e-4, far above 1e-10 * sigma_1
+        sigma = np.sort(np.random.default_rng(24).uniform(0.1, 10.0, 13))[::-1]
+        m = prescribed(81, 81, sigma, seed=24)
+        out, shrunk, _, _ = self.step(m, sigma[0] / 2, 1, monkeypatch)
+        self.assert_matches_svt(out, shrunk, m, sigma[0] / 2)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(80, 260), n=st.integers(80, 260), above=st.integers(0, 45),
