@@ -6,12 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import make_problem
-from .solvers import SolverConfig, solve_fffp, solve_ialm, solve_uffp, sparsity_ratio
+from .solvers import SolverConfig, solve_fffp, solve_ialm, solve_uffp
 
 __all__ = [
     "Metrics",
     "AnomalyResult",
-    "sparsity_ratio",
     "compute_metrics",
     "anomaly_detect",
     "top_m_columns",

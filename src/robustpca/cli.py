@@ -56,13 +56,11 @@ def _environment():
     }
 
 
-def _write_manifest(out_dir, args, inputs, outputs, start, config=None):
-    """Write ``manifest.json``; ``config`` defaults to every parsed argument."""
-    if config is None:
-        config = {key: value for key, value in vars(args).items() if key != "func"}
+def _write_manifest(out_dir, args, inputs, outputs, start):
+    """Write ``manifest.json``, whose ``config`` echoes every parsed argument."""
     manifest = {
         "command": args.command,
-        "config": config,
+        "config": {key: value for key, value in vars(args).items() if key != "func"},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "seed": args.seed,
@@ -126,19 +124,13 @@ def cmd_synth(args):
     paths = [out / "X.ffpm", out / "L_star.ffpm", out / "S_star.ffpm"]
     for path, matrix in zip(paths, (problem.x, problem.l_star, problem.s_star)):
         write_matrix(path, matrix)
-    config = {"d": args.d, "n": args.n, "rank": args.rank, "fraction": args.fraction,
-              "magnitude": args.magnitude}
-    _write_manifest(out, args, [], paths, start, config)
+    _write_manifest(out, args, [], paths, start)
     return 0
 
 
 def _solve_with_method(x, args, cfg):
     """Dispatch one decomposition; returns ``(low_rank, s, report, extra)``, where
     ``low_rank`` is ialm's dense l or the factors of fffp and uffp."""
-    if args.method == "fffp":
-        return (*solve_fffp(x, cfg), {})
-    if args.method == "ialm":
-        return (*solve_ialm(x, cfg), {})
     if args.lambda_sweep:
         entries, selected = lambda_sweep(x, cfg)
         chosen = entries[selected]
@@ -151,14 +143,16 @@ def _solve_with_method(x, args, cfg):
         ]
         extra = {"sweep": sweep_table, "selected_lam": chosen.lam}
         return chosen.factors, chosen.s, chosen.report, extra
-    return (*solve_uffp(x, cfg), {})
+    # built per call, so a rebinding of the module's solver names is seen
+    solve = {"fffp": solve_fffp, "uffp": solve_uffp, "ialm": solve_ialm}[args.method]
+    return (*solve(x, cfg), {})
 
 
 def cmd_decompose(args):
     _check_method_flags(args)
+    cfg = _config_from_args(args)
     start = time.perf_counter()
     x = read_matrix(args.input)
-    cfg = _config_from_args(args)
     low_rank, s, report, extra = _solve_with_method(x, args, cfg)
 
     out = _out_dir(args)
@@ -181,9 +175,9 @@ def cmd_decompose(args):
 
 def cmd_background(args):
     _check_method_flags(args)
+    cfg = _config_from_args(args)
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
-    cfg = _config_from_args(args)
     low_rank, s, report, extra = _solve_with_method(stack.matrix, args, cfg)
 
     # frames are formed one at a time, so no (d, n) array is added to the
@@ -205,6 +199,7 @@ def cmd_background(args):
 
 
 def cmd_anomaly(args):
+    cfg = _config_from_args(args)
     start = time.perf_counter()
     x = read_matrix(args.input)
     # refuse a bad --threshold or --top-m before paying for the solve
@@ -213,13 +208,11 @@ def cmd_anomaly(args):
         _check_threshold(args.threshold)
     else:
         _check_m(top_m, x.shape[1])
-    cfg = _config_from_args(args)
     factors, s, report = solve_fffp(x, cfg)
-    if args.threshold is not None:
-        result = anomaly_detect(s, args.threshold)
-        scores, flagged = result.scores, result.flagged
-    else:
-        scores = np.linalg.norm(s, axis=0)
+    # top-m mode thresholds at inf, then takes the m highest scores
+    result = anomaly_detect(s, np.inf if args.threshold is None else args.threshold)
+    scores, flagged = result.scores, result.flagged
+    if args.threshold is None:
         flagged = top_m_columns(scores, top_m)
 
     out = _out_dir(args)
@@ -254,6 +247,16 @@ def cmd_bench(args):
     return 0
 
 
+def _add_method_flags(parser, **method):
+    """``--method`` (``method`` holds its ``required`` or ``default``),
+    ``--lambda`` and ``--lambda-sweep``."""
+    parser.add_argument("--method", choices=("fffp", "uffp", "ialm"), **method)
+    parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
+                        help="balance weight (uffp; ialm derives a default)")
+    parser.add_argument("--lambda-sweep", action="store_true",
+                        help="sweep the uffp weight over a data-scaled grid")
+
+
 def _add_solver_flags(parser, k_default=None):
     parser.add_argument("--k", type=int, default=k_default,
                         help="factor width (upper bound on the recovered rank); ialm reads none")
@@ -286,11 +289,7 @@ def build_parser():
 
     dec = commands.add_parser("decompose", help="run a solver on a matrix file")
     dec.add_argument("input", help="matrix file (.ffpm or .csv)")
-    dec.add_argument("--method", choices=("fffp", "uffp", "ialm"), required=True)
-    dec.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
-                     help="balance weight (uffp; ialm derives a default)")
-    dec.add_argument("--lambda-sweep", action="store_true",
-                     help="sweep the uffp weight over a data-scaled grid")
+    _add_method_flags(dec, required=True)
     dec.add_argument("--truth", default=None, help="ground-truth low-rank matrix for recovery error")
     dec.add_argument("--out", required=True)
     _add_solver_flags(dec)
@@ -298,9 +297,7 @@ def build_parser():
 
     bg = commands.add_parser("background", help="split an image stack into background/foreground")
     bg.add_argument("frames", help="directory of equally sized .pgm frames")
-    bg.add_argument("--method", choices=("fffp", "uffp", "ialm"), default="fffp")
-    bg.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
-    bg.add_argument("--lambda-sweep", action="store_true")
+    _add_method_flags(bg, default="fffp")
     bg.add_argument("--downsample", type=int, default=1,
                     help="keep every f-th pixel along each axis")
     bg.add_argument("--out", required=True)

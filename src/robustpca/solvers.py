@@ -139,7 +139,8 @@ class FactoredLowRank:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables shared by all solvers.
+    """Tunables shared by all solvers.  ``lam``, ``tol`` and ``max_iter`` are
+    checked when the config is made (ValueError); ``k`` needs the data's shape.
 
     k        : factor width; upper bound on the recovered rank.  Only the
                factored solvers read it, through :func:`init_factors`, which
@@ -175,7 +176,7 @@ class SolverConfig:
     max_iter: int = 200
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
         if not 0 < self.tol < 1:
@@ -501,7 +502,6 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
     """
     x, norm_x = _as_rows(x, keep_float32=True)
-    cfg.validate()
     t_start = time.perf_counter()
 
     factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
@@ -665,7 +665,6 @@ def solve_ialm(x, cfg):
     Returns ``(l, s, report)``.
     """
     x, norm_x = _as_rows(x)
-    cfg.validate()
     t_start = time.perf_counter()
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(x.shape))
@@ -769,19 +768,14 @@ def lambda_sweep(x, cfg):
             s = index, s.ravel()[index]
         entries.append(SweepEntry(float(lam), factors, s, report))
 
-    candidates = [
-        i for i, e in enumerate(entries) if e.report.converged and e.report.final_rank > 0
-    ]
-    selected = None
+    reports = [e.report for e in entries]
+    candidates = [i for i, r in enumerate(reports) if r.converged and r.final_rank > 0]
     if candidates:
-        mass = {i: entries[i].report.sparse_l1 for i in candidates}
-        density = {i: entries[i].report.sparsity_ratio for i in candidates}
-        mass_gate = 1.5 * float(np.median(list(mass.values())))
-        density_gate = 2.0 * float(np.median(list(density.values()))) + 0.02
-        clean = [i for i in candidates if mass[i] <= mass_gate and density[i] <= density_gate]
+        mass_gate = 1.5 * float(np.median([reports[i].sparse_l1 for i in candidates]))
+        density_gate = 2.0 * float(np.median([reports[i].sparsity_ratio for i in candidates]))
+        clean = [i for i in candidates if reports[i].sparse_l1 <= mass_gate
+                 and reports[i].sparsity_ratio <= density_gate + 0.02]
         if clean:
-            lowest = min(entries[i].report.final_rank for i in clean)
-            selected = min(i for i in clean if entries[i].report.final_rank == lowest)
-    if selected is None:
-        selected = min(range(len(entries)), key=lambda i: entries[i].report.final_residual)
-    return entries, selected
+            lowest = min(reports[i].final_rank for i in clean)
+            return entries, min(i for i in clean if reports[i].final_rank == lowest)
+    return entries, min(range(len(entries)), key=lambda i: reports[i].final_residual)

@@ -7,13 +7,12 @@ from robustpca.analysis import (
     compute_metrics,
     linear_fit_r2,
     scaling_benchmark,
-    sparsity_ratio,
     top_m_columns,
 )
 from robustpca.datagen import make_problem
 from robustpca.linalg import soft_threshold
 from robustpca.solvers import SolveReport, SolverConfig, _spectrum_rank, relative_residual, \
-    solve_fffp
+    solve_fffp, sparsity_ratio
 
 
 def numerical_rank(m):

@@ -47,6 +47,13 @@ class TestSynth:
         assert manifest["seed"] == 7
         assert manifest["version"]
 
+    def test_manifest_echoes_the_parsed_arguments(self, tmp_path):
+        out = tmp_path / "prob"
+        assert run(*synth_args(out)) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"command": "synth", "d": 80, "n": 80, "rank": 2, "fraction": 0.05,
+                          "magnitude": None, "seed": 7, "out": str(out)}
+
     def test_impossible_rank_exits_2(self, tmp_path):
         assert run(*synth_args(tmp_path / "p", rank=500, d=200, n=200)) == 2
 
@@ -381,6 +388,14 @@ class TestAnomaly:
         assert run("anomaly", path, *flag, "--out", tmp_path / "anom") == 2
         assert solves == []
 
+    def test_threshold_and_top_m_modes_write_the_same_scores(self, tmp_path):
+        path, _ = self.planted_matrix(tmp_path)
+        by_threshold, by_top_m = tmp_path / "threshold", tmp_path / "top_m"
+        assert run("anomaly", path, "--threshold", "1.0", "--out", by_threshold) == 0
+        assert run("anomaly", path, "--top-m", "4", "--out", by_top_m) == 0
+        scores = (by_threshold / "scores.csv").read_bytes()
+        assert scores == (by_top_m / "scores.csv").read_bytes()
+
     def test_iteration_cap_exits_3_with_outputs(self, tmp_path):
         path, _ = self.planted_matrix(tmp_path)
         out = tmp_path / "anom"
@@ -491,6 +506,20 @@ class TestParser:
         assert run(command, "in", "--out", out, *flags) == 2
         assert reads == [] and not out.exists()
         assert "%s needs --k" % flags[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "background", "anomaly"])
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--max-iter", "0"]],
+                             ids=["tol", "max-iter"])
+    def test_bad_solver_value_exits_2_before_reading(self, command, flags, tmp_path,
+                                                     monkeypatch, capsys):
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "load_frame_stack", lambda *a: reads.append(a))
+        method = ["--method", "fffp"] if command == "decompose" else []
+        out = tmp_path / "out"
+        assert run(command, "in", "--k", "2", "--out", out, *method, *flags) == 2
+        assert reads == [] and not out.exists()
+        assert "%s must" % flags[0][2:].replace("-", "_") in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -35,19 +35,24 @@ def sin_subspace_angle(a, b):
 class TestConfig:
     def test_rejects_bad_values(self):
         x = np.ones((4, 4))
-        for cfg in (
-            SolverConfig(k=0),
-            SolverConfig(k=5),
-            SolverConfig(k=2, tol=0.0),
-            SolverConfig(k=2, tol=1.0),
-            SolverConfig(k=2, max_iter=0),
-            SolverConfig(k=2, lam=-1.0),
-            SolverConfig(k=2, lam=float("nan")),
-            SolverConfig(k=2, lam=float("inf")),
-            SolverConfig(k=2, lam=float("-inf")),
+        for fields in (
+            dict(k=0),
+            dict(k=5),
+            dict(k=2, tol=0.0),
+            dict(k=2, tol=1.0),
+            dict(k=2, max_iter=0),
+            dict(k=2, lam=-1.0),
+            dict(k=2, lam=float("nan")),
+            dict(k=2, lam=float("inf")),
+            dict(k=2, lam=float("-inf")),
         ):
             with pytest.raises(ValueError):
-                solve_fffp(x, cfg)
+                solve_fffp(x, SolverConfig(**fields))
+
+    def test_checked_when_made(self):
+        # no solve runs: making the config raises
+        with pytest.raises(ValueError, match="tol must lie in"):
+            SolverConfig(k=2, tol=0.0)
 
     def test_uffp_requires_lam(self):
         with pytest.raises(ValueError):
@@ -308,6 +313,24 @@ class TestAlmDriver:
         scale = 2.0**-40
         low_rank, s, report = solve(x, SolverConfig(k=4))
         low_scaled, s_scaled, scaled = solve(scale * x, SolverConfig(k=4))
+        if solve is solve_fffp:
+            low_rank, low_scaled = low_rank.dense(), low_scaled.dense()
+        assert scaled.iterations == report.iterations
+        assert np.array_equal(low_scaled, scale * low_rank)
+        assert np.array_equal(s_scaled, scale * s)
+
+    @pytest.mark.xfail(strict=True, reason="the Frobenius norm of data near 6e157 overflows")
+    @pytest.mark.parametrize("solve", [solve_fffp, solve_ialm], ids=["fffp", "ialm"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_scale_is_exact(self, solve):
+        # scaling by 2**520 is exact and leaves every entry finite (max|x| is
+        # 6.1e157), but ||x||_F overflows to inf; both solves raise
+        # DivergenceError at iteration 1 instead of returning 2**520 times
+        # their outputs in as many iterations
+        x = make_problem(60, 50, 2, 0.05, seed=1).x
+        scale = 2.0**520
+        low_rank, s, report = solve(x, SolverConfig(k=2))
+        low_scaled, s_scaled, scaled = solve(scale * x, SolverConfig(k=2))
         if solve is solve_fffp:
             low_rank, low_scaled = low_rank.dense(), low_scaled.dense()
         assert scaled.iterations == report.iterations

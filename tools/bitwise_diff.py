@@ -23,17 +23,19 @@ seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
 Arrays are compared by dtype, shape and raw bytes, reports field by field
 without ``wall_time`` (a field only one tree has is one differing key), JSON
 files leaf by leaf with every ``wall_time`` key dropped, other files as raw
-bytes.  The script prints each key that differs (a file only one tree wrote
-as a single line), followed by the largest relative difference: per entry
-for a report field or JSON leaf that holds a float or a list of floats on
-both sides, and relative to the largest magnitude on either side for float
-arrays of one shape.  A summary then gives, per group (a library case such
-as ``lib/400x400/sweep``, or a CLI run), the number of differing keys and
-the largest relative difference per leaf (such as ``u`` or
+bytes.  Of ``bench``'s outputs only what is not measured is compared: the
+header and size column of ``scaling.csv`` and the size of each ``fit.json``
+row; its seconds, and the R^2 fitted to them, are dropped like ``wall_time``.
+The script prints each key that differs (a file only one tree wrote as a
+single line), followed by the largest relative difference: per entry for a
+report field or JSON leaf that holds a float or a list of floats on both
+sides, and relative to the largest magnitude on either side for float arrays
+of one shape.  A summary then gives, per group (a library case such as
+``lib/400x400/sweep``, or a CLI run), the number of differing keys and the
+largest relative difference per leaf (such as ``u`` or
 ``report/final_residual``), with sweep entry numbers and JSON list indices
-collapsed; ``-`` marks a leaf compared as raw bytes, of another type, or
-that only one tree has.  It exits 1 if any key differs, 0 otherwise.  Timings
-(``bench``'s ``scaling.csv`` and ``fit.json``) always differ.  Both trees
+collapsed; ``-`` marks a leaf compared as raw bytes, of another type, or that
+only one tree has.  It exits 1 if any key differs, 0 otherwise.  Both trees
 must accept the calls below; a tree whose API moved needs the corpus edited
 to match.
 """
@@ -238,8 +240,14 @@ def _cli(out, work):
         out["cli/%s/exit" % name] = pickle.dumps(code)
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         key = "cli/files/%s" % path.as_posix()
-        if path.suffix == ".json":
-            for leaf, value in _json_leaves(json.loads(path.read_text())):
+        if path.as_posix() == "runs/bench/scaling.csv":  # size,seconds
+            header, *rows = path.read_text().splitlines()
+            out[key] = "\n".join([header] + [row.split(",")[0] for row in rows]).encode()
+        elif path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            if path.as_posix() == "runs/bench/fit.json":  # {"r2": ..., "rows": [[size, seconds]]}
+                payload = {"rows": [row[:1] for row in payload["rows"]]}
+            for leaf, value in _json_leaves(payload):
                 out[key + ":" + leaf] = value
         else:
             out[key] = path.read_bytes()
