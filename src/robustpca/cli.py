@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import _check_m, _check_threshold, compute_metrics, anomaly_detect, \
+from .analysis import _check_threshold, compute_metrics, anomaly_detect, \
     benchmark_csv, linear_fit_r2, scaling_benchmark, top_m_columns
 from .dataio import FormatError, load_frame_stack, read_matrix, write_frame, \
     write_matrix, write_report
@@ -200,14 +200,15 @@ def cmd_background(args):
 
 def cmd_anomaly(args):
     cfg = _config_from_args(args)
-    start = time.perf_counter()
-    x = read_matrix(args.input)
-    # refuse a bad --threshold or --top-m before paying for the solve
-    top_m = min(args.top_m, x.shape[1])
+    # refuse a bad --threshold or --top-m before reading: neither check needs
+    # the input, since min(top_m, n) never exceeds n
     if args.threshold is not None:
         _check_threshold(args.threshold)
-    else:
-        _check_m(top_m, x.shape[1])
+    elif args.top_m < 0:
+        raise ValueError("--top-m must be nonnegative, got %d" % args.top_m)
+    start = time.perf_counter()
+    x = read_matrix(args.input)
+    top_m = min(args.top_m, x.shape[1])
     factors, s, report = solve_fffp(x, cfg)
     # top-m mode thresholds at inf, then takes the m highest scores
     result = anomaly_detect(s, np.inf if args.threshold is None else args.threshold)

@@ -45,10 +45,10 @@ from .linalg import (
     ThinSvd,
     _as_matrix,
     _fix_signs,
+    _ld_values,
     _product,
     _range_basis,
     _svd,
-    ld_shrink,
     polar_orthogonal,
 )
 
@@ -189,9 +189,12 @@ class SolverConfig:
 class SolveReport:
     """Terminal and per-iteration statistics for one solve.
 
-    svd_count is the raw number of thin-SVD invocations of the iteration
-    steps (the factor-orthogonalization and core updates for the factored
-    solvers, the singular-value thresholding for the baseline).  The
+    svd_count is the raw number of factorizations the iteration steps take:
+    thin SVDs and Gram eigendecompositions (one per factor-orthogonalization
+    and core update of the factored solvers, whichever route
+    :func:`~robustpca.linalg.polar_orthogonal` takes; one per singular-value
+    thresholding of the baseline).  A step of a solve_uffp iterate that has
+    collapsed to width 0 takes none.  The
     factored solvers' initial factors are not counted.  The baseline takes
     no SVD outside its steps: its sigma_1 comes from the first step's
     factorization, computed before the loop and counted once, as step 1's.
@@ -230,7 +233,12 @@ class IterationState(NamedTuple):
     next iteration's sparse part into the other, and the next pass
     overwrites this one, so copy it if you keep it.
     ``theta``, ``u``, ``c`` and ``v`` are fresh arrays; the low-rank part
-    ``u @ c @ v.T`` is never held whole.  ``rho`` is the value after the
+    ``u @ c @ v.T`` is never held whole.  ``u`` and ``v`` have orthonormal
+    columns, as many as ``c`` has rows: k for solve_fffp, the kept rank r
+    <= k for solve_uffp with ``lam > 0`` (``c`` is then ``diag`` of its
+    positive shrunk values, and r never grows from one iteration to the
+    next; the returned factors are padded back to k), and the kept count of
+    singular values for solve_ialm.  ``rho`` is the value after the
     end-of-iteration growth step, and ``theta`` is the multiplier for it,
     formed on demand as ``rho * (m - x + s_next)`` from the solver's
     workspace ``m`` and that next sparse part ``s_next``.  ``s`` and
@@ -371,8 +379,10 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
     ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
     iterate ``(u, c, v, svds)``: the low-rank part ``u @ c @ v.T`` and the
-    step's thin-SVD count.  The factored solvers' core is a full k x k
-    matrix; solve_ialm's is ``diag(sigma - tau)`` of its kept singular values.
+    step's factorization count.  solve_fffp's core is a full k x k matrix;
+    solve_uffp's (``lam > 0``) is ``diag`` of its kept shrunk values, and
+    solve_ialm's ``diag(sigma - tau)`` of its kept singular values, so the
+    width of the iterate may change between iterations.
     The pass then runs the sparse step ``s = soft_threshold(x + theta/rho -
     L, weight/rho)`` and the residual and multiplier step (sum ``||x - L -
     s||^2``; ``theta += rho * (x - L - s)``; rho grows to ``rho_next``)
@@ -500,26 +510,38 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
     """Run the factored step in :func:`_alm` with surrogate weight
     ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
+
+    With ``lam_ld > 0`` each step rotates the factors into the singular
+    basis of the core, shrinks its values and keeps only the directions
+    whose value stays positive, so the iterate's width never grows; a
+    width-0 iterate takes no factorization.  The returned factors are
+    padded back to width k by :func:`_pad_factors`.
     """
     x, norm_x = _as_rows(x, keep_float32=True)
     t_start = time.perf_counter()
 
-    factors = init_factors(x, cfg.k, cfg.seed) if init is None else init
-    u, c, v = factors.u, factors.c, factors.v
+    start = init_factors(x, cfg.k, cfg.seed) if init is None else init
+    u, c, v = start.u, start.c, start.v
 
     def step(m, rho):
         # m = x + theta/rho - s, read by two products in its dtype: (uc.T @ m).T,
         # which is m.T @ uc to the bit and at 2000x2000 about 2 ms instead of
         # 5-16 ms, and m @ v, which serves both the u and the core update
         nonlocal u, c, v
+        if c.shape[0] == 0:  # collapsed: L = 0, and it stays 0
+            return u, c, v, 0
         v = polar_orthogonal(_product((u @ c).T, m).T)
         mv = _product(m, v)
         u = polar_orthogonal(mv @ c.T)
         c = u.T @ mv
         tau = lam_ld / rho
-        if tau > 0.0:
-            c = ld_shrink(c, tau)
-        return u, c, v, 3 if tau > 0.0 else 2
+        if tau == 0.0:
+            return u, c, v, 2
+        p, sigma, q = _svd(c)
+        values = _ld_values(sigma, tau)
+        keep = values > 0.0
+        u, c, v = u @ p[:, keep], np.diag(values[keep]), v @ q[:, keep]
+        return u, c, v, 3
 
     def summary(c, sparse_l1):
         # one factorization of the core for the rank and log_det_surrogate's sum
@@ -528,7 +550,31 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
 
     # 1/max|x|, with max|x| taken without a (d, n) temporary
     rho0 = 1.0 / float(max(x.max(), -x.min()))
-    return _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary, on_iteration, factored=True)
+    factors, s, report = _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary,
+                              on_iteration, factored=True)
+    return _pad_factors(factors, start), s, report
+
+
+def _pad_factors(factors, start):
+    """``factors`` widened to the width k of the start factors ``start``.
+
+    ``u`` (width r) keeps its columns and gains the columns r..k-1 of the Q
+    of the Householder QR of ``[u, start.u[:, r:]]``, and ``v`` likewise:
+    they are orthonormal and orthogonal to ``u`` to rounding, whatever the
+    overlap of the two spans.  The core gains zero rows and columns, so the
+    low-rank part is unchanged.  Factors of width k are returned as they are.
+    """
+    k, r = start.c.shape[0], factors.c.shape[0]
+    if r == k:
+        return factors
+
+    def widen(a, a0):
+        q, _ = np.linalg.qr(np.hstack([a, a0[:, r:]]))
+        return np.hstack([a, q[:, r:]])
+
+    c = np.zeros((k, k))
+    c[:r, :r] = factors.c
+    return FactoredLowRank(widen(factors.u, start.u), c, widen(factors.v, start.v))
 
 
 def solve_fffp(x, cfg, on_iteration=None):
@@ -553,12 +599,16 @@ def solve_fffp(x, cfg, on_iteration=None):
 def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     """Rank-discovering variant of :func:`solve_fffp`.
 
-    Identical loop except the core update is shrunk by :func:`ld_shrink`
-    at threshold ``cfg.lam / rho``, so superfluous directions inside the
-    width-k factorization are driven to exactly zero.  ``cfg.lam`` must be
-    set; ``lam = 0`` reproduces solve_fffp bit for bit.  ``_init`` is
-    private: :func:`lambda_sweep` passes the starting factors it shares
-    across its grid.
+    Identical loop except the core update is shrunk by the log-det map of
+    :func:`~robustpca.linalg.ld_shrink` at threshold ``cfg.lam / rho``, so
+    superfluous directions inside the width-k factorization are driven to
+    exactly zero.  The step then drops them: it carries only the directions
+    it keeps, so after the first shrink an iteration costs O(r * d * n) at
+    kept rank r instead of O(k * d * n).  The returned ``u`` and ``v`` are
+    padded to k orthonormal columns, and ``c`` to k x k with zeros.
+    ``cfg.lam`` must be set; ``lam = 0`` reproduces solve_fffp bit for bit.
+    ``_init`` is private: :func:`lambda_sweep` passes the starting factors
+    it shares across its grid.
 
     Returns ``(factors, s, report)``.
     """

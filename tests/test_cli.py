@@ -521,6 +521,15 @@ class TestParser:
         assert reads == [] and not out.exists()
         assert "%s must" % flags[0][2:].replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [(["--threshold", "nan"], "threshold must"),
+                                                (["--top-m", "-1"], "--top-m must")],
+                             ids=["threshold", "top-m"])
+    def test_bad_anomaly_value_exits_2_before_reading(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("anomaly", tmp_path / "missing.ffpm", "--out", out, *flags) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert run("--version") == 0
         assert capsys.readouterr().out.strip()

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import robustpca.linalg as linalg
 from robustpca.linalg import (
     RANGE_POWER_STEPS,
     WARM_POWER_STEPS,
@@ -14,6 +17,7 @@ from robustpca.linalg import (
     svt,
     thin_svd,
 )
+from robustpca.solvers import ORTHO_TOL
 
 
 def grid_min(objective, lo, hi, coarse=1e-3, fine=1e-7):
@@ -125,6 +129,46 @@ class TestPolarOrthogonal:
         with pytest.raises(ValueError):
             polar_orthogonal(np.ones((2, 5)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 12), extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           log_cond=st.floats(0.0, 2.0), log_scale=st.floats(-100.0, 100.0))
+    def test_gram_route_matches_svd_route(self, p, extra, seed, log_cond, log_scale):
+        # a tall input with singular values 10**log_scale down to 10**-log_cond
+        # of that: cond(a) <= 100, so the Gram's eigenvalue share is at least
+        # 1e-4, above POLAR_GRAM_SHARE, and the Gram route runs (the SVD route
+        # is patched to fail).  Its rounding grows with cond(a)**2; over 2000
+        # seeded draws like these it stayed within 1.3e-12 of u @ v.T
+        rng = np.random.default_rng(seed)
+        q1, _ = np.linalg.qr(rng.standard_normal((p + extra, p)))
+        q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        a = (q1 * (np.geomspace(1.0, 10.0**-log_cond, p) * 10.0**log_scale)) @ q2.T
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_svd", lambda m: pytest.fail("took the SVD route"))
+            w = polar_orthogonal(a)
+        u, _, vt = np.linalg.svd(a, full_matrices=False)
+        assert np.linalg.norm(w - u @ vt) <= 1e-10
+        assert np.linalg.norm(w.T @ w - np.eye(p)) <= ORTHO_TOL
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "gram_overflows"])
+    def test_svd_route_when_the_gram_cannot_serve(self, case, monkeypatch):
+        # an exactly rank-deficient input puts the Gram's smallest eigenvalue at
+        # rounding level, below POLAR_GRAM_SHARE of the largest; finite entries
+        # of 1e300 overflow the Gram to inf, silently
+        a = np.random.default_rng(5).standard_normal((7, 3))
+        if case == "rank_deficient":
+            a[:, 2] = a[:, 0]
+        else:
+            a *= 1e300
+        real, calls = linalg._svd, []
+        monkeypatch.setattr(linalg, "_svd", lambda m: calls.append(m.shape) or real(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = polar_orthogonal(a)
+        assert calls == [(7, 3)]
+        u, _, v = real(a)
+        assert np.array_equal(w, u @ v.T)
+        assert np.linalg.norm(w.T @ w - np.eye(3)) <= ORTHO_TOL
+
 
 class TestSoftThreshold:
     def test_scalar_cases(self):
@@ -229,12 +273,12 @@ class TestLdShrink:
         assert 0.0 <= v <= s + slack
         assert gap <= 1e-12 * best + slack**2
 
-    @pytest.mark.xfail(strict=True, reason="the closed form cancels for s far below 1")
     @pytest.mark.parametrize("s, tau", [(1e-18, 5e-19), (1.749584136841418e-06, 1e-122)])
     def test_tiny_values_keep_relative_accuracy(self, s, tau):
         # (s - 1)/2 + sqrt((1 + s)**2/4 - tau) has an absolute error of about
-        # 1e-16: at s = 1e-18 it rounds the minimizer s - tau to 0, whose
-        # objective is 1/3 higher, and at tau near 0 it passes s by 4e-18
+        # 1e-16: at s = 1e-18 it would round the minimizer s - tau to 0, whose
+        # objective is 1/3 higher, and at tau near 0 pass s by 4e-18; the
+        # cancellation-free form for s < 1 keeps s - tau
         v, gap, best = self.scalar_gap(s, tau)
         assert v <= s and gap <= 1e-12 * best
 

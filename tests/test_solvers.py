@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import robustpca.linalg as linalg
 import robustpca.solvers as solvers
 from robustpca.datagen import make_problem
-from robustpca.linalg import polar_orthogonal, svt
+from robustpca.linalg import ld_shrink, polar_orthogonal, svt
 from robustpca.solvers import (
     DivergenceError,
     FactoredLowRank,
@@ -507,6 +507,100 @@ class TestUffp:
         want = np.abs(s).sum() + lam * log_det_surrogate(factors.c)
         assert np.isclose(report.final_objective, want)
         assert report.svd_count == 3 * report.iterations
+
+    @staticmethod
+    def dropping_problem():
+        """A rank-3 problem at k = 8 whose uffp run keeps rank 3."""
+        prob = make_problem(150, 150, 3, 0.05, seed=12)
+        return prob, SolverConfig(k=8, lam=0.2 * np.linalg.norm(prob.x, 2))
+
+    def test_kept_rank_iterate_is_padded_to_k(self):
+        prob, cfg = self.dropping_problem()
+        widths = []
+        factors, _, report = solve_uffp(prob.x, cfg, on_iteration=lambda st: widths.append(
+            (st.u.shape[1], st.c.shape, st.v.shape[1])))
+        r = report.final_rank
+        assert r == 3
+        # every iterate carries only its kept directions, with a diagonal core
+        assert all(c == (w, w) and wv == w for w, c, wv in widths)
+        assert [w for w, _, _ in widths] == [r] * report.iterations
+        # the result has k columns again: orthonormal, and zero core outside r x r
+        assert factors.u.shape == factors.v.shape == (150, cfg.k)
+        assert factors.c.shape == (cfg.k, cfg.k)
+        for a in (factors.u, factors.v):
+            assert np.linalg.norm(a.T @ a - np.eye(cfg.k)) <= solvers.ORTHO_TOL
+        assert not np.any(factors.c[r:]) and not np.any(factors.c[:, r:])
+        assert np.all(np.diag(factors.c)[:r] > 0.0)
+
+    def test_widths_never_grow(self):
+        # on these problems the first shrink fixes the width; a later step may
+        # only drop further, never bring a direction back
+        prob = make_problem(80, 70, 3, 0.1, seed=19)
+        init = init_factors(prob.x, 10, 0)
+        for lam in default_lambda_grid(prob.x):
+            widths = []
+            solve_uffp(prob.x, SolverConfig(k=10, lam=float(lam)), _init=init,
+                       on_iteration=lambda st: widths.append(st.c.shape[0]))
+            assert all(a >= b for a, b in zip([10] + widths, widths)), lam
+
+    def test_kept_rank_loop_matches_width_k_reference(self):
+        # the uffp iteration written out of place at width k, with the zeroed
+        # directions carried.  Before each shrink that loop's core couples the
+        # kept directions to the free ones (u_kept.T @ m @ v_free), terms of the
+        # order of the residual, which rotate what it keeps; so the two agree
+        # to the solve's accuracy, here 1.8e-6 of max|L|, not to rounding
+        prob, cfg = self.dropping_problem()
+        x, k = prob.x, cfg.k
+        f = init_factors(x, k, cfg.seed)
+        u, c, v = f.u, f.c, f.v
+        theta, rho = np.zeros_like(x), min(1.0 / np.abs(x).max(), solvers.RHO_CAP)
+        for t in range(1, cfg.max_iter + 1):
+            misfit = x - (u @ c) @ v.T + theta / rho
+            s_ref = np.sign(misfit) * np.maximum(np.abs(misfit) - 1.0 / rho, 0.0)
+            m = x - s_ref + theta / rho
+            v = polar_orthogonal(m.T @ (u @ c))
+            u = polar_orthogonal(m @ (v @ c.T))
+            c = ld_shrink((u.T @ m) @ v, cfg.lam / rho)
+            r = x - (u @ c) @ v.T - s_ref
+            theta = theta + rho * r
+            rho = min(rho * solvers.KAPPA, solvers.RHO_CAP)
+            if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
+                break
+        l_ref = (u @ c) @ v.T
+        factors, s, report = solve_uffp(x, cfg)
+        assert report.converged and report.iterations == t
+        assert report.final_rank == np.linalg.matrix_rank(c) < k
+        assert np.max(np.abs(factors.dense() - l_ref)) <= 1e-5 * np.max(np.abs(l_ref))
+        assert np.max(np.abs(s - s_ref)) <= 1e-5 * np.max(np.abs(x))
+
+    def test_full_collapse_takes_no_factorization_after_iteration_1(self, monkeypatch):
+        prob = make_problem(60, 50, 2, 0.05, seed=8)
+        cfg = SolverConfig(k=4, lam=100.0 * np.linalg.norm(prob.x, 2))
+        init = init_factors(prob.x, cfg.k, cfg.seed)
+        events = []
+        polar, svd = solvers.polar_orthogonal, solvers._svd
+        monkeypatch.setattr(solvers, "polar_orthogonal",
+                            lambda a: events.append("factorization") or polar(a))
+        monkeypatch.setattr(solvers, "_svd", lambda a: events.append("factorization") or svd(a))
+        widths = []
+
+        def on_iteration(state):
+            widths.append(state.c.shape[0])
+            events.append("iteration %d" % state.t)
+
+        factors, s, report = solve_uffp(prob.x, cfg, on_iteration, _init=init)
+        assert events[:4] == ["factorization"] * 3 + ["iteration 1"]
+        assert events[4:] == ["iteration %d" % t for t in range(2, report.iterations + 1)]
+        assert report.svd_count == 3 and report.final_rank == 0
+        assert widths == [0] * report.iterations
+        assert report.final_objective == report.sparse_l1
+        assert factors.u.shape == (60, 4) and factors.v.shape == (50, 4)
+        for a in (factors.u, factors.v):
+            assert np.linalg.norm(a.T @ a - np.eye(cfg.k)) <= solvers.ORTHO_TOL
+        assert not np.any(factors.c) and not np.any(factors.dense())
+        # every residual, the last included, is measured against L = 0
+        assert np.isclose(relative_residual(prob.x, 0.0 * prob.x, s), report.final_residual,
+                          rtol=1e-12, atol=0.0)
 
     def test_overspecified_k_recovers_true_rank(self):
         prob = make_problem(200, 200, 5, 0.05, seed=7)

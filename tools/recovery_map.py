@@ -1,10 +1,11 @@
 """Map where the factored model recovers the low-rank part, cell by cell.
 
     python tools/recovery_map.py
+    python tools/recovery_map.py OLD_TREE NEW_TREE
 
 The paper's claim is that the factored model needs only an upper bound
 ``k`` on the rank.  In robustpca that claim rests on ``lambda_sweep``.  The
-script runs the checkout's ``src`` on ``make_problem(200, 200, r, f,
+script runs a checkout's ``src`` on ``make_problem(200, 200, r, f,
 seed=11)`` for every true rank r in {2, 5, 10}, excess ``k - r`` in {0, 5,
 15} and corruption fraction f in {0.05, 0.2}: 18 cells, all with the default
 ``SolverConfig``.  Per cell it prints
@@ -19,19 +20,27 @@ seed=11)`` for every true rank r in {2, 5, 10}, excess ``k - r`` in {0, 5,
   ``k = r``, which need no rank search and do not depend on ``k``.
 
 A cell passes when the sweep selects rank r at recovery at most ``GOOD``.
-A summary line gives the passing cells.  The run took about 4 s on a
-2-core x86-64.  The exit code is 0.
+With no argument the script maps the checkout that holds it, prints a
+summary line with the passing cells and exits 0.  The run took about 4 s on
+a 2-core x86-64.
+
+With two trees it maps each in its own subprocess, which imports that
+tree's ``src``, and prints every cell whose selected rank, pass status or
+selected recovery differs.  A cell that passes in OLD_TREE and fails in
+NEW_TREE is flagged ``FAILS NOW``, and one whose selected recovery grows by
+more than ``recovery_error``'s ``BENCHMARK.json`` bound (read from the
+checkout that holds this script) ``BEYOND BOUND``.  The script then exits 1
+if any cell is flagged, 0 otherwise, and 2 on a usage error.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from robustpca import SolverConfig, lambda_sweep, make_problem, solve_fffp, solve_ialm
-
+ROOT = Path(__file__).resolve().parent.parent
 SIDE, SEED = 200, 11
 RANKS = (2, 5, 10)
 EXCESS = (0, 5, 15)
@@ -43,28 +52,91 @@ def recovery(l, l_star):
     return float(np.linalg.norm(l - l_star) / np.linalg.norm(l_star))
 
 
-def main():
-    print("%3s %3s %5s  %8s %10s %7s  %10s %10s" % (
-        "r", "k", "f", "sel rank", "sel rec", "reached", "ialm rec", "fffp rec"))
-    passed = 0
+def cells(tree):
+    """The map of ``tree``'s ``src``: one row ``[r, k, f, selected rank,
+    selected recovery, reached, ialm recovery, fffp recovery]`` per cell."""
+    src = Path(tree).resolve() / "src"
+    sys.path.insert(0, str(src))
+    import robustpca as rp
+
+    if not Path(rp.__file__).resolve().is_relative_to(src):
+        raise RuntimeError("imported %s, not the package under %s" % (rp.__file__, src))
+    rows = []
     for r in RANKS:
         for f in FRACTIONS:
-            prob = make_problem(SIDE, SIDE, r, f, seed=SEED)
-            ialm = recovery(solve_ialm(prob.x, SolverConfig(k=None))[0], prob.l_star)
-            fffp = recovery(solve_fffp(prob.x, SolverConfig(k=r))[0].dense(), prob.l_star)
+            prob = rp.make_problem(SIDE, SIDE, r, f, seed=SEED)
+            ialm = recovery(rp.solve_ialm(prob.x, rp.SolverConfig(k=None))[0], prob.l_star)
+            fffp = recovery(rp.solve_fffp(prob.x, rp.SolverConfig(k=r))[0].dense(), prob.l_star)
             for excess in EXCESS:
-                entries, selected = lambda_sweep(prob.x, SolverConfig(k=r + excess))
+                entries, selected = rp.lambda_sweep(prob.x, rp.SolverConfig(k=r + excess))
                 scores = [(e.report.final_rank, recovery(e.factors.dense(), prob.l_star))
                           for e in entries]
                 rank, rec = scores[selected]
                 reached = any(s_rank == r and s_rec <= GOOD for s_rank, s_rec in scores)
-                passed += rank == r and rec <= GOOD
-                print("%3d %3d %5.2f  %8d %10.3g %7s  %10.3g %10.3g" % (
-                    r, r + excess, f, rank, rec, "yes" if reached else "no", ialm, fffp))
+                rows.append([r, r + excess, f, rank, rec, reached, ialm, fffp])
+    return rows
+
+
+def passes(row):
+    r, _, _, rank, rec = row[:5]
+    return rank == r and rec <= GOOD
+
+
+def show(rows):
+    print("%3s %3s %5s  %8s %10s %7s  %10s %10s" % (
+        "r", "k", "f", "sel rank", "sel rec", "reached", "ialm rec", "fffp rec"))
+    for r, k, f, rank, rec, reached, ialm, fffp in rows:
+        print("%3d %3d %5.2f  %8d %10.3g %7s  %10.3g %10.3g" % (
+            r, k, f, rank, rec, "yes" if reached else "no", ialm, fffp))
     print("sweep selects rank r at recovery <= %g on %d of %d cells" % (
-        GOOD, passed, len(RANKS) * len(EXCESS) * len(FRACTIONS)))
-    return 0
+        GOOD, sum(map(passes, rows)), len(rows)))
+
+
+def compare(old, new, bound):
+    """Lines describing the cells that differ between two maps, and whether
+    any cell got worse: from pass to fail, or its selected recovery up by
+    more than the relative ``bound``."""
+    lines, bad = [], False
+    for a, b in zip(old, new):
+        if (a[3], a[4], passes(a)) == (b[3], b[4], passes(b)):
+            continue
+        change = (b[4] - a[4]) / a[4] if a[4] else float("inf")
+        flags = ["FAILS NOW"] if passes(a) and not passes(b) else []
+        flags += ["BEYOND BOUND"] if change > bound else []
+        bad |= bool(flags)
+        lines.append("cell r=%d k=%d f=%.2f: rank %d -> %d, recovery %.6g -> %.6g (%+.3g), %s -> %s%s"
+                     % (*a[:3], a[3], b[3], a[4], b[4], change,
+                        "pass" if passes(a) else "fail", "pass" if passes(b) else "fail",
+                        "".join("  " + flag for flag in flags)))
+    lines.append("%d of %d cells differ; passing cells %d -> %d" % (
+        len(lines), len(old), sum(map(passes, old)), sum(map(passes, new))))
+    return lines, bad
+
+
+def _map_in_subprocess(tree):
+    done = subprocess.run([sys.executable, __file__, "--collect", str(Path(tree).resolve())],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "--collect":
+        print(json.dumps(cells(argv[2])))
+        return 0
+    if len(argv) == 1:
+        show(cells(ROOT))
+        return 0
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = _map_in_subprocess(argv[1]), _map_in_subprocess(argv[2])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "recovery_error")
+    lines, bad = compare(old, new, bound)
+    for line in lines:
+        print(line)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
