@@ -104,16 +104,17 @@ def _check_method_flags(args):
     """Refuse fffp or uffp without ``--k``, a weight flag that ``--method`` would
     ignore, and uffp without a weight (ValueError, so exit 2); run before any
     input is read or generated.  ialm reads no ``--k``.  ``bench`` has no
-    ``--lambda-sweep``."""
+    ``--lambda-sweep``, so its messages do not name it."""
     if args.k is None and args.method != "ialm":
         raise ValueError("--method %s needs --k" % args.method)
-    sweep = getattr(args, "lambda_sweep", False)
+    sweep = getattr(args, "lambda_sweep", None)  # None: the command has no such flag
     if sweep and (args.method != "uffp" or args.lam is not None):
         raise ValueError("--lambda-sweep needs --method uffp and no --lambda")
     if args.lam is not None and args.method == "fffp":
         raise ValueError("--method fffp has no weight; drop --lambda")
     if args.method == "uffp" and args.lam is None and not sweep:
-        raise ValueError("--method uffp needs --lambda or --lambda-sweep")
+        raise ValueError("--method uffp needs --lambda%s"
+                         % ("" if sweep is None else " or --lambda-sweep"))
 
 
 def cmd_synth(args):

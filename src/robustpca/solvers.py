@@ -71,8 +71,10 @@ __all__ = [
 
 RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count as zero
 
-# ceiling on the penalty weight: unbounded geometric growth would overflow
-# after a few hundred iterations
+# ceiling on the penalty weight, as a multiple of its data-scaled start (Lin,
+# Chen & Ma cap theirs at 1e7 times it), so the schedule scales with the data;
+# unbounded geometric growth would overflow after a few hundred iterations.
+# KAPPA**57 exceeds 1e10, so the ceiling binds from iteration 58 on
 RHO_CAP = 1e10
 KAPPA = 1.5  # geometric penalty growth per iteration
 
@@ -162,7 +164,10 @@ class SolverConfig:
     solvers (the first sparse threshold 1/rho reaches the largest entry) and
     at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, with sigma_1 from
     the factorization of ``x`` that its first singular-value step thresholds,
-    and grows by ``KAPPA`` per iteration, always capped at ``RHO_CAP``.  Every
+    and grows by ``KAPPA`` per iteration, capped at ``RHO_CAP`` times its
+    start.  So the schedule scales with the data: a power-of-two rescaling of
+    ``x`` rescales the outputs of solve_fffp and solve_ialm (solve_uffp's
+    ``lam`` is absolute, and its surrogate is not homogeneous).  Every
     solve starts at ``s = 0`` and ``theta = 0``.  For the factored solvers
     that is what a first sparse step at the start's threshold ``max|x|``
     would give on ``x`` minus the starting low-rank part, except where that
@@ -371,10 +376,14 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
     orthonormal ``u`` and ``v`` and a small core ``c``, and is formed once per
     block and iteration in a scratch as ``L = (u @ c) @ v.T``; ``u @ c`` and
     ``v`` are cast to the buffers' dtype once per iteration, so no block
-    product upcasts.  The penalty starts at ``min(rho0, RHO_CAP)``,
-    where ``rho0`` is the solver's data-scaled start.  Every solve starts at
-    ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of ``x`` and no
-    pass runs before iteration 1.
+    product upcasts.  The penalty starts at ``rho0``, the solver's
+    data-scaled start, and grows by ``KAPPA`` per iteration up to ``RHO_CAP *
+    rho0``.  That ceiling is finite: :func:`_as_rows` refuses a norm that
+    underflows, so some entry's square is positive and ``max|x|`` is above
+    about 1.6e-162 (3e-23 in float32), and both starts, ``1/max|x|`` and
+    ``1.25/sigma_1 <= 1.25/max|x|``, lie below about 1e162.  Every solve
+    starts at ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of ``x``
+    and no pass runs before iteration 1.
 
     ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
@@ -422,8 +431,7 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
         starts.pop()  # a one-row remainder joins the block above
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
     l_buf, a_buf = np.empty((2, min(rows + 1, d), n), dt)  # per-block scratch
-    rho0 = min(float(rho0), RHO_CAP)
-    rho = rho0
+    rho = rho0 = float(rho0)
     residuals = []
     svd_count = 0
 
@@ -446,7 +454,7 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         left, right = (u @ c).astype(dt, copy=False), v.astype(dt, copy=False)
         svd_count += svds
-        rho_next = min(rho * KAPPA, RHO_CAP)
+        rho_next = min(rho * KAPPA, RHO_CAP * rho0)
         ratio = rho / rho_next
         # the factored pass forms the next iteration's s, solve_ialm's this one's
         tau = weight / (rho_next if factored else rho)
@@ -584,8 +592,9 @@ def solve_fffp(x, cfg, on_iteration=None):
     soft-thresholding of the current misfit at 1/rho, the side factors by
     orthogonal-Procrustes (polar) updates, and the core by projection
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
-    residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP``).  Stops when the
-    relative residual reaches ``cfg.tol`` or after ``cfg.max_iter`` iterations.
+    residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP`` times its
+    start).  Stops when the relative residual reaches ``cfg.tol`` or after
+    ``cfg.max_iter`` iterations.
     Each iteration makes one row-block pass of the driver over the (d, n)
     buffers, which sums the residual and forms the next iteration's sparse
     part and workspace, plus two products with the workspace; the first

@@ -202,6 +202,18 @@ class TestDecompose:
         assert run("decompose", path, "--method", *method, "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [["fffp", "--k", "4"], ["ialm"]], ids=["fffp", "ialm"])
+    def test_power_of_two_scaled_input_scales_the_sparse_part(self, tmp_path, method):
+        # the penalty schedule scales with the data, so 2**-40 times X converges
+        # as X does and gives 2**-40 times its sparse part, bit for bit
+        assert run(*synth_args(tmp_path / "p", d=120, n=90, rank=4, seed=1)) == 0
+        scaled = tmp_path / "scaled.ffpm"
+        write_matrix(scaled, read_matrix(tmp_path / "p" / "X.ffpm") * 2.0**-40)
+        for name, path in (("plain", tmp_path / "p" / "X.ffpm"), ("scaled", scaled)):
+            assert run("decompose", path, "--method", *method, "--out", tmp_path / name) == 0
+        s = read_matrix(tmp_path / "plain" / "S.ffpm")
+        assert np.array_equal(read_matrix(tmp_path / "scaled" / "S.ffpm"), s * 2.0**-40)
+
     def test_iteration_cap_exits_3_with_outputs(self, problem_dir, tmp_path):
         out = tmp_path / "cap"
         code = run("decompose", problem_dir / "X.ffpm", "--method", "fffp", "--k", "3",
@@ -446,6 +458,14 @@ class TestBench:
         assert code == 2
         assert runs == [] and not out.exists()
         assert "--lambda" in capsys.readouterr().err
+
+    def test_missing_weight_names_only_flags_bench_has(self, tmp_path, capsys):
+        # bench has --lambda but no --lambda-sweep, so the message offers only --lambda
+        code = run("bench", "--axis", "samples", "--factors", "1", "--method", "uffp",
+                   "--out", tmp_path / "bench")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--method uffp needs --lambda" in err and "--lambda-sweep" not in err
 
 
 # the factored solvers have one start and one penalty schedule, and anomaly
