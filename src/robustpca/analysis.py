@@ -43,10 +43,14 @@ def compute_metrics(report, l, l_star=None):
 
     The rank, sparsity and residual are copied from the solve's ``report``,
     where they were measured; only the recovery error of ``l`` against the
-    ground truth ``l_star`` is computed here, and is None without it.
+    ground truth ``l_star`` is computed here, and is None without it.  An
+    ``l_star`` of another shape than ``l`` is refused, not broadcast.
     """
     recovery = None
     if l_star is not None:
+        if np.shape(l_star) != np.shape(l):
+            raise ValueError("l_star has shape %s, but l has shape %s"
+                             % (np.shape(l_star), np.shape(l)))
         norm_l = np.linalg.norm(l_star)
         if norm_l == 0.0:
             raise ValueError("l_star is zero; recovery error is undefined")

@@ -149,12 +149,25 @@ def _solve_with_method(x, args, cfg):
     return (*solve(x, cfg), {})
 
 
+def _score(args, low_rank, report):
+    """``compute_metrics`` against ``--truth`` if given.  The truth is read after
+    the solve, so a sweep does not hold it; it and the dense factored L,
+    formed only to score it, are dropped on return."""
+    if not args.truth:
+        return compute_metrics(report, None)
+    l = low_rank if args.method == "ialm" else low_rank.dense()
+    return compute_metrics(report, l, l_star=read_matrix(args.truth))
+
+
 def cmd_decompose(args):
     _check_method_flags(args)
     cfg = _config_from_args(args)
     start = time.perf_counter()
     x = read_matrix(args.input)
     low_rank, s, report, extra = _solve_with_method(x, args, cfg)
+    # scored before any write, so a truth that cannot be read or does not
+    # match leaves nothing under --out
+    metrics = _score(args, low_rank, report)
 
     out = _out_dir(args)
     parts = ([("L", low_rank)] if args.method == "ialm" else
@@ -164,12 +177,6 @@ def cmd_decompose(args):
         path = out / ("%s.ffpm" % name)
         write_matrix(path, matrix)
         outputs.append(path)
-
-    l, l_star = None, None  # the dense factored L is formed only to score it
-    if args.truth:
-        l_star = read_matrix(args.truth)
-        l = low_rank if args.method == "ialm" else low_rank.dense()
-    metrics = compute_metrics(report, l, l_star=l_star)
     return _finish(out, args, [args.input], outputs, start, report, cfg,
                    metrics=metrics, extra=extra)
 

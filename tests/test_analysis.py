@@ -92,6 +92,11 @@ class TestAnomalyDetect:
         assert np.array_equal(top_m_columns(scores, 2), [0, 2])
         assert np.array_equal(top_m_columns(scores, 3), [0, 2, 3])
 
+    @pytest.mark.parametrize("m", [-1, 5])
+    def test_top_m_outside_zero_to_size_rejected(self, m):
+        with pytest.raises(ValueError, match=r"m must lie in \[0, 4\]"):
+            top_m_columns(np.array([3.0, 1.0, 3.0, 2.0]), m)
+
     def test_negative_threshold_rejected(self):
         for threshold in (-1.0, float("nan")):
             with pytest.raises(ValueError):
@@ -133,6 +138,13 @@ class TestComputeMetrics:
     def test_zero_ground_truth_rejected(self):
         with pytest.raises(ValueError, match="l_star is zero"):
             compute_metrics(stub_report(), np.eye(3), l_star=np.zeros((3, 3)))
+
+    def test_ground_truth_of_another_shape_rejected(self):
+        # a (1, n) truth would broadcast against the (d, n) l
+        prob = make_problem(40, 30, 2, 0.05, seed=1)
+        factors, _, report = solve_fffp(prob.x, SolverConfig(k=2))
+        with pytest.raises(ValueError, match=r"\(1, 30\).*\(40, 30\)"):
+            compute_metrics(report, factors.dense(), l_star=prob.l_star[:1])
 
 
 class TestScalingBenchmark:

@@ -236,6 +236,32 @@ class TestDecompose:
         code = run("decompose", path, "--method", "fffp", "--k", "1", "--out", tmp_path / "o")
         assert code == 2
 
+    @pytest.fixture()
+    def small_problem(self, tmp_path):
+        prob = make_problem(40, 30, 2, 0.05, seed=1)
+        write_matrix(tmp_path / "X.ffpm", prob.x)
+        return tmp_path / "X.ffpm", prob.l_star
+
+    @pytest.mark.parametrize("shape", ["1x30", "40x5"])
+    def test_truth_of_another_shape_exits_2_and_writes_nothing(self, small_problem, tmp_path,
+                                                               shape):
+        # a 1x30 truth would broadcast against the 40x30 L
+        x_path, l_star = small_problem
+        write_matrix(tmp_path / "T.ffpm", {"1x30": l_star[:1], "40x5": l_star[:, :5]}[shape])
+        out = tmp_path / "dec"
+        code = run("decompose", x_path, "--method", "fffp", "--k", "2",
+                   "--truth", tmp_path / "T.ffpm", "--out", out)
+        assert code == 2
+        assert not out.exists()
+
+    def test_missing_truth_exits_4_and_writes_nothing(self, small_problem, tmp_path):
+        x_path, _ = small_problem
+        out = tmp_path / "dec"
+        code = run("decompose", x_path, "--method", "fffp", "--k", "2",
+                   "--truth", tmp_path / "nope.ffpm", "--out", out)
+        assert code == 4
+        assert not out.exists()
+
     def test_missing_input_exits_4(self, tmp_path):
         code = run("decompose", tmp_path / "nope.ffpm", "--method", "fffp", "--k", "2",
                    "--out", tmp_path / "o")

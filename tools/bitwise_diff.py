@@ -2,8 +2,9 @@
 
     python tools/bitwise_diff.py PARENT_TREE CHANGE_TREE
 
-Each tree's ``src`` is imported in its own subprocess, which runs a fixed,
-seeded corpus and pickles one ``{key: bytes}`` map.  The corpus:
+Each tree's ``src`` is imported in its own subprocess (through
+``tools/trees.py``), which runs a fixed, seeded corpus and pickles one
+``{key: bytes}`` map.  The corpus:
 
 * library solves on 400x400, 300x120 and 120x300 problems: the start
   factors, ``solve_fffp``, ``solve_uffp`` at a positive weight and at 0,
@@ -47,12 +48,13 @@ import json
 import os
 import pickle
 import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+import trees
 
 LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
 
@@ -253,39 +255,22 @@ def _cli(out, work):
             out[key] = path.read_bytes()
 
 
-def collect(tree, dump):
-    """Run the corpus against ``tree`` (already first on sys.path) into ``dump``."""
-    import robustpca
-
-    src = (Path(tree).resolve() / "src").as_posix()
-    if not Path(robustpca.__file__).resolve().as_posix().startswith(src + "/"):
-        raise RuntimeError("imported %s, not the package under %s" % (robustpca.__file__, src))
+def collect():
+    """Run the corpus: ``{key: bytes}``."""
     out = {}
     _library(out)
     with tempfile.TemporaryDirectory() as work:
         _cli(out, work)
-    with open(dump, "wb") as f:
-        pickle.dump(out, f)
-
-
-def _run_tree(tree, dump):
-    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    subprocess.run([sys.executable, __file__, "--collect", str(tree), str(dump)],
-                   env=env, check=True)
-    with open(dump, "rb") as f:
-        return pickle.load(f)  # written just now by our own subprocess
+    return out
 
 
 def main(argv):
-    if len(argv) == 4 and argv[1] == "--collect":
-        collect(argv[2], argv[3])
+    if trees.serve(collect, argv):
         return 0
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = _run_tree(argv[1], Path(tmp) / "parent.pkl")
-        change = _run_tree(argv[2], Path(tmp) / "change.pkl")
+    parent, change = (trees.run(__file__, tree) for tree in argv[1:])
     keys = parent.keys() | change.keys()
     differ = sorted(key for key in keys if parent.get(key) != change.get(key))
     files = [{key.split(":")[0] for key in tree} for tree in (parent, change)]

@@ -3,11 +3,11 @@
     python tools/per_instance.py OLD_TREE NEW_TREE [WORKLOAD ...]
 
 Each tree's ``src`` and its ``perfbench/workloads.py`` are imported in their
-own subprocess (read only), which builds every instance of seeds 1-5 of the
-named workloads (all four if none is named) at full size, runs one
-operation on each and applies the workload's correctness gate.  This is
-what the ``perfbench`` medians cannot show: a run-level median covers
-however many operations fit in its time.
+own subprocess (read only, through ``tools/trees.py``), which builds every
+instance of seeds 1-5 of the named workloads (all four if none is named) at
+full size, runs one operation on each and applies the workload's
+correctness gate.  This is what the ``perfbench`` medians cannot show: a
+run-level median covers however many operations fit in its time.
 
 For every instance whose iteration count or recovery error differs, the
 script prints both values and the relative change.  A change that makes the
@@ -26,12 +26,10 @@ all four workloads took under a minute per tree on a 2-core x86-64.
 import contextlib
 import io
 import json
-import os
-import pickle
-import subprocess
 import sys
 import tempfile
-from pathlib import Path
+
+import trees
 
 SEEDS = (1, 2, 3, 4, 5)
 WORKLOADS = ("fffp_2000", "sweep_cli_400", "background_cli", "ialm_400")
@@ -51,24 +49,18 @@ def selection(workload):
     return lams.index(report["selected_lam"]), report["report"]["final_rank"]
 
 
-def collect(tree, dump, names=WORKLOADS, scale="full", seeds=SEEDS):
-    """Run every instance of the workloads ``names`` in ``tree`` (already first
-    on sys.path) into ``dump``:
+def collect(*names):
+    """Run every instance of the workloads ``names`` at full size:
     ``{(workload, seed, instance): (iterations, recovery_error, problems,
     selection)}``, where ``selection`` is :func:`selection` for
     ``sweep_cli_400`` and ``(None, None)`` otherwise."""
-    import robustpca
     import workloads
 
-    root = Path(tree).resolve()
-    for module, home in ((robustpca, root / "src"), (workloads, root / "perfbench")):
-        if not Path(module.__file__).resolve().is_relative_to(home):
-            raise RuntimeError("imported %s, not the module under %s" % (module.__file__, home))
     out = {}
     for name in names:
-        for seed in seeds:
+        for seed in SEEDS:
             with tempfile.TemporaryDirectory() as work:
-                workload = workloads.WORKLOADS[name](seed, scale, work)
+                workload = workloads.WORKLOADS[name](seed, "full", work)
                 workload.generate()
                 for index in range(len(workload.cases)):
                     workload.prepare()
@@ -78,24 +70,7 @@ def collect(tree, dump, names=WORKLOADS, scale="full", seeds=SEEDS):
                     picked = selection(workload) if name == SWEEP else (None, None)
                     out[name, seed, index] = (outcome.iterations, outcome.recovery_error,
                                               list(outcome.problems), picked)
-    with open(dump, "wb") as f:
-        pickle.dump(out, f)
-
-
-def _run_tree(tree, dump, names):
-    root = Path(tree).resolve()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
-                                                       str(root / "perfbench")]))
-    subprocess.run([sys.executable, __file__, "--collect", str(root), str(dump), *names],
-                   env=env, check=True)
-    with open(dump, "rb") as f:
-        return pickle.load(f)  # written just now by our own subprocess
-
-
-def bounds():
-    """The relative bound of each compared figure, from BENCHMARK.json."""
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
-    return {m["name"]: m["bound"] for m in spec["end_to_end"] if m["name"] in FIGURES}
+    return out
 
 
 def compare(old, new, limits, names=WORKLOADS):
@@ -147,8 +122,7 @@ def compare(old, new, limits, names=WORKLOADS):
 
 
 def main(argv):
-    if len(argv) >= 4 and argv[1] == "--collect":
-        collect(argv[2], argv[3], argv[4:] or WORKLOADS)
+    if trees.serve(collect, argv):
         return 0
     names = tuple(dict.fromkeys(argv[3:])) or WORKLOADS
     unknown = [name for name in names if name not in WORKLOADS]
@@ -158,10 +132,8 @@ def main(argv):
                                                          ", ".join(WORKLOADS)), file=sys.stderr)
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        old = _run_tree(argv[1], Path(tmp) / "old.pkl", names)
-        new = _run_tree(argv[2], Path(tmp) / "new.pkl", names)
-    lines, bad = compare(old, new, bounds(), names)
+    old, new = (trees.run(__file__, tree, *names) for tree in argv[1:3])
+    lines, bad = compare(old, new, {figure: trees.bound(figure) for figure in FIGURES}, names)
     for line in lines:
         print(line)
     return 1 if bad else 0

@@ -24,23 +24,22 @@ With no argument the script maps the checkout that holds it, prints a
 summary line with the passing cells and exits 0.  The run took about 4 s on
 a 2-core x86-64.
 
-With two trees it maps each in its own subprocess, which imports that
-tree's ``src``, and prints every cell whose selected rank, pass status or
-selected recovery differs.  A cell that passes in OLD_TREE and fails in
-NEW_TREE is flagged ``FAILS NOW``, and one whose selected recovery grows by
-more than ``recovery_error``'s ``BENCHMARK.json`` bound (read from the
-checkout that holds this script) ``BEYOND BOUND``.  The script then exits 1
-if any cell is flagged, 0 otherwise, and 2 on a usage error.
+Each map is made in its own subprocess, which imports that tree's ``src``
+(through ``tools/trees.py``).  With two trees the script prints every cell
+whose selected rank, pass status or selected recovery differs.  A cell that
+passes in OLD_TREE and fails in NEW_TREE is flagged ``FAILS NOW``, and one
+whose selected recovery grows by more than ``recovery_error``'s
+``BENCHMARK.json`` bound (read from the checkout that holds this script)
+``BEYOND BOUND``.  The script then exits 1 if any cell is flagged, 0
+otherwise, and 2 on a usage error.
 """
 
-import json
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+import trees
+
 SIDE, SEED = 200, 11
 RANKS = (2, 5, 10)
 EXCESS = (0, 5, 15)
@@ -52,15 +51,11 @@ def recovery(l, l_star):
     return float(np.linalg.norm(l - l_star) / np.linalg.norm(l_star))
 
 
-def cells(tree):
-    """The map of ``tree``'s ``src``: one row ``[r, k, f, selected rank,
-    selected recovery, reached, ialm recovery, fffp recovery]`` per cell."""
-    src = Path(tree).resolve() / "src"
-    sys.path.insert(0, str(src))
+def collect():
+    """The map: one row ``[r, k, f, selected rank, selected recovery, reached,
+    ialm recovery, fffp recovery]`` per cell."""
     import robustpca as rp
 
-    if not Path(rp.__file__).resolve().is_relative_to(src):
-        raise RuntimeError("imported %s, not the package under %s" % (rp.__file__, src))
     rows = []
     for r in RANKS:
         for f in FRACTIONS:
@@ -113,26 +108,17 @@ def compare(old, new, bound):
     return lines, bad
 
 
-def _map_in_subprocess(tree):
-    done = subprocess.run([sys.executable, __file__, "--collect", str(Path(tree).resolve())],
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
-
-
 def main(argv):
-    if len(argv) == 3 and argv[1] == "--collect":
-        print(json.dumps(cells(argv[2])))
+    if trees.serve(collect, argv):
         return 0
     if len(argv) == 1:
-        show(cells(ROOT))
+        show(trees.run(__file__, trees.ROOT))
         return 0
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    old, new = _map_in_subprocess(argv[1]), _map_in_subprocess(argv[2])
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "recovery_error")
-    lines, bad = compare(old, new, bound)
+    old, new = (trees.run(__file__, tree) for tree in argv[1:])
+    lines, bad = compare(old, new, trees.bound("recovery_error"))
     for line in lines:
         print(line)
     return 1 if bad else 0
