@@ -21,21 +21,27 @@ over them; the low-rank part is kept as factors, formed a row block at a
 time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
 copied once.
 
-solve_fffp and solve_uffp solve in the data's precision: for float32 ``x``
-the buffers, the block scratch and every product with them are float32,
-which halves the bytes each pass moves; for float64 ``x`` they are
-float64.  Any other dtype converts to float64, as does float32 input to
-solve_ialm and lambda_sweep.  The factors, the core and every small
-factorization stay float64.  A C-ordered input of the solve's precision
-is not copied.  Float32 buffers sum squares in float32, so float32 data
-needs ``||x||_F`` below about 1e19 (a DivergenceError otherwise) and
-entries not all below about 1e-22 in magnitude (a ValueError for a norm
-that underflows); convert data outside that range to float64.
+Every solve runs on the working matrix ``x * 2**-e`` (see ``_as_rows``):
+``e`` is 0, and nothing is copied or changed, when max|x| lies in [2**-32,
+2**32], and otherwise brings max|x| into [1, 2).  The rescale is exact, and
+the outputs are scaled back exactly, so data of any finite scale solves
+without its norm or its squares overflowing or underflowing.
+
+solve_fffp and solve_uffp solve in float32 buffers for float32 ``x``, and
+for any other ``x`` whenever ``cfg.tol >= FLOAT32_TOL``, which the default
+tol is: the buffers, the block scratch and every product with them are
+then float32, which halves the bytes each pass moves.  Below that tol they
+solve in float64.  solve_ialm and lambda_sweep always solve in float64.
+The sparse part is returned as float32 for float32 ``x`` and as float64
+otherwise; the factors, the core and every small factorization stay
+float64.  ``SolveReport.buffer_dtype`` names the buffers' dtype.  A
+C-ordered input of the buffers' dtype inside the band is not copied; any
+other input is copied once, with its cast and rescale in the same pass.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +83,10 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 # KAPPA**57 exceeds 1e10, so the ceiling binds from iteration 58 on
 RHO_CAP = 1e10
 KAPPA = 1.5  # geometric penalty growth per iteration
+
+# solve_fffp and solve_uffp take float32 buffers for float64 data from this tol
+# up; the residual of float32 buffers stalls near 1e-7 (see SolverConfig.tol)
+FLOAT32_TOL = 1e-5
 
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
 SVT_START_RANK = 10  # predicted rank of the first iteration
@@ -151,10 +161,14 @@ class SolverConfig:
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    tol      : relative-residual stopping threshold, in (0, 1).  For float32
-               data (see the module docstring) keep it at or above about
-               1e-6: the residual of float32 buffers stalls near 1e-7, so a
-               smaller tol runs to max_iter and reports converged=False.
+    tol      : relative-residual stopping threshold, in (0, 1).  It also
+               sets the precision of solve_fffp and solve_uffp (see the
+               module docstring): from ``FLOAT32_TOL`` (1e-5) up they solve
+               float64 data in float32 buffers, below it in float64.  For
+               float32 data, which always solves in float32, keep it at or
+               above about 1e-6: the residual of float32 buffers stalls near
+               1e-7, so a smaller tol runs to max_iter and reports
+               converged=False.
     max_iter : iteration cap
     seed     : seed of the Gaussian draws: the test matrix of the factored
                solvers' randomized truncated-SVD start (:func:`init_factors`)
@@ -167,7 +181,8 @@ class SolverConfig:
     and grows by ``KAPPA`` per iteration, capped at ``RHO_CAP`` times its
     start.  So the schedule scales with the data: a power-of-two rescaling of
     ``x`` rescales the outputs of solve_fffp and solve_ialm (solve_uffp's
-    ``lam`` is absolute, and its surrogate is not homogeneous).  Every
+    ``lam`` is absolute, in the data's units, and its surrogate is not
+    homogeneous).  Every
     solve starts at ``s = 0`` and ``theta = 0``.  For the factored solvers
     that is what a first sparse step at the start's threshold ``max|x|``
     would give on ``x`` minus the starting low-rank part, except where that
@@ -206,7 +221,10 @@ class SolveReport:
     A widened retry of the baseline's partial thresholding counts as a
     further SVD, so its svd_count can exceed its iteration count.  rho0 is
     the penalty weight of the first iteration, the solver's data-scaled
-    start (see :class:`SolverConfig`).
+    start (see :class:`SolverConfig`); it, sparse_l1 and final_objective
+    are in the data's units, whatever the working scale (see ``_as_rows``).
+    buffer_dtype names the dtype of the solve's (d, n) buffers, "float32"
+    or "float64" (see the module docstring).
     per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
     iteration, with the squares summed over the driver's row blocks, so it
     can differ from :func:`relative_residual` in the last bits;
@@ -227,6 +245,7 @@ class SolveReport:
     wall_time: float
     final_objective: float
     converged: bool
+    buffer_dtype: str
 
 
 class IterationState(NamedTuple):
@@ -247,8 +266,11 @@ class IterationState(NamedTuple):
     end-of-iteration growth step, and ``theta`` is the multiplier for it,
     formed on demand as ``rho * (m - x + s_next)`` from the solver's
     workspace ``m`` and that next sparse part ``s_next``.  ``s`` and
-    ``theta`` have the dtype of the solver's buffers (float32 for float32
-    data); ``u``, ``c`` and ``v`` are float64.
+    ``theta`` have the dtype of the solver's buffers (see
+    ``SolveReport.buffer_dtype``); ``u``, ``c`` and ``v`` are float64.  Every
+    field is in the units of the working matrix ``x * 2**-e`` (see
+    ``_as_rows``), which are the data's unless max|x| lies outside [2**-32,
+    2**32].
     """
 
     t: int
@@ -344,28 +366,51 @@ def relative_residual(x, l, s):
     return float(np.linalg.norm(x - l - s) / norm_x)
 
 
-def _as_rows(x, keep_float32=False):
-    """The entry gate of every solve: ``(x, norm_x)``, with ``x`` as a C-ordered
-    matrix with finite entries, so that its row blocks are contiguous (no copy
-    for C-ordered input, one copy otherwise), and ``norm_x`` its Frobenius
-    norm.  The matrix is float64, or float32 for float32 ``x`` with
-    ``keep_float32``.  Raises ValueError if ``norm_x`` is 0 or underflows to
-    0: no relative residual exists, so no solve starts and nothing is drawn.
+def _as_rows(x, dtype=np.float64):
+    """The entry gate of every solve: ``(x, e, norm_x)``.
+
+    ``x`` becomes the working matrix ``x * 2**-e``: C-ordered, so that its
+    row blocks are contiguous, with finite entries, and of ``dtype`` (float32
+    or float64).  ``e`` is 0 when max|x| lies in [2**-32, 2**32], so that a
+    C-ordered input of ``dtype`` is neither copied nor changed; otherwise
+    ``e`` brings max|x| into [1, 2).  Any copy is made in one pass, with the
+    cast and the rescale folded in; the rescale runs in float64, so it is
+    exact, and a float32 ``dtype`` rounds once, where entries below 2**-126
+    of max|x| lose bits.  So ``norm_x``, the
+    working matrix's Frobenius norm, neither overflows nor underflows, even
+    when summed in float32.  Raises ValueError for the zero matrix: no
+    relative residual exists, so no solve starts and nothing is drawn.
     """
-    x = np.ascontiguousarray(_as_matrix(x, "x", keep_float32))
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        raise ValueError("x has zero Frobenius norm (the zero matrix, or entries so small "
-                         "that the norm underflows); the relative residual is undefined")
-    return x, norm_x
+    x = _as_matrix(x, "x", keep_float32=True)
+    top = float(max(x.max(), -x.min()))
+    if top == 0.0:
+        raise ValueError("x has zero Frobenius norm (it is the zero matrix); "
+                         "the relative residual is undefined")
+    e = 0 if 2.0**-32 <= top <= 2.0**32 else math.frexp(top)[1] - 1
+    if e == 0:
+        x = np.ascontiguousarray(x, dtype=dtype)
+    else:
+        x = np.ldexp(x, -e, out=np.empty(x.shape, dtype), dtype=np.float64)
+    return x, e, np.linalg.norm(x)
 
 
-def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None,
+def _in_data_units(s, e, dtype):
+    """The sparse part ``s`` of a working matrix ``x * 2**-e`` as ``dtype``, in
+    the data's units: ``s * 2**e``, scaled in place once it has ``dtype``."""
+    if s.dtype != dtype:
+        s = s.astype(dtype)
+    return np.ldexp(s, e, out=s) if e else s
+
+
+def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None,
          factored=False):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    ``x`` and its Frobenius norm ``norm_x`` come from :func:`_as_rows`, so
-    ``x`` is C-ordered and ``norm_x`` is positive.  The loop keeps the
+    ``x``, its exponent ``e`` and its Frobenius norm ``norm_x`` come from
+    :func:`_as_rows`, so ``x`` is the C-ordered working matrix, max|x| lies
+    in [2**-32, 2**32] and ``norm_x`` is positive.  The loop runs in the
+    working matrix's units; the report and the returned core are in the
+    data's (``e`` scales them back).  The loop keeps the
     sparse part ``s`` and the workspace ``m`` as (d, n) buffers of the dtype
     of ``x`` (float32 or float64) and makes every pass over them: one per
     iteration, in contiguous row blocks of about ``ROW_BLOCK_ENTRIES``
@@ -378,10 +423,9 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
     ``v`` are cast to the buffers' dtype once per iteration, so no block
     product upcasts.  The penalty starts at ``rho0``, the solver's
     data-scaled start, and grows by ``KAPPA`` per iteration up to ``RHO_CAP *
-    rho0``.  That ceiling is finite: :func:`_as_rows` refuses a norm that
-    underflows, so some entry's square is positive and ``max|x|`` is above
-    about 1.6e-162 (3e-23 in float32), and both starts, ``1/max|x|`` and
-    ``1.25/sigma_1 <= 1.25/max|x|``, lie below about 1e162.  Every solve
+    rho0``.  That ceiling is finite: max|x| is at least 2**-32, so both
+    starts, ``1/max|x|`` and ``1.25/sigma_1 <= 1.25/max|x|``, lie below
+    1.25 * 2**32.  Every solve
     starts at ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of ``x``
     and no pass runs before iteration 1.
 
@@ -417,9 +461,11 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
     :class:`IterationState`, whose ``theta`` is formed from ``m`` and the
     sparse buffer the next step reads (``s`` itself for solve_ialm).  The
     loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c,
-    sparse_l1)`` gives the final rank and objective from the last core; wall
-    time counts from ``t_start``.  Returns ``(FactoredLowRank(u, c, v), s,
-    report)`` for the last iterate.
+    sparse_l1)`` gives the final rank and objective from the last core and
+    the l1 norm of ``s``, both in the data's units; wall time counts from
+    ``t_start``.  Returns ``(FactoredLowRank(u, c, v), s, report)`` for the
+    last iterate, with ``c`` in the data's units and ``s`` the working
+    matrix's sparse buffer.
     """
     d, n = x.shape
     dt = x.dtype
@@ -497,12 +543,13 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
         if residual <= cfg.tol:
             break
 
-    sparse_l1 = float(np.abs(s, out=m).sum(dtype=np.float64))
+    sparse_l1 = math.ldexp(float(np.abs(s, out=m).sum(dtype=np.float64)), e)
+    c = np.ldexp(c, e)
     final_rank, objective = summary(c, sparse_l1)
     return FactoredLowRank(u, c, v), s, SolveReport(
         iterations=t,
         svd_count=svd_count,
-        rho0=rho0,
+        rho0=math.ldexp(rho0, -e),
         per_iter_residual=residuals,
         final_rank=final_rank,
         sparsity_ratio=sparsity_ratio(s),
@@ -511,23 +558,25 @@ def _alm(x, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None
         wall_time=time.perf_counter() - t_start,
         final_objective=objective,
         converged=residual <= cfg.tol,
+        buffer_dtype=dt.name,
     )
 
 
-def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
-    """Run the factored step in :func:`_alm` with surrogate weight
-    ``lam_ld`` (0 for solve_fffp).  ``init``, if given, is the caller's
+def _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration=None, init=None):
+    """Run the factored step in :func:`_alm` on the working matrix ``x`` from
+    :func:`_as_rows`, with surrogate weight ``lam_ld`` (0 for solve_fffp) in
+    the data's units.  ``init``, if given, is the caller's
     ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
 
     With ``lam_ld > 0`` each step rotates the factors into the singular
-    basis of the core, shrinks its values and keeps only the directions
+    basis of the core, shrinks its values at the data's scale, as
+    ``_ld_values(sigma * 2**e, tau * 2**e) * 2**-e``, so that ``lam_ld``
+    means the same at any working scale, and keeps only the directions
     whose value stays positive, so the iterate's width never grows; a
     width-0 iterate takes no factorization.  The returned factors are
-    padded back to width k by :func:`_pad_factors`.
+    padded back to width k by :func:`_pad_factors`; the sparse part is the
+    working matrix's.
     """
-    x, norm_x = _as_rows(x, keep_float32=True)
-    t_start = time.perf_counter()
-
     start = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = start.u, start.c, start.v
 
@@ -546,7 +595,7 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
         if tau == 0.0:
             return u, c, v, 2
         p, sigma, q = _svd(c)
-        values = _ld_values(sigma, tau)
+        values = np.ldexp(_ld_values(np.ldexp(sigma, e), np.ldexp(tau, e)), -e)
         keep = values > 0.0
         u, c, v = u @ p[:, keep], np.diag(values[keep]), v @ q[:, keep]
         return u, c, v, 3
@@ -558,9 +607,21 @@ def _solve_factored(x, cfg, lam_ld, on_iteration=None, init=None):
 
     # 1/max|x|, with max|x| taken without a (d, n) temporary
     rho0 = 1.0 / float(max(x.max(), -x.min()))
-    factors, s, report = _alm(x, norm_x, cfg, 1.0, rho0, t_start, step, summary,
+    factors, s, report = _alm(x, e, norm_x, cfg, 1.0, rho0, t_start, step, summary,
                               on_iteration, factored=True)
     return _pad_factors(factors, start), s, report
+
+
+def _solve(x, cfg, lam_ld, on_iteration):
+    """solve_fffp and solve_uffp: the precision rule of the module docstring
+    around :func:`_solve_factored`, and ``s`` back in the data's units, as
+    float32 for float32 ``x`` and float64 otherwise."""
+    t_start = time.perf_counter()
+    dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+    x, e, norm_x = _as_rows(x, np.float32 if cfg.tol >= FLOAT32_TOL else dtype)
+    factors, s, report = _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration)
+    del x  # a working copy goes before s is upcast, so the upcast adds no peak
+    return factors, _in_data_units(s, e, dtype), report
 
 
 def _pad_factors(factors, start):
@@ -598,14 +659,15 @@ def solve_fffp(x, cfg, on_iteration=None):
     Each iteration makes one row-block pass of the driver over the (d, n)
     buffers, which sums the residual and forms the next iteration's sparse
     part and workspace, plus two products with the workspace; the first
-    iteration reads ``s = 0``.  A non-C-ordered ``x`` is copied once.
+    iteration reads ``s = 0``.  The precision and the copy of ``x``, if any,
+    follow the module docstring.
 
     Returns ``(factors, s, report)``.
     """
-    return _solve_factored(x, cfg, 0.0, on_iteration)
+    return _solve(x, cfg, 0.0, on_iteration)
 
 
-def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
+def solve_uffp(x, cfg, on_iteration=None):
     """Rank-discovering variant of :func:`solve_fffp`.
 
     Identical loop except the core update is shrunk by the log-det map of
@@ -615,15 +677,14 @@ def solve_uffp(x, cfg, on_iteration=None, *, _init=None):
     it keeps, so after the first shrink an iteration costs O(r * d * n) at
     kept rank r instead of O(k * d * n).  The returned ``u`` and ``v`` are
     padded to k orthonormal columns, and ``c`` to k x k with zeros.
-    ``cfg.lam`` must be set; ``lam = 0`` reproduces solve_fffp bit for bit.
-    ``_init`` is private: :func:`lambda_sweep` passes the starting factors
-    it shares across its grid.
+    ``cfg.lam`` must be set, in the data's units; ``lam = 0`` reproduces
+    solve_fffp bit for bit.
 
     Returns ``(factors, s, report)``.
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
-    return _solve_factored(x, cfg, float(cfg.lam), on_iteration, _init)
+    return _solve(x, cfg, float(cfg.lam), on_iteration)
 
 
 def _ritz_triplets(m, rank, start, rng):
@@ -716,15 +777,15 @@ def solve_ialm(x, cfg):
     the workspace for the grown rho is formed from the sparse step's clip,
     the updated ``theta/rho``.  The thresholded low-rank part is kept as
     factors in the loop and formed once at the end; a non-C-ordered ``x``
-    is copied once.  The solve runs in float64: a float32 ``x`` is
+    is copied once.  The solve runs in float64 at any tol: a float32 ``x`` is
     converted (one (d, n) copy), so its solve is that of
     ``x.astype(np.float64)`` bit for bit.  The partial thresholding's
     accuracy was measured in float64 only.
 
     Returns ``(l, s, report)``.
     """
-    x, norm_x = _as_rows(x)
     t_start = time.perf_counter()
+    x, e, norm_x = _as_rows(x)
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(x.shape))
     rng = np.random.default_rng(cfg.seed)
@@ -742,8 +803,9 @@ def solve_ialm(x, cfg):
     def summary(c, sparse_l1):
         return _spectrum_rank(np.diag(c)), float(np.diag(c).sum() + lam * sparse_l1)
 
-    low_rank, s, report = _alm(x, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step, summary)
-    return low_rank.dense(), s, report
+    low_rank, s, report = _alm(x, e, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step,
+                               summary)
+    return low_rank.dense(), _in_data_units(s, e, np.float64), report
 
 
 # ascending, so the grid is too: lambda_sweep's entries keep this order
@@ -781,7 +843,7 @@ def default_lambda_grid(x):
 
 
 def lambda_sweep(x, cfg):
-    """Run :func:`solve_uffp` over a grid of weights and pick one run.
+    """Run solve_uffp's iteration over a grid of weights and pick one run.
 
     Returns ``(entries, selected)`` where ``entries`` is one
     :class:`SweepEntry` per value of :func:`default_lambda_grid` (ascending)
@@ -812,16 +874,21 @@ def lambda_sweep(x, cfg):
     ``x`` in all rather than one copy each; collapsed runs and dense noise
     stay dense.
     A non-C-ordered ``x`` is copied once for the whole sweep.  The sweep runs
-    in float64, also for float32 ``x``: entry ranks below the selection move
-    with round-off (a grid scaled by 1 + 1e-12 already moves some), and
-    float32's is far larger.
+    in float64 at any tol, also for float32 ``x``: entry ranks below the
+    selection move with round-off (a grid scaled by 1 + 1e-12 already moves
+    some), and float32's is far larger.  So each entry is the float64 solve
+    of ``solve_uffp`` with that weight, which at a tol below ``FLOAT32_TOL``
+    is ``solve_uffp`` itself, bit for bit.  The weights are in the data's
+    units: the grid is taken on the working matrix and scaled back.
     """
-    x, _ = _as_rows(x)
-    grid = default_lambda_grid(x)
+    x, e, norm_x = _as_rows(x)
+    grid = np.ldexp(default_lambda_grid(x), e)  # in the data's units
     init = init_factors(x, cfg.k, cfg.seed)
     entries = []
     for lam in grid:
-        factors, s, report = solve_uffp(x, replace(cfg, lam=float(lam)), _init=init)
+        factors, s, report = _solve_factored(x, e, norm_x, time.perf_counter(), cfg,
+                                             float(lam), init=init)
+        s = _in_data_units(s, e, np.float64)
         if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
             index = np.flatnonzero(s)
             s = index, s.ravel()[index]

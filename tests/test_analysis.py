@@ -108,7 +108,7 @@ def stub_report(final_rank=2, sparsity=0.25, residual=0.01):
                        per_iter_residual=[0.5, 0.1, residual],
                        final_rank=final_rank, sparsity_ratio=sparsity, sparse_l1=1.5,
                        final_residual=residual, wall_time=0.125, final_objective=1.5,
-                       converged=True)
+                       converged=True, buffer_dtype="float64")
 
 
 class TestComputeMetrics:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import robustpca.solvers as solvers
 from robustpca import cli
 from robustpca.cli import build_parser, main
 from robustpca.datagen import make_problem
@@ -193,14 +194,34 @@ class TestDecompose:
             assert code == 2
 
     @pytest.mark.parametrize("method", [["fffp", "--k", "2"], ["ialm"]], ids=["fffp", "ialm"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_iterate_exits_1_and_writes_nothing(self, tmp_path, method):
-        # finite entries up to about 6e157, but the residual's squares overflow
-        path = tmp_path / "huge.ffpm"
-        write_matrix(path, make_problem(60, 50, 2, 0.05, seed=1).x * 2.0**520)
+    def test_non_finite_iterate_exits_1_and_writes_nothing(self, tmp_path, method,
+                                                           monkeypatch):
+        # the low-rank step of iteration 2 returns a factor with a NaN entry
+        real = {"fffp": solvers.polar_orthogonal, "ialm": solvers._svt_step}[method[0]]
+        calls = []
+
+        def poisoned(*args):
+            out = real(*args)
+            calls.append(out)
+            if len(calls) == (4 if method[0] == "fffp" else 2):  # fffp: 2 calls per step
+                (out if method[0] == "fffp" else out[0])[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(solvers, real.__name__, poisoned)
+        path = tmp_path / "x.ffpm"
+        write_matrix(path, make_problem(60, 50, 2, 0.05, seed=1).x)
         out = tmp_path / "dec"
         assert run("decompose", path, "--method", *method, "--out", out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, tol, want", [
+        ("fffp", "1e-3", "float32"), ("fffp", "1e-6", "float64"), ("ialm", "1e-3", "float64")])
+    def test_report_names_the_buffer_dtype(self, problem_dir, tmp_path, method, tol, want):
+        out = tmp_path / "dec"
+        code = run("decompose", problem_dir / "X.ffpm", "--method", method, "--k", "3",
+                   "--tol", tol, "--out", out)
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["report"]["buffer_dtype"] == want
 
     @pytest.mark.parametrize("method", [["fffp", "--k", "4"], ["ialm"]], ids=["fffp", "ialm"])
     def test_power_of_two_scaled_input_scales_the_sparse_part(self, tmp_path, method):

@@ -292,6 +292,7 @@ class TestReportJson:
             wall_time=0.125,
             final_objective=1.5,
             converged=True,
+            buffer_dtype="float32",
         )
         cfg = SolverConfig(k=2, lam=0.5)
         path = tmp_path / "report.json"
@@ -301,6 +302,7 @@ class TestReportJson:
         assert payload["report"]["per_iter_residual"] == [0.5, 0.1, 0.01]
         assert payload["report"]["converged"] is True
         assert payload["report"]["rho0"] == 0.25
+        assert payload["report"]["buffer_dtype"] == "float32"
         assert payload["config"]["k"] == 2
         assert payload["config"]["lam"] == 0.5
         assert payload["note"] == [1, 2]

@@ -12,6 +12,9 @@ Each tree's ``src`` is imported in its own subprocess (through
   and positive-weight ``solve_uffp`` runs, ``solve_ialm`` converged and at
   the iteration cap, the default lambda grid, and every ``lambda_sweep``
   entry and the selected index;
+* ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 400x400
+  and 300x120 problems at tol 1e-6, below ``FLOAT32_TOL``, so in float64
+  buffers (at the default tol they solve float64 data in float32 buffers);
 * ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 300x120
   problem cast to float32, which they solve in float32;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
@@ -57,6 +60,7 @@ import numpy as np
 import trees
 
 LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
+FLOAT64_CASES = ((400, 400), (300, 120))  # shapes also solved at tol 1e-6
 
 
 def _array(a):
@@ -97,6 +101,9 @@ def _library(out):
             _put_factored(out, "%s/%s" % (tag, name), *solve(x, cfg, on_iteration=states.append))
             out["%s/%s/last/theta" % (tag, name)] = _array(states[-1].theta)
             out["%s/%s/last/rho" % (tag, name)] = pickle.dumps(states[-1].rho)
+            if (d, n) in FLOAT64_CASES:
+                tight = dataclasses.replace(cfg, tol=1e-6)
+                _put_factored(out, "%s/%s_tol1e-6" % (tag, name), *solve(x, tight))
         _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
         for name, cfg in (("ialm", SolverConfig(k=k)),
                           ("ialm_capped", SolverConfig(k=k, max_iter=3))):
