@@ -644,16 +644,20 @@ class TestUffp:
                        on_iteration=lambda st: widths.append(st.c.shape[0]))
             assert all(a >= b for a, b in zip([10] + widths, widths)), lam
 
-    @pytest.mark.parametrize("buffers", ["float32", "float64"])
-    def test_kept_rank_loop_matches_width_k_reference(self, buffers, monkeypatch):
+    def test_kept_rank_loop_matches_width_k_reference(self, monkeypatch):
+        # the default tol takes float32 buffers; float64 ones are forced here
+        monkeypatch.setattr(solvers, "FLOAT32_TOL", 1.0)
+        self.check_kept_rank_loop_against_width_k_reference("float64")
+
+    def test_kept_rank_loop_in_float32_buffers_matches_width_k_reference(self):
+        self.check_kept_rank_loop_against_width_k_reference("float32")
+
+    def check_kept_rank_loop_against_width_k_reference(self, buffers):
         # the uffp iteration written out of place at width k, with the zeroed
         # directions carried.  Before each shrink that loop's core couples the
         # kept directions to the free ones (u_kept.T @ m @ v_free), terms of the
         # order of the residual, which rotate what it keeps; so the two agree
-        # to the solve's accuracy, here 1.8e-6 of max|L|, not to rounding.
-        # The default tol takes float32 buffers; float64 ones are forced here
-        if buffers == "float64":
-            monkeypatch.setattr(solvers, "FLOAT32_TOL", 1.0)
+        # to the solve's accuracy, here 1.8e-6 of max|L|, not to rounding
         prob, cfg = self.dropping_problem()
         x, k = prob.x, cfg.k
         f = init_factors(x, k, cfg.seed)
