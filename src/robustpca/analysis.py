@@ -103,10 +103,11 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     ``base_params`` holds :func:`make_problem` keyword arguments for the
     full-size problem; ``axis`` picks which dimension the ``factors``
     rescale ("samples" scales n, "dimension" scales d).  Every run executes
-    exactly ``iters`` iterations (the stopping tolerance is unreachable) of
-    the default solve, so the timed section is the solver call alone: the
-    seeded randomized truncated-SVD start and the iterations, both
-    O(d*n*k).  All problems are generated before any timing; the
+    exactly ``iters`` iterations of the solve at the unreachable tolerance
+    ``_BENCH_TOL``, so solve_fffp and solve_uffp run float64 buffers, not the
+    float32 buffers of the default tol (see the solvers module docstring).
+    The timed section is the solver call alone: the seeded randomized
+    truncated-SVD start and the iterations, both O(d*n*k).  All problems are generated before any timing; the
     ``repeats`` runs then go round-robin across the sizes, so a drift of
     the machine's speed during the benchmark shifts every size alike
     instead of bending the curve, and the median per size damps scheduler

@@ -253,17 +253,30 @@ def _ld_values(s, tau):
     the equal ``(s_i - tau) / ((1 - s_i)/2 + sqrt((1 + s_i)**2 / 4 - tau))``,
     whose terms do not: it keeps the relative accuracy of s_i - tau down
     to the smallest values (the first form's absolute error is a few ulps of
-    1).  :func:`ld_shrink` and the core step of ``solvers.solve_uffp`` both
-    map their singular values here.
+    1).  The square is taken as ``h * h`` with ``h = (1 + s_i) / 2``, which is
+    ``(1 + s_i)**2 / 4`` bit for bit; where it overflows (s_i above about
+    2.7e154) the root is ``h * sqrt(1 - tau / h**2)``, and where ``s_i**2``
+    overflows the objectives are compared divided by s_i, so every finite
+    s_i maps to a finite value.  :func:`ld_shrink` and the core step of
+    ``solvers.solve_uffp`` both map their singular values here.
     """
-    disc = 0.25 * (1.0 + s) ** 2 - tau
-    gate = disc > 0.0
-    root = np.sqrt(np.maximum(disc, 0.0))
-    below = s < 1.0
-    xi = 0.5 * (s - 1.0) + root
-    xi[below] = (s[below] - tau) / (0.5 * (1.0 - s[below]) + root[below])
-    xi = np.where(gate, np.maximum(xi, 0.0), 0.0)
-    keep = gate & (0.5 * (xi - s) ** 2 + tau * np.log1p(xi) <= 0.5 * s**2)
+    h = 0.5 * (1.0 + s)
+    with np.errstate(over="ignore"):
+        square = h * h
+        disc = square - tau
+        gate = disc > 0.0
+        root = np.sqrt(np.maximum(disc, 0.0))
+        big = np.isinf(square)
+        root[big] = h[big] * np.sqrt(1.0 - (tau / h[big]) / h[big])
+        below = s < 1.0
+        xi = 0.5 * (s - 1.0) + root
+        xi[below] = (s[below] - tau) / (0.5 * (1.0 - s[below]) + root[below])
+        xi = np.where(gate, np.maximum(xi, 0.0), 0.0)
+        keep = gate & (0.5 * (xi - s) ** 2 + tau * np.log1p(xi) <= 0.5 * s**2)
+        huge = np.isinf(s**2)
+        gap = xi[huge] - s[huge]
+        keep[huge] = gate[huge] & (0.5 * gap * (gap / s[huge])
+                                   + (tau / s[huge]) * np.log1p(xi[huge]) <= 0.5 * s[huge])
     return np.where(keep, xi, 0.0)
 
 

@@ -107,10 +107,10 @@ SVT_FULL_SHARE = 0.15
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
 
 # Entries per row block of _alm's passes; a block holds ROW_BLOCK_ENTRIES // n
-# rows, and at least two (see _alm).  Per solve_fffp at 2000x2000, k=5 (medians of
-# 5 alternating runs, 2-core x86-64, OpenBLAS): 2**14, 2**16 and 2**18 entries
-# took 0.87, 0.88 and 0.88 s, one whole-matrix block 1.07 s; 2**16 is 32 rows,
-# 512 KB per block.
+# rows, and at least two (see _alm).  Per solve_fffp at 2000x2000, k=5, default
+# tol, so float32 buffers (medians of 9 alternating runs, 2-core x86-64,
+# OpenBLAS): 2**14, 2**16 and 2**18 entries took 0.31, 0.29 and 0.35 s, one
+# whole-matrix block 0.44 s; 2**16 is 32 rows, 256 KB per float32 block.
 ROW_BLOCK_ENTRIES = 2**16
 
 
@@ -460,12 +460,12 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     ``ORTHO_TOL``); then ``on_iteration``, if given, receives the
     :class:`IterationState`, whose ``theta`` is formed from ``m`` and the
     sparse buffer the next step reads (``s`` itself for solve_ialm).  The
-    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c,
-    sparse_l1)`` gives the final rank and objective from the last core and
-    the l1 norm of ``s``, both in the data's units; wall time counts from
-    ``t_start``.  Returns ``(FactoredLowRank(u, c, v), s, report)`` for the
-    last iterate, with ``c`` in the data's units and ``s`` the working
-    matrix's sparse buffer.
+    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c)`` gives the
+    final rank and the low-rank term of the objective from the last core, in
+    the data's units; the objective is ``weight`` times the l1 norm of ``s``
+    plus that term.  Wall time counts from ``t_start``.  Returns
+    ``(FactoredLowRank(u, c, v), s, report)`` for the last iterate, with
+    ``c`` in the data's units and ``s`` the working matrix's sparse buffer.
     """
     d, n = x.shape
     dt = x.dtype
@@ -545,7 +545,7 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
 
     sparse_l1 = math.ldexp(float(np.abs(s, out=m).sum(dtype=np.float64)), e)
     c = np.ldexp(c, e)
-    final_rank, objective = summary(c, sparse_l1)
+    final_rank, low_rank_term = summary(c)
     return FactoredLowRank(u, c, v), s, SolveReport(
         iterations=t,
         svd_count=svd_count,
@@ -556,17 +556,17 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         sparse_l1=sparse_l1,
         final_residual=residuals[-1],
         wall_time=time.perf_counter() - t_start,
-        final_objective=objective,
+        final_objective=weight * sparse_l1 + low_rank_term,
         converged=residual <= cfg.tol,
         buffer_dtype=dt.name,
     )
 
 
-def _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration=None, init=None):
+def _solve_factored(x, e, norm_x, start, t_start, cfg, lam_ld, on_iteration=None):
     """Run the factored step in :func:`_alm` on the working matrix ``x`` from
-    :func:`_as_rows`, with surrogate weight ``lam_ld`` (0 for solve_fffp) in
-    the data's units.  ``init``, if given, is the caller's
-    ``init_factors(x, cfg.k, cfg.seed)``; it is only read.
+    :func:`_as_rows`, from the factors ``start`` (``init_factors(x, cfg.k,
+    cfg.seed)``, only read), with surrogate weight ``lam_ld`` (0 for
+    solve_fffp) in the data's units.
 
     With ``lam_ld > 0`` each step rotates the factors into the singular
     basis of the core, shrinks its values at the data's scale, as
@@ -577,7 +577,6 @@ def _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration=None, init=
     padded back to width k by :func:`_pad_factors`; the sparse part is the
     working matrix's.
     """
-    start = init_factors(x, cfg.k, cfg.seed) if init is None else init
     u, c, v = start.u, start.c, start.v
 
     def step(m, rho):
@@ -600,10 +599,10 @@ def _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration=None, init=
         u, c, v = u @ p[:, keep], np.diag(values[keep]), v @ q[:, keep]
         return u, c, v, 3
 
-    def summary(c, sparse_l1):
+    def summary(c):
         # one factorization of the core for the rank and log_det_surrogate's sum
         sigma = np.linalg.svd(c, compute_uv=False)
-        return _spectrum_rank(sigma), sparse_l1 + lam_ld * float(np.log1p(sigma).sum())
+        return _spectrum_rank(sigma), lam_ld * float(np.log1p(sigma).sum())
 
     # 1/max|x|, with max|x| taken without a (d, n) temporary
     rho0 = 1.0 / float(max(x.max(), -x.min()))
@@ -619,8 +618,8 @@ def _solve(x, cfg, lam_ld, on_iteration):
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
     x, e, norm_x = _as_rows(x, np.float32 if cfg.tol >= FLOAT32_TOL else dtype)
-    factors, s, report = _solve_factored(x, e, norm_x, t_start, cfg, lam_ld, on_iteration)
-    del x  # a working copy goes before s is upcast, so the upcast adds no peak
+    factors, s, report = _solve_factored(x, e, norm_x, init_factors(x, cfg.k, cfg.seed),
+                                         t_start, cfg, lam_ld, on_iteration)
     return factors, _in_data_units(s, e, dtype), report
 
 
@@ -800,8 +799,8 @@ def solve_ialm(x, cfg):
         first = None
         return u, np.diag(shrunk), v, svds
 
-    def summary(c, sparse_l1):
-        return _spectrum_rank(np.diag(c)), float(np.diag(c).sum() + lam * sparse_l1)
+    def summary(c):
+        return _spectrum_rank(np.diag(c)), float(np.diag(c).sum())
 
     low_rank, s, report = _alm(x, e, norm_x, cfg, lam, 1.25 / first.s[0], t_start, step,
                                summary)
@@ -883,11 +882,11 @@ def lambda_sweep(x, cfg):
     """
     x, e, norm_x = _as_rows(x)
     grid = np.ldexp(default_lambda_grid(x), e)  # in the data's units
-    init = init_factors(x, cfg.k, cfg.seed)
+    start = init_factors(x, cfg.k, cfg.seed)
     entries = []
     for lam in grid:
-        factors, s, report = _solve_factored(x, e, norm_x, time.perf_counter(), cfg,
-                                             float(lam), init=init)
+        factors, s, report = _solve_factored(x, e, norm_x, start, time.perf_counter(), cfg,
+                                             float(lam))
         s = _in_data_units(s, e, np.float64)
         if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
             index = np.flatnonzero(s)

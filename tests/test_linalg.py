@@ -282,6 +282,23 @@ class TestLdShrink:
         v, gap, best = self.scalar_gap(s, tau)
         assert v <= s and gap <= 1e-12 * best
 
+    @pytest.mark.parametrize("s", [1e200, 1e300])
+    def test_huge_values_stay_finite(self, s):
+        # (1 + s)**2 and s**2 overflow past about 1.3e154; the map squares
+        # (1 + s)/2 and, where that overflows too, takes the root in units of
+        # it, so at tau = 1 the value comes back as it went in
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(ld_shrink(np.array([[s]]), 1.0), [[s]])
+
+    def test_huge_value_can_still_go_to_zero(self):
+        # at s = 2.7e154 and tau = 1e308 the stationary point is about 0.84 s,
+        # where tau * log(1 + x) (3.6e310) outweighs 0 at s**2 / 2 (3.6e308);
+        # neither side is finite, so the map compares them divided by s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ld_shrink(np.array([[2.7e154]]), 1e308)[0, 0] == 0.0
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             ld_shrink(np.eye(2), -1.0)

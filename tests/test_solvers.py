@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import robustpca.linalg as linalg
 import robustpca.solvers as solvers
@@ -427,6 +428,38 @@ class TestAlmDriver:
         for got, want in ((low_scaled, scale * low_rank), (s_scaled, scale * s)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(8, 70), n=st.integers(8, 70), r=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), j=st.integers(-1000, 1000))
+    @example(d=70, n=8, r=4, seed=0, j=-1000)
+    @example(d=8, n=70, r=1, seed=1, j=1000)
+    @example(d=40, n=50, r=2, seed=2, j=33)  # max|x| past 2**32: a rescaled working copy
+    def test_power_of_two_scale_property(self, d, n, r, seed, j):
+        # scaling by 2**j is exact while every entry stays normal, in float64
+        # and in the float32 working copy; a scale-free solve then returns 2**j
+        # times its outputs, bit for bit, in as many iterations, with a start
+        # 2**-j times its own.  fffp runs float32 buffers at the default tol
+        # and float64 buffers at 1e-6
+        x = make_problem(d, n, r, 0.05, seed=seed).x
+        scaled = np.ldexp(x, j)
+        working, _, _ = solvers._as_rows(scaled, np.float32)
+        assume(np.abs(scaled).min() >= np.finfo(np.float64).tiny
+               and np.abs(working).min() >= np.finfo(np.float32).tiny)
+        for solve, tol in ((solve_fffp, 1e-3), (solve_fffp, 1e-6), (solve_ialm, 1e-3)):
+            cfg = SolverConfig(k=r, tol=tol)
+            low_rank, s, report = solve(x, cfg)
+            low_scaled, s_scaled, report_scaled = solve(scaled, cfg)
+            case = (solve.__name__, tol)
+            assert report_scaled.iterations == report.iterations, case
+            assert report_scaled.rho0 == math.ldexp(report.rho0, -j), case
+            assert np.array_equal(s_scaled, np.ldexp(s, j)), case
+            if solve is solve_ialm:
+                assert np.array_equal(low_scaled, np.ldexp(low_rank, j)), case
+            else:
+                assert np.array_equal(low_scaled.u, low_rank.u), case
+                assert np.array_equal(low_scaled.v, low_rank.v), case
+                assert np.array_equal(low_scaled.c, np.ldexp(low_rank.c, j)), case
+
     @pytest.mark.parametrize("max_iter", [200, 3], ids=["converged", "capped"])
     @pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5)],
                              ids=["fffp", "uffp"])
@@ -683,6 +716,22 @@ class TestUffp:
         assert report.final_rank == np.linalg.matrix_rank(c) < k
         assert np.max(np.abs(factors.dense() - l_ref)) <= 1e-5 * np.max(np.abs(l_ref))
         assert np.max(np.abs(s - s_ref)) <= 1e-5 * np.max(np.abs(x))
+
+    def test_log_det_map_at_overflowing_scale(self):
+        # lam is in the data's units, so the log-det map runs at the data's
+        # scale, where sigma**2 overflows at 2**520; the solve there is 2**70
+        # times the one at 2**450, bit for bit, in as many iterations
+        x = make_problem(60, 50, 2, 0.05, seed=1).x
+        cfg = SolverConfig(k=4, lam=0.5)
+        factors, s, report = solve_uffp(x * 2.0**450, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, s_scaled, report_scaled = solve_uffp(x * 2.0**520, cfg)
+        assert report.iterations == report_scaled.iterations == 12
+        assert report.final_rank == report_scaled.final_rank == 4
+        assert np.array_equal(scaled.u, factors.u) and np.array_equal(scaled.v, factors.v)
+        assert np.array_equal(scaled.c, factors.c * 2.0**70)
+        assert np.array_equal(s_scaled, s * 2.0**70)
 
     def test_full_collapse_takes_no_factorization_after_iteration_1(self, monkeypatch):
         prob = make_problem(60, 50, 2, 0.05, seed=8)

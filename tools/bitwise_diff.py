@@ -17,6 +17,14 @@ Each tree's ``src`` is imported in its own subprocess (through
   buffers (at the default tol they solve float64 data in float32 buffers);
 * ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 300x120
   problem cast to float32, which they solve in float32;
+* ``solve_fffp``, ``solve_ialm`` and ``solve_uffp`` at a positive weight on
+  the 300x120 problem scaled by 2**520 and by 2**-600, far outside [2**-32,
+  2**32], so each solves a rescaled working matrix and scales its outputs
+  back.  uffp runs at the unscaled problem's weight and at that weight
+  scaled with the data (``uffp_scaled_lam``): its surrogate is not
+  homogeneous, so neither is the scaled problem's solve.  A call here that
+  raises is recorded as its exception's type and message, so a tree on
+  which it fails still runs the whole corpus;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
   ``background`` (fffp, ialm, sweep), ``anomaly`` (converged, capped, threshold),
   ``bench``, and inputs that must be refused (non-finite weights and
@@ -40,14 +48,15 @@ largest relative difference per leaf (such as ``u`` or
 ``report/final_residual``), with sweep entry numbers and JSON list indices
 collapsed; ``-`` marks a leaf compared as raw bytes, of another type, or that
 only one tree has.  It exits 1 if any key differs, 0 otherwise.  Both trees
-must accept the calls below; a tree whose API moved needs the corpus edited
-to match.
+must accept the calls below (the scaled solves may raise); a tree whose API
+moved needs the corpus edited to match.
 """
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -61,6 +70,7 @@ import trees
 
 LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
 FLOAT64_CASES = ((400, 400), (300, 120))  # shapes also solved at tol 1e-6
+SCALES = (520, -600)  # powers of two the 300x120 problem is also solved at
 
 
 def _array(a):
@@ -79,6 +89,23 @@ def _put_factored(out, key, factors, s, report):
     out[key + "/v"] = _array(factors.v)
     out[key + "/s"] = _array(s)
     _put_report(out, key, report)
+
+
+def _put_dense(out, key, l, s, report):
+    out[key + "/l"] = _array(l)
+    out[key + "/s"] = _array(s)
+    _put_report(out, key, report)
+
+
+def _put_solve(out, key, put, solve, *args):
+    """``put(out, key, *solve(*args))``, or, if the call raises, its
+    exception's type and message under ``key/raises``."""
+    try:
+        result = solve(*args)
+    except Exception as exc:
+        out[key + "/raises"] = pickle.dumps("%s: %s" % (type(exc).__name__, exc))
+        return
+    put(out, key, *result)
 
 
 def _library(out):
@@ -107,10 +134,7 @@ def _library(out):
         _put_factored(out, tag + "/uffp_lam0", *solve_uffp(x, SolverConfig(k=k, lam=0.0)))
         for name, cfg in (("ialm", SolverConfig(k=k)),
                           ("ialm_capped", SolverConfig(k=k, max_iter=3))):
-            l, s, report = solve_ialm(x, cfg)
-            out["%s/%s/l" % (tag, name)] = _array(l)
-            out["%s/%s/s" % (tag, name)] = _array(s)
-            _put_report(out, "%s/%s" % (tag, name), report)
+            _put_dense(out, "%s/%s" % (tag, name), *solve_ialm(x, cfg))
         entries, selected = lambda_sweep(x, SolverConfig(k=k))
         out[tag + "/sweep/selected"] = pickle.dumps(selected)
         for i, e in enumerate(entries):
@@ -123,6 +147,16 @@ def _library(out):
     lam = float(default_lambda_grid(x)[7])
     _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
     _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=lam)))
+    x = make_problem(d, n, 5, 0.05, seed=7).x
+    lam = float(default_lambda_grid(x)[7])
+    for j in SCALES:
+        tag = "lib/%dx%d/x2^%d" % (d, n, j)
+        scaled = np.ldexp(x, j)
+        _put_solve(out, tag + "/fffp", _put_factored, solve_fffp, scaled, SolverConfig(k=k))
+        for name, weight in (("uffp", lam), ("uffp_scaled_lam", math.ldexp(lam, j))):
+            _put_solve(out, "%s/%s" % (tag, name), _put_factored, solve_uffp, scaled,
+                       SolverConfig(k=k, lam=weight))
+        _put_solve(out, tag + "/ialm", _put_dense, solve_ialm, scaled, SolverConfig(k=k))
 
 
 def _float_gap(key, a, b):
@@ -171,7 +205,8 @@ def _group(key):
             parts = parts[1:]
         group, rest = "cli/" + parts[0], parts[1:]
     else:
-        cut = 4 if parts[2] == "float32" else 3  # lib/<shape>[/float32]/<case>
+        # lib/<shape>[/float32 or /x2^<j>]/<case>
+        cut = 4 if parts[2] == "float32" or parts[2].startswith("x2^") else 3
         group, rest = "/".join(parts[:cut]), parts[cut:]
         if rest and rest[0].isdigit():  # lib/<shape>/sweep/<entry>/...
             rest = rest[1:]
