@@ -119,8 +119,7 @@ def _check_method_flags(args):
 
 def cmd_synth(args):
     start = time.perf_counter()
-    problem = make_problem(args.d, args.n, args.rank, args.fraction,
-                           magnitude=args.magnitude, seed=args.seed)
+    problem = make_problem(args.d, args.n, args.rank, args.fraction, seed=args.seed)
     out = _out_dir(args)
     paths = [out / "X.ffpm", out / "L_star.ffpm", out / "S_star.ffpm"]
     for path, matrix in zip(paths, (problem.x, problem.l_star, problem.s_star)):
@@ -290,8 +289,6 @@ def build_parser():
     synth.add_argument("--n", type=int, required=True, help="columns")
     synth.add_argument("--rank", type=int, required=True, help="true rank of the low-rank part")
     synth.add_argument("--fraction", type=float, required=True, help="corrupted-entry fraction")
-    synth.add_argument("--magnitude", type=float, default=None,
-                       help="corruption range (default: 10x the low-rank RMS)")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True, help="output directory")
     synth.set_defaults(func=cmd_synth)

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix
-
 __all__ = ["SyntheticProblem", "gen_low_rank", "gen_sparse", "make_problem"]
 
 
@@ -18,20 +16,16 @@ __all__ = ["SyntheticProblem", "gen_low_rank", "gen_sparse", "make_problem"]
 class SyntheticProblem:
     """A data matrix together with the exact split that produced it.
 
-    ``x == l_star + s_star`` holds entrywise exactly, ``l_star`` has
-    numerical rank ``true_rank``, and the nonzero fraction of ``s_star``
-    matches ``corruption_fraction`` up to rounding of the entry count.
+    ``x == l_star + s_star`` holds entrywise exactly.
     """
 
     x: np.ndarray
     l_star: np.ndarray
     s_star: np.ndarray
-    true_rank: int
-    corruption_fraction: float
 
 
-def gen_low_rank(d, n, r, scale=1.0, seed=0):
-    """Rank-r matrix ``a @ b.T`` from seeded Gaussian factors times ``scale``.
+def gen_low_rank(d, n, r, seed=0):
+    """Rank-r matrix ``a @ b.T`` from seeded standard Gaussian factors.
 
     With probability one the numerical rank equals ``r``. ``r = 0`` gives
     the zero matrix.
@@ -41,8 +35,8 @@ def gen_low_rank(d, n, r, scale=1.0, seed=0):
     if r == 0:
         return np.zeros((d, n))
     rng = np.random.default_rng(seed)
-    a = scale * rng.standard_normal((d, r))
-    b = scale * rng.standard_normal((n, r))
+    a = rng.standard_normal((d, r))
+    b = rng.standard_normal((n, r))
     return a @ b.T
 
 
@@ -65,24 +59,21 @@ def gen_sparse(d, n, fraction, magnitude, seed=0):
     return s
 
 
-def make_problem(d, n, r, fraction, magnitude=None, seed=0):
-    """Compose a low-rank part and gross sparse corruption into one problem.
+def make_problem(d, n, r, fraction, seed=0):
+    """Compose a rank-r part and gross sparse corruption into one problem.
 
     The sparse support is drawn independently of the low-rank factors
-    (separate child seeds of ``seed``).  When ``magnitude`` is omitted it
-    defaults to 10x the RMS entry of the low-rank part, making the
-    corruption large relative to the signal rather than noise-like.  The
-    stored sparse part is recomputed as ``x - l_star`` so the additive
-    split is exact in floating point, not just up to rounding.
+    (separate child seeds of ``seed``).  Corrupted entries are uniform in
+    +-10x the RMS entry of the low-rank part, large relative to the signal
+    rather than noise-like; ``fraction`` of the entries are corrupted, up to
+    rounding of the count.  The stored sparse part is recomputed as
+    ``x - l_star`` so the additive split is exact in floating point, not
+    just up to rounding.
     """
     if r < 1:
         raise ValueError("true rank r must be positive, got %r" % r)
     seed_l, seed_s = np.random.SeedSequence(seed).generate_state(2)
-    l_star = gen_low_rank(d, n, r, 1.0, int(seed_l))
-    if magnitude is None:
-        magnitude = 10.0 * float(np.sqrt(np.mean(l_star**2)))
-    s_raw = gen_sparse(d, n, fraction, magnitude, int(seed_s))
-    x = l_star + s_raw
-    s_star = x - l_star
-    _as_matrix(x, "x")
-    return SyntheticProblem(x, l_star, s_star, r, fraction)
+    l_star = gen_low_rank(d, n, r, int(seed_l))
+    magnitude = 10.0 * float(np.sqrt(np.mean(l_star**2)))
+    x = l_star + gen_sparse(d, n, fraction, magnitude, int(seed_s))
+    return SyntheticProblem(x, l_star, x - l_star)

@@ -14,6 +14,7 @@ vectorized column-major, one column per frame.
 """
 
 import json
+import re
 import struct
 import warnings
 from dataclasses import asdict, dataclass, is_dataclass
@@ -39,6 +40,9 @@ FFPM_MAGIC = b"FFPM"
 FFPM_VERSION = 1
 _FFPM_HEADER = struct.Struct("<QQ")
 _MAX_ENTRIES = 2**60  # rows*cols beyond this cannot be addressed as bytes
+# one graymap header field: whitespace and comments (to the end of the line),
+# then the field's bytes, up to the next whitespace byte; empty at the end
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 class FormatError(ValueError):
@@ -138,30 +142,17 @@ def _read_csv(path):
 def read_pgm(path):
     """Read a binary (P5) 8-bit graymap into a (height, width) float64 array."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated header", offset=start)
-        return data[start:pos]
-
-    if token() != b"P5":
-        raise FormatError("not a binary graymap (magic P5 missing)", offset=0)
-    fields = token(), token(), token()  # a header cut short is not a non-integer one
+    fields, pos = [], 0
+    for _ in range(4):  # magic, width, height, maxval
+        field = _PGM_FIELD.match(data, pos)
+        pos = field.end()
+        if pos == field.start(1):
+            raise FormatError("truncated header", offset=pos)
+        if not fields and field[1] != b"P5":
+            raise FormatError("not a binary graymap (magic P5 missing)", offset=0)
+        fields.append(field[1])
     try:
-        width, height, maxval = map(int, fields)
+        width, height, maxval = map(int, fields[1:])
     except ValueError:
         raise FormatError("non-integer header field", offset=pos) from None
     if width <= 0 or height <= 0:

@@ -53,7 +53,7 @@ class TestSynth:
         assert run(*synth_args(out)) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config == {"command": "synth", "d": 80, "n": 80, "rank": 2, "fraction": 0.05,
-                          "magnitude": None, "seed": 7, "out": str(out)}
+                          "seed": 7, "out": str(out)}
 
     def test_impossible_rank_exits_2(self, tmp_path):
         assert run(*synth_args(tmp_path / "p", rank=500, d=200, n=200)) == 2

@@ -21,11 +21,6 @@ class TestGenLowRank:
         b = gen_low_rank(20, 30, 4, seed=5)
         assert np.array_equal(a, b)
 
-    def test_scale_multiplies_factors(self):
-        a = gen_low_rank(20, 30, 2, scale=1.0, seed=1)
-        b = gen_low_rank(20, 30, 2, scale=2.0, seed=1)
-        assert np.allclose(b, 4.0 * a)
-
     def test_rank_too_large_rejected(self):
         with pytest.raises(ValueError):
             gen_low_rank(4, 6, 5)

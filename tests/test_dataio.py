@@ -165,9 +165,15 @@ class TestPgm:
         write_pgm(path, pixels)
         assert np.array_equal(read_pgm(path), pixels.astype(np.float64))
 
-    def test_comments_in_header(self, tmp_path):
+    @pytest.mark.parametrize("header", [
+        b"P5 # comment\n# another\n2 2\n255\n",
+        b"# made by hand\nP5 2 2 255\n",
+        b"P5\r\n2\t2\r\n255\n",
+        b"P5\n2 2\n15\n",
+    ], ids=["between-fields", "before-magic", "tab-crlf", "maxval-15"])
+    def test_comments_in_header(self, tmp_path, header):
         path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5 # comment\n# another\n2 2\n255\n" + bytes([1, 2, 3, 4]))
+        path.write_bytes(header + bytes([1, 2, 3, 4]))
         assert np.array_equal(read_pgm(path), [[1, 2], [3, 4]])
 
     def test_wrong_magic(self, tmp_path):
@@ -192,7 +198,11 @@ class TestPgm:
         (b"P5\n4 4\n", "truncated header"),
         (b"P5\nx 4\n255\n", "non-integer header field"),
         (b"P5\n0 2\n255\n", "dimensions must be positive"),
-    ], ids=["cut-short", "non-integer", "zero-width"])
+        (b"P5\n2 2\n# no newline", "truncated header"),  # a comment runs to the end
+        (b"P5#x\n2 2\n255\n", "magic P5 missing"),  # a field runs to whitespace
+        (b"P5\n2#3 2\n255\n", "non-integer header field"),
+    ], ids=["cut-short", "non-integer", "zero-width", "comment-to-eof", "hash-in-magic",
+            "hash-in-field"])
     def test_bad_header(self, tmp_path, header, message):
         path = tmp_path / "bad.pgm"
         path.write_bytes(header)

@@ -25,6 +25,11 @@ Each tree's ``src`` is imported in its own subprocess (through
   homogeneous, so neither is the scaled problem's solve.  A call here that
   raises is recorded as its exception's type and message, so a tree on
   which it fails still runs the whole corpus;
+* ``read_pgm`` on graymap headers (``lib/pgm/*``): comments between fields,
+  before the magic and running to the end of the file, tab and CR LF
+  separators, a maxval below 255, a ``#`` inside a field, and headers it
+  must refuse, each refusal recorded as its exception's type and message;
+  and ``load_frame_stack`` of a directory of frames with commented headers;
 * CLI runs of ``synth``, ``decompose`` (fffp, ialm, uffp, sweep, capped),
   ``background`` (fffp, ialm, sweep), ``anomaly`` (converged, capped, threshold),
   ``bench``, and inputs that must be refused (non-finite weights and
@@ -71,6 +76,23 @@ import trees
 LIB_CASES = (((400, 400), 25), ((300, 120), 10), ((120, 300), 10))
 FLOAT64_CASES = ((400, 400), (300, 120))  # shapes also solved at tol 1e-6
 SCALES = (520, -600)  # powers of two the 300x120 problem is also solved at
+PGM_FILES = (  # 2x2 graymaps with the raster 1 2 3 4 where the header parses
+    ("plain", b"P5\n2 2\n255\n\x01\x02\x03\x04"),
+    ("comments", b"P5 # comment\n# another\n2 2\n255\n\x01\x02\x03\x04"),
+    ("comment_before_magic", b"# made by hand\nP5 2 2 255\n\x01\x02\x03\x04"),
+    ("tab_crlf", b"P5\r\n2\t2\r\n255\n\x01\x02\x03\x04"),
+    ("maxval_15", b"P5\n2 2\n15\n\x01\x02\x03\x0f"),
+    ("comment_to_eof", b"P5\n2 2\n# no newline"),
+    ("hash_in_magic", b"P5#x\n2 2\n255\n\x01\x02\x03\x04"),
+    ("hash_in_field", b"P5\n2#3 2\n255\n\x01\x02\x03\x04"),
+    ("cut_short", b"P5\n4 4\n"),
+    ("non_integer", b"P5\nx 4\n255\n"),
+    ("zero_width", b"P5\n0 2\n255\n"),
+    ("sixteen_bit", b"P5\n2 2\n65535\n" + bytes(8)),
+    ("short_raster", b"P5\n2 2\n255\n\x01\x02\x03"),
+    ("ascii_magic", b"P2\n2 2\n255\n1 2 3 4\n"),
+    ("empty", b""),
+)
 
 
 def _array(a):
@@ -157,6 +179,30 @@ def _library(out):
             _put_solve(out, "%s/%s" % (tag, name), _put_factored, solve_uffp, scaled,
                        SolverConfig(k=k, lam=weight))
         _put_solve(out, tag + "/ialm", _put_dense, solve_ialm, scaled, SolverConfig(k=k))
+
+
+def _put_frame(out, key, frame):
+    out[key + "/frame"] = _array(frame)
+
+
+def _pgm(out, work):
+    from robustpca.dataio import load_frame_stack, read_pgm
+
+    for name, data in PGM_FILES:
+        path = work / (name + ".pgm")
+        path.write_bytes(data)
+        _put_solve(out, "lib/pgm/" + name, _put_frame, lambda p: (read_pgm(p),), path)
+    frames = work / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(5)
+    for j, sep in enumerate((b" ", b"\n# frame\n", b"\t#\r\n")):
+        header = b"# frame %d\nP5%s5%s6%s255\n" % (j, sep, sep, sep)
+        pixels = rng.integers(0, 256, (6, 5), dtype=np.uint8)
+        (frames / ("f%d.pgm" % j)).write_bytes(header + pixels.tobytes())
+    stack = load_frame_stack(frames)
+    out["lib/pgm/stack/matrix"] = _array(stack.matrix)
+    out["lib/pgm/stack/frames"] = pickle.dumps(
+        (stack.frame_height, stack.frame_width, stack.frame_names))
 
 
 def _float_gap(key, a, b):
@@ -301,6 +347,8 @@ def collect():
     """Run the corpus: ``{key: bytes}``."""
     out = {}
     _library(out)
+    with tempfile.TemporaryDirectory() as work:
+        _pgm(out, Path(work))
     with tempfile.TemporaryDirectory() as work:
         _cli(out, work)
     return out
