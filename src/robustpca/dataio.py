@@ -151,10 +151,10 @@ def read_pgm(path):
         if not fields and field[1] != b"P5":
             raise FormatError("not a binary graymap (magic P5 missing)", offset=0)
         fields.append(field[1])
-    try:
-        width, height, maxval = map(int, fields[1:])
-    except ValueError:
-        raise FormatError("non-integer header field", offset=pos) from None
+    # plain ASCII digits only: int() would also take "+1", "-2" and "1_0"
+    if not all(f.isdigit() for f in fields[1:]):
+        raise FormatError("non-integer header field", offset=pos)
+    width, height, maxval = map(int, fields[1:])
     if width <= 0 or height <= 0:
         raise FormatError("dimensions must be positive, got %dx%d" % (width, height), offset=pos)
     if not 0 < maxval <= 255:

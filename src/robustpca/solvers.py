@@ -27,13 +27,15 @@ Every solve runs on the working matrix ``x * 2**-e`` (see ``_as_rows``):
 the outputs are scaled back exactly, so data of any finite scale solves
 without its norm or its squares overflowing or underflowing.
 
-solve_fffp and solve_uffp solve in float32 buffers for float32 ``x``, and
-for any other ``x`` whenever ``cfg.tol >= FLOAT32_TOL``, which the default
-tol is: the buffers, the block scratch and every product with them are
-then float32, which halves the bytes each pass moves.  Below that tol they
-solve in float64.  solve_ialm and lambda_sweep always solve in float64.
-The sparse part is returned as float32 for float32 ``x`` and as float64
-otherwise; the factors, the core and every small factorization stay
+solve_fffp, solve_uffp and each solve of lambda_sweep run in float32
+buffers for float32 ``x``, and for any other ``x`` whenever ``cfg.tol >=
+FLOAT32_TOL``, which the default tol is (``_factored_dtype`` states the
+rule): the buffers, the block scratch and every product with them are then
+float32, which halves the bytes each pass moves.  Below that tol they solve
+in float64.  solve_ialm always solves in float64, and lambda_sweep takes
+its grid from the float64 data.  The sparse part is returned as float32
+for float32 ``x`` and as float64 otherwise (always float64 in a
+``SweepEntry``); the factors, the core and every small factorization stay
 float64.  ``SolveReport.buffer_dtype`` names the buffers' dtype.  A
 C-ordered input of the buffers' dtype inside the band is not copied; any
 other input is copied once, with its cast and rescale in the same pass.
@@ -84,8 +86,9 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 RHO_CAP = 1e10
 KAPPA = 1.5  # geometric penalty growth per iteration
 
-# solve_fffp and solve_uffp take float32 buffers for float64 data from this tol
-# up; the residual of float32 buffers stalls near 1e-7 (see SolverConfig.tol)
+# the factored solves (solve_fffp, solve_uffp, lambda_sweep) take float32 buffers
+# for float64 data from this tol up; the residual of float32 buffers stalls near
+# 1e-7 (see SolverConfig.tol)
 FLOAT32_TOL = 1e-5
 
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
@@ -162,9 +165,10 @@ class SolverConfig:
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
     tol      : relative-residual stopping threshold, in (0, 1).  It also
-               sets the precision of solve_fffp and solve_uffp (see the
-               module docstring): from ``FLOAT32_TOL`` (1e-5) up they solve
-               float64 data in float32 buffers, below it in float64.  For
+               sets the precision of solve_fffp, solve_uffp and
+               lambda_sweep (see the module docstring): from
+               ``FLOAT32_TOL`` (1e-5) up they solve float64 data in float32
+               buffers, below it in float64.  For
                float32 data, which always solves in float32, keep it at or
                above about 1e-6: the residual of float32 buffers stalls near
                1e-7, so a smaller tol runs to max_iter and reports
@@ -224,7 +228,9 @@ class SolveReport:
     start (see :class:`SolverConfig`); it, sparse_l1 and final_objective
     are in the data's units, whatever the working scale (see ``_as_rows``).
     buffer_dtype names the dtype of the solve's (d, n) buffers, "float32"
-    or "float64" (see the module docstring).
+    or "float64", by the same rule for solve_fffp, solve_uffp and every
+    lambda_sweep entry; solve_ialm's is always "float64" (see the module
+    docstring).
     per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
     iteration, with the squares summed over the driver's row blocks, so it
     can differ from :func:`relative_residual` in the last bits;
@@ -611,13 +617,21 @@ def _solve_factored(x, e, norm_x, start, t_start, cfg, lam_ld, on_iteration=None
     return _pad_factors(factors, start), s, report
 
 
+def _factored_dtype(x, cfg):
+    """The precision rule of the factored solves (see the module docstring):
+    the buffers' dtype, float32 for float32 ``x`` or from ``FLOAT32_TOL`` up,
+    float64 otherwise."""
+    f32 = getattr(x, "dtype", None) == np.float32 or cfg.tol >= FLOAT32_TOL
+    return np.float32 if f32 else np.float64
+
+
 def _solve(x, cfg, lam_ld, on_iteration):
-    """solve_fffp and solve_uffp: the precision rule of the module docstring
-    around :func:`_solve_factored`, and ``s`` back in the data's units, as
-    float32 for float32 ``x`` and float64 otherwise."""
+    """solve_fffp and solve_uffp: :func:`_solve_factored` in the buffers of
+    :func:`_factored_dtype`, and ``s`` back in the data's units, as float32
+    for float32 ``x`` and float64 otherwise."""
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
-    x, e, norm_x = _as_rows(x, np.float32 if cfg.tol >= FLOAT32_TOL else dtype)
+    x, e, norm_x = _as_rows(x, _factored_dtype(x, cfg))
     factors, s, report = _solve_factored(x, e, norm_x, init_factors(x, cfg.k, cfg.seed),
                                          t_start, cfg, lam_ld, on_iteration)
     return factors, _in_data_units(s, e, dtype), report
@@ -872,16 +886,26 @@ def lambda_sweep(x, cfg):
     compact, so their sparse parts take about as much memory as one copy of
     ``x`` in all rather than one copy each; collapsed runs and dense noise
     stay dense.
-    A non-C-ordered ``x`` is copied once for the whole sweep.  The sweep runs
-    in float64 at any tol, also for float32 ``x``: entry ranks below the
-    selection move with round-off (a grid scaled by 1 + 1e-12 already moves
-    some), and float32's is far larger.  So each entry is the float64 solve
-    of ``solve_uffp`` with that weight, which at a tol below ``FLOAT32_TOL``
-    is ``solve_uffp`` itself, bit for bit.  The weights are in the data's
+    A non-C-ordered ``x`` is copied once for the whole sweep.  The solves
+    follow solve_uffp's precision rule (see the module docstring): float32
+    buffers for float32 ``x`` or from ``FLOAT32_TOL`` up, which the default
+    tol is, float64 below it.  So each entry is ``solve_uffp`` with that
+    weight, bit for bit, at any tol, and its ``s`` is float64 either way.
+    The grid is taken on the float64 working matrix at any tol, before the
+    one cast to float32, which then replaces the float64 working copy for
+    the solves: entry ranks below the selection move with round-off (a grid
+    scaled by 1 + 1e-12 already moves some), so the weights stay those of
+    the data, not of its float32 rounding.  The weights are in the data's
     units: the grid is taken on the working matrix and scaled back.
     """
+    dtype = _factored_dtype(x, cfg)
     x, e, norm_x = _as_rows(x)
     grid = np.ldexp(default_lambda_grid(x), e)  # in the data's units
+    if dtype is np.float32:
+        # the rescale of _as_rows is exact, so the cast rounds once and is
+        # _as_rows(x, np.float32) bit for bit
+        x = x.astype(np.float32)
+        norm_x = np.linalg.norm(x)
     start = init_factors(x, cfg.k, cfg.seed)
     entries = []
     for lam in grid:

@@ -201,8 +201,14 @@ class TestPgm:
         (b"P5\n2 2\n# no newline", "truncated header"),  # a comment runs to the end
         (b"P5#x\n2 2\n255\n", "magic P5 missing"),  # a field runs to whitespace
         (b"P5\n2#3 2\n255\n", "non-integer header field"),
+        # fields Python's int() takes but a graymap does not: through int()
+        # three would read as images and "-2" would fail as a dimension
+        (b"P5\n1_0 1\n255\n" + bytes(10), "non-integer header field"),
+        (b"P5\n2 +1\n255\n" + bytes(2), "non-integer header field"),
+        (b"P5\n2 -2\n255\n", "non-integer header field"),
+        (b"P5\n2 2\n+255\n" + bytes(4), "non-integer header field"),
     ], ids=["cut-short", "non-integer", "zero-width", "comment-to-eof", "hash-in-magic",
-            "hash-in-field"])
+            "hash-in-field", "underscore", "plus-sign", "minus-sign", "plus-maxval"])
     def test_bad_header(self, tmp_path, header, message):
         path = tmp_path / "bad.pgm"
         path.write_bytes(header)

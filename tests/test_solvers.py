@@ -777,7 +777,7 @@ class TestUffp:
 
     def test_sweep_builds_init_once(self, monkeypatch):
         prob = make_problem(60, 60, 2, 0.05, seed=8)
-        cfg = SolverConfig(k=6, tol=1e-6)  # below FLOAT32_TOL solve_uffp runs in float64
+        cfg = SolverConfig(k=6, tol=1e-6)  # below FLOAT32_TOL: float64 buffers
         calls = []
         real = solvers.init_factors
         monkeypatch.setattr(solvers, "init_factors", lambda *a: calls.append(a) or real(*a))
@@ -791,7 +791,7 @@ class TestUffp:
 
     def test_sweep_keeps_sparse_parts_below_half_density_compact(self):
         # entries 0-10 are 4.9-6.7% dense, entries 11 and 12 collapse (98.1%);
-        # below FLOAT32_TOL solve_uffp runs in float64, as the sweep does
+        # below FLOAT32_TOL the sweep and solve_uffp run float64 buffers
         prob = make_problem(60, 60, 2, 0.05, seed=8)
         cfg = SolverConfig(k=6, tol=1e-6)
         entries, _ = lambda_sweep(prob.x, cfg)
@@ -810,9 +810,11 @@ class TestUffp:
         assert entries[4].s is not entries[4].s  # a compact entry expands per access
 
     def test_sweep_memory_with_compact_sparse_parts(self):
-        # in units of x: 13 dense sparse parts would peak at 18.1 and hold 15.5
+        # in units of x: 13 dense sparse parts would peak at 16.4 and hold 15.6
         # on return; with the 11 healthy ones (4.8-5.1% dense) compact and the
-        # 2 collapsed ones dense, the sweep peaks at 8.2 and holds 4.8
+        # 2 collapsed ones dense, the sweep peaks at 6.5 and holds 5.7.  The
+        # default tol solves in float32 buffers, on a float32 copy of x
+        # (float64 buffers peaked at 7.9)
         x = make_problem(400, 400, 5, 0.05, seed=3).x
         unit = x.itemsize * x.size
         tracemalloc.start()
@@ -821,7 +823,7 @@ class TestUffp:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * unit
+        assert peak <= 7 * unit
         assert held <= 7 * unit
         assert sum(isinstance(e.sparse, tuple) for e in entries) == 11
 
@@ -1257,8 +1259,8 @@ def _sweep(x, cfg):
 
 
 # the two ialm cases differ only in the SVT_FULL_SHARE that TestRowBlocks.run sets
-# fffp and uffp run float64 buffers (tol below FLOAT32_TOL); the *_f32 cases run
-# float32 ones, on float32 data or on float64 data at the default tol
+# fffp, uffp and sweep run float64 buffers (tol below FLOAT32_TOL); the *_f32
+# cases run float32 ones, on float32 data or on float64 data at the default tol
 BLOCK_CASES = {
     "fffp": lambda x: solve_fffp(x, SolverConfig(k=3, tol=1e-6)),
     "uffp": lambda x: solve_uffp(x, SolverConfig(k=6, lam=2.0, tol=1e-6)),
@@ -1268,7 +1270,8 @@ BLOCK_CASES = {
     "uffp_tol_f32": lambda x: solve_uffp(x, SolverConfig(k=6, lam=2.0)),
     "ialm_partial": lambda x: solve_ialm(x, SolverConfig(k=3)),
     "ialm_full": lambda x: solve_ialm(x, SolverConfig(k=3)),
-    "sweep": lambda x: _sweep(x, SolverConfig(k=6)),
+    "sweep": lambda x: _sweep(x, SolverConfig(k=6, tol=1e-6)),
+    "sweep_tol_f32": lambda x: _sweep(x, SolverConfig(k=6)),
 }
 
 
@@ -1451,12 +1454,35 @@ class TestFloat32:
             # float32 data solves in float32 at any tol
             report = solve(x.astype(np.float32), SolverConfig(k=2, lam=lam, tol=1e-6))[2]
             assert report.buffer_dtype == "float32"
+        # the sweep's solves follow the same rule, and its s is always float64
+        for data, tol, want in ((x, 1e-3, "float32"), (x, 1e-6, "float64"),
+                                (x.astype(np.float32), 1e-3, "float32"),
+                                (x.astype(np.float32), 1e-6, "float32")):
+            entries, _ = lambda_sweep(data, SolverConfig(k=2, tol=tol))
+            assert {e.report.buffer_dtype for e in entries} == {want}
+            assert {e.s.dtype for e in entries} == {np.dtype(np.float64)}
         for tol in (1e-3, 1e-6):
             cfg = SolverConfig(k=2, tol=tol)
             assert solve_ialm(x.astype(np.float32), cfg)[2].buffer_dtype == "float64"
-            entries, _ = lambda_sweep(x.astype(np.float32), cfg)
-            assert {e.report.buffer_dtype for e in entries} == {"float64"}
-            assert {e.s.dtype for e in entries} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-3), (np.float32, 1e-6)],
+                             ids=["float64_default_tol", "float32_tol1e-6"])
+    def test_sweep_entries_are_solve_uffp(self, dtype, tol):
+        # each entry is solve_uffp at its weight, in the same float32 buffers;
+        # the grid comes from the float64 data, the solves from its float32 cast
+        x = make_problem(120, 90, 4, 0.05, seed=1).x.astype(dtype)
+        cfg = SolverConfig(k=8, tol=tol)
+        entries, _ = lambda_sweep(x, cfg)
+        assert {e.report.buffer_dtype for e in entries} == {"float32"}
+        for e in entries:
+            factors, s, report = solve_uffp(x, replace(cfg, lam=e.lam))
+            for got, want in ((e.factors.u, factors.u), (e.factors.c, factors.c),
+                              (e.factors.v, factors.v)):
+                assert np.array_equal(got, want)
+            got_s = e.s
+            assert got_s.dtype == np.float64 and s.dtype == dtype
+            assert np.array_equal(got_s, s.astype(np.float64))
+            assert replace(e.report, wall_time=0.0) == replace(report, wall_time=0.0)
 
     def test_ialm_solves_in_float64(self):
         x = make_problem(120, 90, 4, 0.05, seed=1).x.astype(np.float32)

@@ -12,9 +12,10 @@ Each tree's ``src`` is imported in its own subprocess (through
   and positive-weight ``solve_uffp`` runs, ``solve_ialm`` converged and at
   the iteration cap, the default lambda grid, and every ``lambda_sweep``
   entry and the selected index;
-* ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 400x400
-  and 300x120 problems at tol 1e-6, below ``FLOAT32_TOL``, so in float64
-  buffers (at the default tol they solve float64 data in float32 buffers);
+* ``solve_fffp``, ``solve_uffp`` at a positive weight and ``lambda_sweep``
+  (``sweep_tol1e-6``) on the 400x400 and 300x120 problems at tol 1e-6,
+  below ``FLOAT32_TOL``, so in float64 buffers (at the default tol they
+  solve float64 data in float32 buffers);
 * ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 300x120
   problem cast to float32, which they solve in float32;
 * ``solve_fffp``, ``solve_ialm`` and ``solve_uffp`` at a positive weight on
@@ -119,6 +120,14 @@ def _put_dense(out, key, l, s, report):
     _put_report(out, key, report)
 
 
+def _put_sweep(out, key, entries, selected):
+    out[key + "/selected"] = pickle.dumps(selected)
+    for i, e in enumerate(entries):
+        entry = "%s/%02d" % (key, i)
+        out[entry + "/lam"] = pickle.dumps(e.lam)
+        _put_factored(out, entry, e.factors, e.s, e.report)
+
+
 def _put_solve(out, key, put, solve, *args):
     """``put(out, key, *solve(*args))``, or, if the call raises, its
     exception's type and message under ``key/raises``."""
@@ -157,12 +166,9 @@ def _library(out):
         for name, cfg in (("ialm", SolverConfig(k=k)),
                           ("ialm_capped", SolverConfig(k=k, max_iter=3))):
             _put_dense(out, "%s/%s" % (tag, name), *solve_ialm(x, cfg))
-        entries, selected = lambda_sweep(x, SolverConfig(k=k))
-        out[tag + "/sweep/selected"] = pickle.dumps(selected)
-        for i, e in enumerate(entries):
-            key = "%s/sweep/%02d" % (tag, i)
-            out[key + "/lam"] = pickle.dumps(e.lam)
-            _put_factored(out, key, e.factors, e.s, e.report)
+        _put_sweep(out, tag + "/sweep", *lambda_sweep(x, SolverConfig(k=k)))
+        if (d, n) in FLOAT64_CASES:
+            _put_sweep(out, tag + "/sweep_tol1e-6", *lambda_sweep(x, SolverConfig(k=k, tol=1e-6)))
     (d, n), k = LIB_CASES[1]
     x = make_problem(d, n, 5, 0.05, seed=7).x.astype(np.float32)
     tag = "lib/%dx%d/float32" % (d, n)
