@@ -13,13 +13,12 @@ D, N, RANK, FRACTION, SEED = 400, 400, 5, 0.05, 7
 
 
 def describe(name, l, report, l_star):
-    metrics = rp.compute_metrics(report, l, l_star=l_star)
+    recovery = rp.compute_metrics(l, l_star)["recovery_error"]
     print(
         "%-6s rank=%2d  sparsity=%.4f  residual=%.2e  recovery=%.2e  "
         "iters=%3d  svds=%3d  %.2fs"
-        % (name, metrics.rank_l, metrics.sparsity_ratio, metrics.residual,
-           metrics.recovery_error, report.iterations, report.svd_count,
-           report.wall_time)
+        % (name, report.final_rank, report.sparsity_ratio, report.final_residual,
+           recovery, report.iterations, report.svd_count, report.wall_time)
     )
 
 

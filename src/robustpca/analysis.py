@@ -1,5 +1,6 @@
 """Post-hoc metrics, anomaly scoring on the sparse part, and wall-time scaling runs."""
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -9,7 +10,6 @@ from .datagen import make_problem
 from .solvers import SolverConfig, solve_fffp, solve_ialm, solve_uffp
 
 __all__ = [
-    "Metrics",
     "AnomalyResult",
     "compute_metrics",
     "anomaly_detect",
@@ -21,16 +21,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Metrics:
-    """Quality summary of one decomposition; recovery_error needs ground truth."""
-
-    rank_l: int
-    sparsity_ratio: float
-    residual: float
-    recovery_error: float | None = None
-
-
-@dataclass(frozen=True)
 class AnomalyResult:
     """Per-column l2 norms of the sparse part and the indices flagged as outliers."""
 
@@ -38,29 +28,22 @@ class AnomalyResult:
     flagged: np.ndarray
 
 
-def compute_metrics(report, l, l_star=None):
-    """Bundle a solve's rank, sparsity and residual with its recovery error.
+def compute_metrics(l, l_star):
+    """What a solve report cannot hold: ``{"recovery_error": e}``, the relative
+    error ``||l - l_star||_F / ||l_star||_F`` of ``l`` against the ground
+    truth ``l_star``.
 
-    The rank, sparsity and residual are copied from the solve's ``report``,
-    where they were measured; only the recovery error of ``l`` against the
-    ground truth ``l_star`` is computed here, and is None without it.  An
-    ``l_star`` of another shape than ``l`` is refused, not broadcast.
+    The rank, sparsity and residual are the report's ``final_rank``,
+    ``sparsity_ratio`` and ``final_residual``.  An ``l_star`` of another
+    shape than ``l`` is refused, not broadcast, and so is a zero ``l_star``.
     """
-    recovery = None
-    if l_star is not None:
-        if np.shape(l_star) != np.shape(l):
-            raise ValueError("l_star has shape %s, but l has shape %s"
-                             % (np.shape(l_star), np.shape(l)))
-        norm_l = np.linalg.norm(l_star)
-        if norm_l == 0.0:
-            raise ValueError("l_star is zero; recovery error is undefined")
-        recovery = float(np.linalg.norm(l - l_star) / norm_l)
-    return Metrics(
-        rank_l=report.final_rank,
-        sparsity_ratio=report.sparsity_ratio,
-        residual=report.final_residual,
-        recovery_error=recovery,
-    )
+    if np.shape(l_star) != np.shape(l):
+        raise ValueError("l_star has shape %s, but l has shape %s"
+                         % (np.shape(l_star), np.shape(l)))
+    norm_l = np.linalg.norm(l_star)
+    if norm_l == 0.0:
+        raise ValueError("l_star is zero; recovery error is undefined")
+    return {"recovery_error": float(np.linalg.norm(l - l_star) / norm_l)}
 
 
 def _check_threshold(threshold):
@@ -118,7 +101,7 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     if axis not in ("samples", "dimension"):
         raise ValueError('axis must be "samples" or "dimension", got %r' % axis)
     factors = list(factors)
-    if not factors or any(f <= 0 for f in factors):
+    if not factors or not all(0 < f < math.inf for f in factors):  # NaN fails too
         raise ValueError("factors must be a nonempty list of positive scalars")
     if sorted(factors) != factors:
         raise ValueError("factors must be ascending")
@@ -144,10 +127,11 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
 
 
 def linear_fit_r2(rows):
-    """R-squared of the least-squares line through ``(size, seconds)`` rows."""
+    """R-squared of the least-squares line through ``(size, seconds)`` rows;
+    nan when fewer than two distinct sizes leave no line to fit."""
     sizes = np.array([row[0] for row in rows], dtype=np.float64)
     seconds = np.array([row[1] for row in rows], dtype=np.float64)
-    if sizes.size < 2:
+    if np.unique(sizes).size < 2:
         return float("nan")
     slope, intercept = np.polyfit(sizes, seconds, 1)
     predicted = slope * sizes + intercept

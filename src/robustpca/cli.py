@@ -148,14 +148,14 @@ def _solve_with_method(x, args, cfg):
     return (*solve(x, cfg), {})
 
 
-def _score(args, low_rank, report):
-    """``compute_metrics`` against ``--truth`` if given.  The truth is read after
-    the solve, so a sweep does not hold it; it and the dense factored L,
-    formed only to score it, are dropped on return."""
+def _score(args, low_rank):
+    """``compute_metrics`` against ``--truth`` if given, else None.  The truth is
+    read after the solve, so a sweep does not hold it; it and the dense
+    factored L, formed only to score it, are dropped on return."""
     if not args.truth:
-        return compute_metrics(report, None)
+        return None
     l = low_rank if args.method == "ialm" else low_rank.dense()
-    return compute_metrics(report, l, l_star=read_matrix(args.truth))
+    return compute_metrics(l, read_matrix(args.truth))
 
 
 def cmd_decompose(args):
@@ -166,7 +166,7 @@ def cmd_decompose(args):
     low_rank, s, report, extra = _solve_with_method(x, args, cfg)
     # scored before any write, so a truth that cannot be read or does not
     # match leaves nothing under --out
-    metrics = _score(args, low_rank, report)
+    metrics = _score(args, low_rank)
 
     out = _out_dir(args)
     parts = ([("L", low_rank)] if args.method == "ialm" else
@@ -201,8 +201,7 @@ def cmd_background(args):
         write_frame(np.abs(s[:, j]), stack.frame_height, stack.frame_width, fg_path)
         outputs += [bg_path, fg_path]
 
-    return _finish(out, args, [args.frames], outputs, start, report, cfg,
-                   metrics=compute_metrics(report, None), extra=extra)
+    return _finish(out, args, [args.frames], outputs, start, report, cfg, extra=extra)
 
 
 def cmd_anomaly(args):
@@ -247,7 +246,7 @@ def cmd_bench(args):
     csv_path = out / "scaling.csv"
     csv_path.write_text(benchmark_csv(rows))
     fit_path = out / "fit.json"
-    fit_json = None if np.isnan(r2) else r2  # a single row has no line to fit
+    fit_json = None if np.isnan(r2) else r2  # one distinct size has no line to fit
     fit_path.write_text(json.dumps({"r2": fit_json, "rows": rows}, indent=2) + "\n")
     print("linear fit R^2 = %.4f over %d sizes" % (r2, len(rows)))
 

@@ -32,8 +32,6 @@ def gen_low_rank(d, n, r, seed=0):
     """
     if r < 0 or r > min(d, n):
         raise ValueError("need 0 <= r <= min(d, n) = %d, got %r" % (min(d, n), r))
-    if r == 0:
-        return np.zeros((d, n))
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, r))
     b = rng.standard_normal((n, r))
@@ -51,8 +49,6 @@ def gen_sparse(d, n, fraction, magnitude, seed=0):
         raise ValueError("fraction must lie in [0, 1), got %r" % fraction)
     count = int(round(fraction * d * n))
     s = np.zeros((d, n))
-    if count == 0:
-        return s
     rng = np.random.default_rng(seed)
     positions = rng.choice(d * n, size=count, replace=False)
     s.ravel()[positions] = rng.uniform(-magnitude, magnitude, size=count)

@@ -27,14 +27,18 @@ Every solve runs on the working matrix ``x * 2**-e`` (see ``_as_rows``):
 the outputs are scaled back exactly, so data of any finite scale solves
 without its norm or its squares overflowing or underflowing.
 
-solve_fffp, solve_uffp and each solve of lambda_sweep run in float32
-buffers for float32 ``x``, and for any other ``x`` whenever ``cfg.tol >=
-FLOAT32_TOL``, which the default tol is (``_factored_dtype`` states the
-rule): the buffers, the block scratch and every product with them are then
-float32, which halves the bytes each pass moves.  Below that tol they solve
-in float64.  solve_ialm always solves in float64, and lambda_sweep takes
-its grid from the float64 data.  The sparse part is returned as float32
-for float32 ``x`` and as float64 otherwise (always float64 in a
+The precision rule: solve_fffp, solve_uffp and each solve of lambda_sweep
+run in float32 buffers for float32 ``x``, and for any other ``x`` whenever
+``cfg.tol >= FLOAT32_TOL``, which the default tol is (``_factored_dtype``
+applies the rule): the buffers, the block scratch and every product with
+them are then float32, which halves the bytes each pass moves.  Below that
+tol they solve in float64.  The residual of float32 buffers stalls near
+1e-7, so float32 data, which always solves in float32, wants a tol of about
+1e-6 or more; a smaller one runs to max_iter and reports converged=False.
+solve_ialm always solves in float64: a float32 ``x`` is converted, so its
+solve is that of ``x.astype(np.float64)`` bit for bit.  lambda_sweep takes
+its grid from the float64 data.  The sparse part is returned as float32 for
+float32 ``x`` and as float64 otherwise (always float64 in a
 ``SweepEntry``); the factors, the core and every small factorization stay
 float64.  ``SolveReport.buffer_dtype`` names the buffers' dtype.  A
 C-ordered input of the buffers' dtype inside the band is not copied; any
@@ -86,10 +90,7 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 RHO_CAP = 1e10
 KAPPA = 1.5  # geometric penalty growth per iteration
 
-# the factored solves (solve_fffp, solve_uffp, lambda_sweep) take float32 buffers
-# for float64 data from this tol up; the residual of float32 buffers stalls near
-# 1e-7 (see SolverConfig.tol)
-FLOAT32_TOL = 1e-5
+FLOAT32_TOL = 1e-5  # float32 buffers from this tol up: the module docstring's precision rule
 
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
 SVT_START_RANK = 10  # predicted rank of the first iteration
@@ -164,15 +165,8 @@ class SolverConfig:
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    tol      : relative-residual stopping threshold, in (0, 1).  It also
-               sets the precision of solve_fffp, solve_uffp and
-               lambda_sweep (see the module docstring): from
-               ``FLOAT32_TOL`` (1e-5) up they solve float64 data in float32
-               buffers, below it in float64.  For
-               float32 data, which always solves in float32, keep it at or
-               above about 1e-6: the residual of float32 buffers stalls near
-               1e-7, so a smaller tol runs to max_iter and reports
-               converged=False.
+    tol      : relative-residual stopping threshold, in (0, 1); it also sets
+               the factored solves' precision (see the module docstring)
     max_iter : iteration cap
     seed     : seed of the Gaussian draws: the test matrix of the factored
                solvers' randomized truncated-SVD start (:func:`init_factors`)
@@ -186,12 +180,7 @@ class SolverConfig:
     start.  So the schedule scales with the data: a power-of-two rescaling of
     ``x`` rescales the outputs of solve_fffp and solve_ialm (solve_uffp's
     ``lam`` is absolute, in the data's units, and its surrogate is not
-    homogeneous).  Every
-    solve starts at ``s = 0`` and ``theta = 0``.  For the factored solvers
-    that is what a first sparse step at the start's threshold ``max|x|``
-    would give on ``x`` minus the starting low-rank part, except where that
-    difference exceeds ``max|x|``, which is rare (19 of 400 seeded 5 x 6
-    Gaussian inputs at k = 1).
+    homogeneous).
     """
 
     k: int | None
@@ -228,9 +217,7 @@ class SolveReport:
     start (see :class:`SolverConfig`); it, sparse_l1 and final_objective
     are in the data's units, whatever the working scale (see ``_as_rows``).
     buffer_dtype names the dtype of the solve's (d, n) buffers, "float32"
-    or "float64", by the same rule for solve_fffp, solve_uffp and every
-    lambda_sweep entry; solve_ialm's is always "float64" (see the module
-    docstring).
+    or "float64" (the module docstring's precision rule).
     per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
     iteration, with the squares summed over the driver's row blocks, so it
     can differ from :func:`relative_residual` in the last bits;
@@ -272,8 +259,8 @@ class IterationState(NamedTuple):
     end-of-iteration growth step, and ``theta`` is the multiplier for it,
     formed on demand as ``rho * (m - x + s_next)`` from the solver's
     workspace ``m`` and that next sparse part ``s_next``.  ``s`` and
-    ``theta`` have the dtype of the solver's buffers (see
-    ``SolveReport.buffer_dtype``); ``u``, ``c`` and ``v`` are float64.  Every
+    ``theta`` have the dtype of the solver's buffers (the module docstring's
+    precision rule); ``u``, ``c`` and ``v`` are float64.  Every
     field is in the units of the working matrix ``x * 2**-e`` (see
     ``_as_rows``), which are the data's unless max|x| lies outside [2**-32,
     2**32].
@@ -373,7 +360,7 @@ def relative_residual(x, l, s):
 
 
 def _as_rows(x, dtype=np.float64):
-    """The entry gate of every solve: ``(x, e, norm_x)``.
+    """The entry gate of every solve: ``(x, e, norm_x, top)``.
 
     ``x`` becomes the working matrix ``x * 2**-e``: C-ordered, so that its
     row blocks are contiguous, with finite entries, and of ``dtype`` (float32
@@ -384,8 +371,11 @@ def _as_rows(x, dtype=np.float64):
     exact, and a float32 ``dtype`` rounds once, where entries below 2**-126
     of max|x| lose bits.  So ``norm_x``, the
     working matrix's Frobenius norm, neither overflows nor underflows, even
-    when summed in float32.  Raises ValueError for the zero matrix: no
-    relative residual exists, so no solve starts and nothing is drawn.
+    when summed in float32.  ``top`` is the working matrix's max|x|, taken
+    from the data's without a second scan: rounding to ``dtype`` is monotone
+    and symmetric, so it maps the largest magnitude to the largest.  Raises
+    ValueError for the zero matrix: no relative residual exists, so no solve
+    starts and nothing is drawn.
     """
     x = _as_matrix(x, "x", keep_float32=True)
     top = float(max(x.max(), -x.min()))
@@ -397,14 +387,13 @@ def _as_rows(x, dtype=np.float64):
         x = np.ascontiguousarray(x, dtype=dtype)
     else:
         x = np.ldexp(x, -e, out=np.empty(x.shape, dtype), dtype=np.float64)
-    return x, e, np.linalg.norm(x)
+    return x, e, np.linalg.norm(x), float(dtype(math.ldexp(top, -e)))
 
 
 def _in_data_units(s, e, dtype):
     """The sparse part ``s`` of a working matrix ``x * 2**-e`` as ``dtype``, in
     the data's units: ``s * 2**e``, scaled in place once it has ``dtype``."""
-    if s.dtype != dtype:
-        s = s.astype(dtype)
+    s = s.astype(dtype, copy=False)
     return np.ldexp(s, e, out=s) if e else s
 
 
@@ -568,11 +557,11 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     )
 
 
-def _solve_factored(x, e, norm_x, start, t_start, cfg, lam_ld, on_iteration=None):
+def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration=None):
     """Run the factored step in :func:`_alm` on the working matrix ``x`` from
-    :func:`_as_rows`, from the factors ``start`` (``init_factors(x, cfg.k,
-    cfg.seed)``, only read), with surrogate weight ``lam_ld`` (0 for
-    solve_fffp) in the data's units.
+    :func:`_as_rows`, with its max|x| ``top``, from the penalty ``1/top`` and
+    the factors ``start`` (``init_factors(x, cfg.k, cfg.seed)``, only read),
+    with surrogate weight ``lam_ld`` (0 for solve_fffp) in the data's units.
 
     With ``lam_ld > 0`` each step rotates the factors into the singular
     basis of the core, shrinks its values at the data's scale, as
@@ -610,17 +599,14 @@ def _solve_factored(x, e, norm_x, start, t_start, cfg, lam_ld, on_iteration=None
         sigma = np.linalg.svd(c, compute_uv=False)
         return _spectrum_rank(sigma), lam_ld * float(np.log1p(sigma).sum())
 
-    # 1/max|x|, with max|x| taken without a (d, n) temporary
-    rho0 = 1.0 / float(max(x.max(), -x.min()))
-    factors, s, report = _alm(x, e, norm_x, cfg, 1.0, rho0, t_start, step, summary,
+    factors, s, report = _alm(x, e, norm_x, cfg, 1.0, 1.0 / top, t_start, step, summary,
                               on_iteration, factored=True)
     return _pad_factors(factors, start), s, report
 
 
 def _factored_dtype(x, cfg):
-    """The precision rule of the factored solves (see the module docstring):
-    the buffers' dtype, float32 for float32 ``x`` or from ``FLOAT32_TOL`` up,
-    float64 otherwise."""
+    """The buffers' dtype of a factored solve of ``x`` under ``cfg``: the
+    module docstring's precision rule."""
     f32 = getattr(x, "dtype", None) == np.float32 or cfg.tol >= FLOAT32_TOL
     return np.float32 if f32 else np.float64
 
@@ -631,8 +617,8 @@ def _solve(x, cfg, lam_ld, on_iteration):
     for float32 ``x`` and float64 otherwise."""
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
-    x, e, norm_x = _as_rows(x, _factored_dtype(x, cfg))
-    factors, s, report = _solve_factored(x, e, norm_x, init_factors(x, cfg.k, cfg.seed),
+    x, e, norm_x, top = _as_rows(x, _factored_dtype(x, cfg))
+    factors, s, report = _solve_factored(x, e, norm_x, top, init_factors(x, cfg.k, cfg.seed),
                                          t_start, cfg, lam_ld, on_iteration)
     return factors, _in_data_units(s, e, dtype), report
 
@@ -790,15 +776,14 @@ def solve_ialm(x, cfg):
     the workspace for the grown rho is formed from the sparse step's clip,
     the updated ``theta/rho``.  The thresholded low-rank part is kept as
     factors in the loop and formed once at the end; a non-C-ordered ``x``
-    is copied once.  The solve runs in float64 at any tol: a float32 ``x`` is
-    converted (one (d, n) copy), so its solve is that of
-    ``x.astype(np.float64)`` bit for bit.  The partial thresholding's
-    accuracy was measured in float64 only.
+    is copied once.  The solve runs in float64 at any tol (the module
+    docstring's precision rule); the partial thresholding's accuracy was
+    measured in float64 only.
 
     Returns ``(l, s, report)``.
     """
     t_start = time.perf_counter()
-    x, e, norm_x = _as_rows(x)
+    x, e, norm_x, _ = _as_rows(x)
 
     lam = float(cfg.lam) if cfg.lam is not None else 1.0 / math.sqrt(max(x.shape))
     rng = np.random.default_rng(cfg.seed)
@@ -887,11 +872,9 @@ def lambda_sweep(x, cfg):
     ``x`` in all rather than one copy each; collapsed runs and dense noise
     stay dense.
     A non-C-ordered ``x`` is copied once for the whole sweep.  The solves
-    follow solve_uffp's precision rule (see the module docstring): float32
-    buffers for float32 ``x`` or from ``FLOAT32_TOL`` up, which the default
-    tol is, float64 below it.  So each entry is ``solve_uffp`` with that
-    weight, bit for bit, at any tol, and its ``s`` is float64 either way.
-    The grid is taken on the float64 working matrix at any tol, before the
+    follow the module docstring's precision rule, so each entry is
+    ``solve_uffp`` with that weight, bit for bit, at any tol, and its ``s``
+    is float64 either way.  The grid is taken on the float64 working matrix at any tol, before the
     one cast to float32, which then replaces the float64 working copy for
     the solves: entry ranks below the selection move with round-off (a grid
     scaled by 1 + 1e-12 already moves some), so the weights stay those of
@@ -899,18 +882,17 @@ def lambda_sweep(x, cfg):
     units: the grid is taken on the working matrix and scaled back.
     """
     dtype = _factored_dtype(x, cfg)
-    x, e, norm_x = _as_rows(x)
+    x, e, _, top = _as_rows(x)
     grid = np.ldexp(default_lambda_grid(x), e)  # in the data's units
-    if dtype is np.float32:
-        # the rescale of _as_rows is exact, so the cast rounds once and is
-        # _as_rows(x, np.float32) bit for bit
-        x = x.astype(np.float32)
-        norm_x = np.linalg.norm(x)
+    # the rescale of _as_rows is exact, so the cast rounds once and is
+    # _as_rows(x, dtype) bit for bit
+    x = x.astype(dtype, copy=False)
+    norm_x, top = np.linalg.norm(x), float(dtype(top))
     start = init_factors(x, cfg.k, cfg.seed)
     entries = []
     for lam in grid:
-        factors, s, report = _solve_factored(x, e, norm_x, start, time.perf_counter(), cfg,
-                                             float(lam))
+        factors, s, report = _solve_factored(x, e, norm_x, top, start, time.perf_counter(),
+                                             cfg, float(lam))
         s = _in_data_units(s, e, np.float64)
         if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
             index = np.flatnonzero(s)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import robustpca.analysis as analysis
 import robustpca.solvers as solvers
 from robustpca import cli
 from robustpca.cli import build_parser, main
@@ -85,7 +86,7 @@ class TestDecompose:
             assert (out / name).exists()
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["converged"] is True
-        assert payload["metrics"]["rank_l"] == 3
+        assert payload["report"]["final_rank"] == 3
         assert payload["metrics"]["recovery_error"] <= 1e-3
         u = read_matrix(out / "U.ffpm")
         c = read_matrix(out / "C.ffpm")
@@ -122,7 +123,7 @@ class TestDecompose:
                    "--lambda-sweep", "--out", out)
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
-        assert payload["metrics"]["rank_l"] == 3
+        assert payload["report"]["final_rank"] == 3
         assert len(payload["sweep"]) >= 4
         assert payload["selected_lam"] > 0
         # each row shows the two figures the selection gates read
@@ -149,7 +150,7 @@ class TestDecompose:
     @pytest.mark.parametrize("method", ["fffp", "ialm"])
     def test_rank_comes_from_the_solve_report(self, problem_dir, tmp_path, monkeypatch,
                                               method):
-        # the metrics reuse report.final_rank instead of a full SVD of L
+        # the rank is the report's final_rank, not that of a full SVD of L
         shapes = []
         real = np.linalg.svd
 
@@ -163,7 +164,7 @@ class TestDecompose:
                    "--out", out)
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
-        assert payload["metrics"]["rank_l"] == payload["report"]["final_rank"] == 3
+        assert payload["report"]["final_rank"] == 3
         if method == "fffp":
             assert (100, 100) not in shapes  # no (d, n) array is ever factorized
         else:
@@ -172,16 +173,20 @@ class TestDecompose:
 
     @pytest.mark.parametrize("method", [["fffp"], ["ialm"], ["uffp", "--lambda-sweep"]],
                              ids=["fffp", "ialm", "uffp-sweep"])
-    def test_metrics_copy_the_solve_report(self, problem_dir, tmp_path, method):
+    @pytest.mark.parametrize("truth", [False, True], ids=["no_truth", "truth"])
+    def test_report_json_holds_no_copy_of_the_report(self, problem_dir, tmp_path, method,
+                                                     truth):
+        # every solve statistic has one home, the report block; --truth adds
+        # the one figure it cannot hold
         out = tmp_path / "dec"
+        flags = ["--truth", problem_dir / "L_star.ffpm"] if truth else []
         code = run("decompose", problem_dir / "X.ffpm", "--method", *method, "--k", "3",
-                   "--out", out)
+                   *flags, "--out", out)
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
-        metrics, report = payload["metrics"], payload["report"]
-        assert metrics["rank_l"] == report["final_rank"]
-        assert metrics["sparsity_ratio"] == report["sparsity_ratio"]
-        assert metrics["residual"] == report["final_residual"]
+        report, metrics = payload["report"], payload.get("metrics", {})
+        assert list(metrics) == (["recovery_error"] if truth else [])
+        assert not (set(metrics) | set(payload)) & set(report)
         s = read_matrix(out / "S.ffpm")
         assert report["sparse_l1"] == np.abs(s).sum()
 
@@ -340,6 +345,15 @@ class TestBackground:
         assert run("background", frames_dir, "--method", "ialm", "--out", out) == 0
         assert json.loads((out / "report.json").read_text())["config"]["k"] is None
 
+    def test_report_json_has_no_metrics_block(self, tmp_path):
+        # background takes no truth, and the report block holds every statistic
+        frame = np.random.default_rng(3).integers(40, 200, (6, 5), dtype=np.uint8)
+        frames_dir = tmp_path / "frames"
+        write_frames(frames_dir, [frame] * 8)
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--k", "1", "--out", out) == 0
+        assert set(json.loads((out / "report.json").read_text())) == {"report", "config"}
+
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -489,6 +503,26 @@ class TestBench:
     def test_empty_factors_exits_2(self, tmp_path):
         code = run("bench", "--axis", "samples", "--factors", "", "--out", tmp_path / "b")
         assert code == 2
+
+    @pytest.mark.parametrize("factors", ["inf", "1e400", "nan", "1,inf"])
+    def test_non_finite_factor_exits_2_before_any_problem(self, factors, tmp_path,
+                                                          monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(analysis, "make_problem", lambda **kw: made.append(kw))
+        out = tmp_path / "bench"
+        code = run("bench", "--axis", "samples", "--factors", factors, "--out", out)
+        assert code == 2
+        assert made == [] and not out.exists()
+        assert "positive scalars" in capsys.readouterr().err
+
+    def test_one_distinct_size_writes_a_null_fit(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = run("bench", "--axis", "samples", "--factors", "1,1", "--base-d", "40",
+                   "--base-n", "40", "--rank", "2", "--k", "2", "--iters", "2",
+                   "--repeats", "1", "--out", out)
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["r2"] is None
+        assert "R^2 = nan over 2 sizes" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [
         ["--method", "fffp", "--lambda", "123"],  # fffp has no weight

@@ -456,7 +456,7 @@ class TestAlmDriver:
         # and float64 buffers at 1e-6
         x = make_problem(d, n, r, 0.05, seed=seed).x
         scaled = np.ldexp(x, j)
-        working, _, _ = solvers._as_rows(scaled, np.float32)
+        working = solvers._as_rows(scaled, np.float32)[0]
         assume(np.abs(scaled).min() >= np.finfo(np.float64).tiny
                and np.abs(working).min() >= np.finfo(np.float32).tiny)
         for solve, tol in ((solve_fffp, 1e-3), (solve_fffp, 1e-6), (solve_ialm, 1e-3)):
@@ -954,6 +954,20 @@ def test_zero_norm_rejected_before_any_draw(name, scale, monkeypatch):
     with pytest.raises(ValueError if scale == 0.0 else Drawn,
                        match="zero Frobenius norm" if scale == 0.0 else None):
         ENTRY_POINTS[name](x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("data", ["float64", "float32", "2**520", "2**-600"])
+def test_entry_gate_max_is_that_of_its_working_matrix(data, dtype):
+    # the factored solves start from 1/max|x| with the gate's max|x| and do
+    # not scan the working matrix again, so the two agree bit for bit, cast
+    # to float32 or not, rescaled or not
+    x = make_problem(30, 20, 2, 0.1, seed=4).x
+    x = {"float64": x, "float32": x.astype(np.float32),
+         "2**520": np.ldexp(x, 520), "2**-600": np.ldexp(x, -600)}[data]
+    working, e, _, top = solvers._as_rows(x, dtype)
+    assert working.dtype == dtype and (e != 0) == data.startswith("2**")
+    assert top == float(max(working.max(), -working.min()))
 
 
 class TestRecoveryMap:
