@@ -29,20 +29,19 @@ without its norm or its squares overflowing or underflowing.
 
 The precision rule: solve_fffp, solve_uffp and each solve of lambda_sweep
 run in float32 buffers for float32 ``x``, and for any other ``x`` whenever
-``cfg.tol >= FLOAT32_TOL``, which the default tol is (``_factored_dtype``
-applies the rule): the buffers, the block scratch and every product with
-them are then float32, which halves the bytes each pass moves.  Below that
-tol they solve in float64.  The residual of float32 buffers stalls near
-1e-7, so float32 data, which always solves in float32, wants a tol of about
-1e-6 or more; a smaller one runs to max_iter and reports converged=False.
+``cfg.tol >= FLOAT32_TOL``, which the default tol is (``_solve`` applies
+the rule): the buffers, the block scratch and every product with them are
+then float32, which halves the bytes each pass moves.  Below that tol they
+solve in float64.  The residual of float32 buffers stalls near 1e-7, so
+float32 data, which always solves in float32, wants a tol of about 1e-6 or
+more; a smaller one runs to max_iter and reports converged=False.
 solve_ialm always solves in float64: a float32 ``x`` is converted, so its
-solve is that of ``x.astype(np.float64)`` bit for bit.  lambda_sweep takes
-its grid from the float64 data.  The sparse part is returned as float32 for
-float32 ``x`` and as float64 otherwise (always float64 in a
-``SweepEntry``); the factors, the core and every small factorization stay
-float64.  ``SolveReport.buffer_dtype`` names the buffers' dtype.  A
-C-ordered input of the buffers' dtype inside the band is not copied; any
-other input is copied once, with its cast and rescale in the same pass.
+solve is that of ``x.astype(np.float64)`` bit for bit.  The sparse part is
+returned as float32 for float32 ``x`` and as float64 otherwise; the
+factors, the core and every small factorization stay float64.
+``SolveReport.buffer_dtype`` names the buffers' dtype.  A C-ordered input
+of the buffers' dtype inside the band is not copied; any other input is
+copied once, with its cast and rescale in the same pass.
 """
 
 import math
@@ -155,22 +154,25 @@ class FactoredLowRank:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables shared by all solvers.  ``lam``, ``tol`` and ``max_iter`` are
-    checked when the config is made (ValueError); ``k`` needs the data's shape.
+    """Tunables shared by all solvers.  Every field is checked when the
+    config is made (ValueError), but for the upper bound of ``k``, which needs
+    the data's shape.
 
-    k        : factor width; upper bound on the recovered rank.  Only the
-               factored solvers read it, through :func:`init_factors`, which
-               checks ``1 <= k <= min(d, n)``; solve_ialm has no rank
-               parameter and ignores it, so it may be None there.
+    k        : factor width; upper bound on the recovered rank, at least 1
+               when given.  Only the factored solvers read it, through
+               :func:`init_factors`, which checks ``k <= min(d, n)`` and
+               refuses None; solve_ialm has no rank parameter and ignores
+               it, so it may be None there.
     lam      : finite balance weight. Required by solve_uffp (0 is allowed
                and degenerates to solve_fffp); solve_ialm defaults a
                missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
     tol      : relative-residual stopping threshold, in (0, 1); it also sets
                the factored solves' precision (see the module docstring)
     max_iter : iteration cap
-    seed     : seed of the Gaussian draws: the test matrix of the factored
-               solvers' randomized truncated-SVD start (:func:`init_factors`)
-               and the range finder of solve_ialm's singular-value step
+    seed     : nonnegative seed of the Gaussian draws: the test matrix of the
+               factored solvers' randomized truncated-SVD start
+               (:func:`init_factors`) and the range finder of solve_ialm's
+               singular-value step
 
     The penalty schedule is fixed: it starts at ``1/max|x|`` for the factored
     solvers (the first sparse threshold 1/rho reaches the largest entry) and
@@ -196,6 +198,10 @@ class SolverConfig:
             raise ValueError("tol must lie in (0, 1), got %r" % self.tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive, got %r" % self.max_iter)
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be at least 1, got %r" % self.k)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative, got %r" % self.seed)
 
 
 @dataclass
@@ -283,10 +289,11 @@ class SweepEntry(NamedTuple):
     run's sparse part as stored: the dense (d, n) array, or, when fewer
     than half its entries are nonzero (``report.sparsity_ratio < 0.5``), the
     pair ``(index, values)`` of its C-order flat indices (int64) and nonzero
-    values, at 16 bytes per nonzero instead of 8 per entry.  The property
-    ``s`` gives the dense (d, n) array either way, with every bit of the
-    solve's: the stored array of a dense entry, and a fresh array, built
-    on each access, of a compact one.  So read ``s`` once and keep it.
+    values, at 8 bytes plus one value per nonzero instead of one value per
+    entry.  The property ``s`` gives the dense (d, n) array either way, with
+    every bit and the dtype of solve_uffp's at that weight: the stored array
+    of a dense entry, and a fresh array, built on each access, of a compact
+    one.  So read ``s`` once and keep it.
     """
 
     lam: float
@@ -374,14 +381,13 @@ def _as_rows(x, dtype=np.float64):
     when summed in float32.  ``top`` is the working matrix's max|x|, taken
     from the data's without a second scan: rounding to ``dtype`` is monotone
     and symmetric, so it maps the largest magnitude to the largest.  Raises
-    ValueError for the zero matrix: no relative residual exists, so no solve
-    starts and nothing is drawn.
+    ValueError for the zero matrix, which has no scale to solve at, so no
+    solve or grid starts and nothing is drawn.
     """
     x = _as_matrix(x, "x", keep_float32=True)
     top = float(max(x.max(), -x.min()))
     if top == 0.0:
-        raise ValueError("x has zero Frobenius norm (it is the zero matrix); "
-                         "the relative residual is undefined")
+        raise ValueError("x has zero Frobenius norm (it is the zero matrix)")
     e = 0 if 2.0**-32 <= top <= 2.0**32 else math.frexp(top)[1] - 1
     if e == 0:
         x = np.ascontiguousarray(x, dtype=dtype)
@@ -557,7 +563,7 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     )
 
 
-def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration=None):
+def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, dtype, on_iteration=None):
     """Run the factored step in :func:`_alm` on the working matrix ``x`` from
     :func:`_as_rows`, with its max|x| ``top``, from the penalty ``1/top`` and
     the factors ``start`` (``init_factors(x, cfg.k, cfg.seed)``, only read),
@@ -568,9 +574,9 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration
     ``_ld_values(sigma * 2**e, tau * 2**e) * 2**-e``, so that ``lam_ld``
     means the same at any working scale, and keeps only the directions
     whose value stays positive, so the iterate's width never grows; a
-    width-0 iterate takes no factorization.  The returned factors are
-    padded back to width k by :func:`_pad_factors`; the sparse part is the
-    working matrix's.
+    width-0 iterate takes no factorization.  Returns ``(factors, s,
+    report)``: the factors padded back to width k by :func:`_pad_factors`,
+    and the sparse part in the data's units as ``dtype``.
     """
     u, c, v = start.u, start.c, start.v
 
@@ -601,26 +607,29 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration
 
     factors, s, report = _alm(x, e, norm_x, cfg, 1.0, 1.0 / top, t_start, step, summary,
                               on_iteration, factored=True)
-    return _pad_factors(factors, start), s, report
+    return _pad_factors(factors, start), _in_data_units(s, e, dtype), report
 
 
-def _factored_dtype(x, cfg):
-    """The buffers' dtype of a factored solve of ``x`` under ``cfg``: the
-    module docstring's precision rule."""
-    f32 = getattr(x, "dtype", None) == np.float32 or cfg.tol >= FLOAT32_TOL
-    return np.float32 if f32 else np.float64
+def _solve(x, cfg, weights, on_iteration=None):
+    """The factored solves of ``x``, one per surrogate weight in ``weights``
+    (in the data's units; 0 is solve_fffp): a generator of their ``(factors,
+    s, report)``, in order.
 
-
-def _solve(x, cfg, lam_ld, on_iteration):
-    """solve_fffp and solve_uffp: :func:`_solve_factored` in the buffers of
-    :func:`_factored_dtype`, and ``s`` back in the data's units, as float32
-    for float32 ``x`` and float64 otherwise."""
+    The entry gate, the precision rule and the start factors run once, on
+    the first ``next``; each weight then runs :func:`_solve_factored` from
+    those factors, and its result is yielded as that call returns it, so the
+    generator holds no solve's outputs.  ``s`` is float32 for float32 ``x``
+    and float64 otherwise.  The first report's wall time counts the gate and
+    the start; each later one counts from the ``next`` that resumed it.
+    """
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
-    x, e, norm_x, top = _as_rows(x, _factored_dtype(x, cfg))
-    factors, s, report = _solve_factored(x, e, norm_x, top, init_factors(x, cfg.k, cfg.seed),
-                                         t_start, cfg, lam_ld, on_iteration)
-    return factors, _in_data_units(s, e, dtype), report
+    x, e, norm_x, top = _as_rows(x, np.float32 if cfg.tol >= FLOAT32_TOL else dtype)
+    start = init_factors(x, cfg.k, cfg.seed)
+    for lam_ld in weights:
+        yield _solve_factored(x, e, norm_x, top, start, t_start, cfg, float(lam_ld), dtype,
+                              on_iteration)
+        t_start = time.perf_counter()
 
 
 def _pad_factors(factors, start):
@@ -663,7 +672,7 @@ def solve_fffp(x, cfg, on_iteration=None):
 
     Returns ``(factors, s, report)``.
     """
-    return _solve(x, cfg, 0.0, on_iteration)
+    return next(_solve(x, cfg, [0.0], on_iteration))
 
 
 def solve_uffp(x, cfg, on_iteration=None):
@@ -683,7 +692,7 @@ def solve_uffp(x, cfg, on_iteration=None):
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
-    return _solve(x, cfg, float(cfg.lam), on_iteration)
+    return next(_solve(x, cfg, [cfg.lam], on_iteration))
 
 
 def _ritz_triplets(m, rank, start, rng):
@@ -831,13 +840,15 @@ def default_lambda_grid(x):
     0), at O(d * n) cost, or the exact thin SVD when ``min(d, n)`` is at most
     73.  So no large (d, n) matrix is factorized.  On ``make_problem(n, n, 5,
     0.05, seed=7)`` the anchor differs from ``||x||_2`` by 1.4e-8 relative at
-    n = 74, 3.4e-10 at 200, 2.8e-12 at 400 and 0 at 2000.
+    n = 74, 3.4e-10 at 200, 2.8e-12 at 400 and 0 at 2000.  The anchor is
+    taken on the float64 working matrix of :func:`_as_rows`, whatever the
+    dtype of ``x``, and the grid is scaled back to the data's units, so a
+    power-of-two rescaling of ``x`` that keeps its entries normal rescales
+    the grid bit for bit.  The zero matrix is refused by that gate.
     """
-    x = _as_matrix(x, "x")
+    x, e, _, _ = _as_rows(x)
     top = float(_ritz_triplets(x, 1, None, np.random.default_rng(0)).s[0])
-    if top == 0.0:
-        raise ValueError("x is the zero matrix; no sensible grid exists")
-    return top * 10.0 ** np.array(_GRID_EXPONENTS)
+    return np.ldexp(top * 10.0 ** np.array(_GRID_EXPONENTS), e)
 
 
 def lambda_sweep(x, cfg):
@@ -871,33 +882,18 @@ def lambda_sweep(x, cfg):
     compact, so their sparse parts take about as much memory as one copy of
     ``x`` in all rather than one copy each; collapsed runs and dense noise
     stay dense.
-    A non-C-ordered ``x`` is copied once for the whole sweep.  The solves
-    follow the module docstring's precision rule, so each entry is
-    ``solve_uffp`` with that weight, bit for bit, at any tol, and its ``s``
-    is float64 either way.  The grid is taken on the float64 working matrix at any tol, before the
-    one cast to float32, which then replaces the float64 working copy for
-    the solves: entry ranks below the selection move with round-off (a grid
-    scaled by 1 + 1e-12 already moves some), so the weights stay those of
-    the data, not of its float32 rounding.  The weights are in the data's
-    units: the grid is taken on the working matrix and scaled back.
+    The solves share solve_uffp's entry (``_solve``): one gate, one working
+    copy of ``x`` if it needs one, and one start serve the whole sweep, so
+    each entry is ``solve_uffp`` with that weight, bit for bit, ``s`` and
+    its dtype included, at any tol.
     """
-    dtype = _factored_dtype(x, cfg)
-    x, e, _, top = _as_rows(x)
-    grid = np.ldexp(default_lambda_grid(x), e)  # in the data's units
-    # the rescale of _as_rows is exact, so the cast rounds once and is
-    # _as_rows(x, dtype) bit for bit
-    x = x.astype(dtype, copy=False)
-    norm_x, top = np.linalg.norm(x), float(dtype(top))
-    start = init_factors(x, cfg.k, cfg.seed)
+    grid = default_lambda_grid(x)
     entries = []
-    for lam in grid:
-        factors, s, report = _solve_factored(x, e, norm_x, top, start, time.perf_counter(),
-                                             cfg, float(lam))
-        s = _in_data_units(s, e, np.float64)
+    for factors, s, report in _solve(x, cfg, grid):
         if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
             index = np.flatnonzero(s)
             s = index, s.ravel()[index]
-        entries.append(SweepEntry(float(lam), factors, s, report))
+        entries.append(SweepEntry(float(grid[len(entries)]), factors, s, report))
 
     reports = [e.report for e in entries]
     candidates = [i for i, r in enumerate(reports) if r.converged and r.final_rank > 0]

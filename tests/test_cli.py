@@ -515,6 +515,19 @@ class TestBench:
         assert made == [] and not out.exists()
         assert "positive scalars" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [(["--k", "0"], "k must be at least 1"),
+                                                (["--seed", "-1"], "seed must be nonnegative")],
+                             ids=["k", "seed"])
+    def test_bad_k_or_seed_exits_2_before_any_problem(self, flags, message, tmp_path,
+                                                      monkeypatch, capsys):
+        made = []
+        monkeypatch.setattr(analysis, "make_problem", lambda **kw: made.append(kw))
+        out = tmp_path / "bench"
+        code = run("bench", "--axis", "samples", "--factors", "1.0", "--out", out, *flags)
+        assert code == 2
+        assert made == [] and not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_one_distinct_size_writes_a_null_fit(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = run("bench", "--axis", "samples", "--factors", "1,1", "--base-d", "40",
@@ -609,8 +622,9 @@ class TestParser:
         assert "%s needs --k" % flags[1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["decompose", "background", "anomaly"])
-    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--max-iter", "0"]],
-                             ids=["tol", "max-iter"])
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--max-iter", "0"], ["--k", "0"],
+                                       ["--seed", "-1"]],
+                             ids=["tol", "max-iter", "k", "seed"])
     def test_bad_solver_value_exits_2_before_reading(self, command, flags, tmp_path,
                                                      monkeypatch, capsys):
         reads = []

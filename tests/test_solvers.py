@@ -53,9 +53,15 @@ class TestConfig:
                 solve_fffp(x, SolverConfig(**fields))
 
     def test_checked_when_made(self):
-        # no solve runs: making the config raises
-        with pytest.raises(ValueError, match="tol must lie in"):
-            SolverConfig(k=2, tol=0.0)
+        # no solve runs: making the config raises, naming the field; only k's
+        # upper bound needs the data's shape
+        for fields, message in ((dict(k=2, tol=0.0), "tol must lie in"),
+                                (dict(k=0), "k must be at least 1"),
+                                (dict(k=-3), "k must be at least 1"),
+                                (dict(k=2, seed=-1), "seed must be nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                SolverConfig(**fields)
+        SolverConfig(k=None)  # solve_ialm reads no k
 
     def test_uffp_requires_lam(self):
         with pytest.raises(ValueError):
@@ -827,6 +833,24 @@ class TestUffp:
         assert held <= 7 * unit
         assert sum(isinstance(e.sparse, tuple) for e in entries) == 11
 
+    def test_sweep_memory_on_float32_data(self):
+        # in units of the float64 x, as above: float32 data keeps its sparse
+        # parts in float32, as solve_uffp returns them, and solves on x
+        # itself, so the sweep peaks at 5.2 and holds 3.5 on return.  Upcast
+        # to float64, they peaked at 6.5 and held 4.8
+        x = make_problem(400, 400, 5, 0.05, seed=3).x
+        unit = x.itemsize * x.size
+        x = x.astype(np.float32)
+        tracemalloc.start()
+        try:
+            entries, _ = lambda_sweep(x, SolverConfig(k=25))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * unit
+        assert held <= 4 * unit
+        assert {e.s.dtype for e in entries} == {np.dtype(np.float32)}
+
     @pytest.mark.parametrize("scale", [1 + 1e-12, 1 + 1e-6])
     @pytest.mark.parametrize("shape, k", [((200, 200), 25), ((300, 120), 10)],
                              ids=["200x200", "300x120"])
@@ -909,6 +933,22 @@ class TestUffp:
         assert not any(spectral_norms)
         anchor = grid[list(solvers._GRID_EXPONENTS).index(0.0)]
         assert abs(anchor - np.linalg.norm(x, 2)) <= 1e-9 * np.linalg.norm(x, 2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(8, 120), n=st.integers(8, 120), r=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), j=st.integers(-1000, 1000))
+    @example(d=120, n=90, r=4, seed=1, j=-1000)  # min(d, n) > 73: a range-finder anchor
+    @example(d=60, n=50, r=2, seed=1, j=-600)
+    @example(d=120, n=90, r=4, seed=1, j=520)
+    @example(d=8, n=70, r=1, seed=1, j=1000)
+    def test_default_grid_power_of_two_scale_property(self, d, n, r, seed, j):
+        # the anchor is taken on the entry gate's working matrix and the grid
+        # scaled back, so scaling x by 2**j, exact while every entry stays
+        # normal, scales the grid bit for bit
+        x = make_problem(d, n, r, 0.05, seed=seed).x
+        scaled = np.ldexp(x, j)
+        assume(np.abs(scaled).min() >= np.finfo(np.float64).tiny)
+        assert np.array_equal(default_lambda_grid(scaled), np.ldexp(default_lambda_grid(x), j))
 
 
 def with_entry(value):
@@ -1468,13 +1508,19 @@ class TestFloat32:
             # float32 data solves in float32 at any tol
             report = solve(x.astype(np.float32), SolverConfig(k=2, lam=lam, tol=1e-6))[2]
             assert report.buffer_dtype == "float32"
-        # the sweep's solves follow the same rule, and its s is always float64
+        # the sweep's solves follow the same rule, and each entry's s is
+        # solve_uffp's at that weight, in dtype and bytes
         for data, tol, want in ((x, 1e-3, "float32"), (x, 1e-6, "float64"),
                                 (x.astype(np.float32), 1e-3, "float32"),
                                 (x.astype(np.float32), 1e-6, "float32")):
-            entries, _ = lambda_sweep(data, SolverConfig(k=2, tol=tol))
+            cfg = SolverConfig(k=2, tol=tol)
+            entries, _ = lambda_sweep(data, cfg)
             assert {e.report.buffer_dtype for e in entries} == {want}
-            assert {e.s.dtype for e in entries} == {np.dtype(np.float64)}
+            for e in entries:
+                s = solve_uffp(data, replace(cfg, lam=e.lam))[1]
+                got = e.s
+                assert got.dtype == s.dtype == data.dtype
+                assert got.tobytes() == s.tobytes()
         for tol in (1e-3, 1e-6):
             cfg = SolverConfig(k=2, tol=tol)
             assert solve_ialm(x.astype(np.float32), cfg)[2].buffer_dtype == "float64"
@@ -1482,8 +1528,9 @@ class TestFloat32:
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-3), (np.float32, 1e-6)],
                              ids=["float64_default_tol", "float32_tol1e-6"])
     def test_sweep_entries_are_solve_uffp(self, dtype, tol):
-        # each entry is solve_uffp at its weight, in the same float32 buffers;
-        # the grid comes from the float64 data, the solves from its float32 cast
+        # each entry is solve_uffp at its weight, in the same float32 buffers
+        # and with the same s, in dtype and bytes; the grid comes from the
+        # float64 data, the solves from its float32 cast
         x = make_problem(120, 90, 4, 0.05, seed=1).x.astype(dtype)
         cfg = SolverConfig(k=8, tol=tol)
         entries, _ = lambda_sweep(x, cfg)
@@ -1494,8 +1541,8 @@ class TestFloat32:
                               (e.factors.v, factors.v)):
                 assert np.array_equal(got, want)
             got_s = e.s
-            assert got_s.dtype == np.float64 and s.dtype == dtype
-            assert np.array_equal(got_s, s.astype(np.float64))
+            assert got_s.dtype == s.dtype == dtype
+            assert got_s.tobytes() == s.tobytes()
             assert replace(e.report, wall_time=0.0) == replace(report, wall_time=0.0)
 
     def test_ialm_solves_in_float64(self):

@@ -16,8 +16,8 @@ Each tree's ``src`` is imported in its own subprocess (through
   (``sweep_tol1e-6``) on the 400x400 and 300x120 problems at tol 1e-6,
   below ``FLOAT32_TOL``, so in float64 buffers (at the default tol they
   solve float64 data in float32 buffers);
-* ``solve_fffp`` and ``solve_uffp`` at a positive weight on the 300x120
-  problem cast to float32, which they solve in float32;
+* ``solve_fffp``, ``solve_uffp`` at a positive weight and ``lambda_sweep``
+  on the 300x120 problem cast to float32, which they solve in float32;
 * ``solve_fffp``, ``solve_ialm`` and ``solve_uffp`` at a positive weight on
   the 300x120 problem scaled by 2**520 and by 2**-600, far outside [2**-32,
   2**32], so each solves a rescaled working matrix and scales its outputs
@@ -175,6 +175,7 @@ def _library(out):
     lam = float(default_lambda_grid(x)[7])
     _put_factored(out, tag + "/fffp", *solve_fffp(x, SolverConfig(k=k)))
     _put_factored(out, tag + "/uffp", *solve_uffp(x, SolverConfig(k=k, lam=lam)))
+    _put_sweep(out, tag + "/sweep", *lambda_sweep(x, SolverConfig(k=k)))
     x = make_problem(d, n, 5, 0.05, seed=7).x
     lam = float(default_lambda_grid(x)[7])
     for j in SCALES:
