@@ -85,9 +85,24 @@ RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count 
 # ceiling on the penalty weight, as a multiple of its data-scaled start (Lin,
 # Chen & Ma cap theirs at 1e7 times it), so the schedule scales with the data;
 # unbounded geometric growth would overflow after a few hundred iterations.
-# KAPPA**57 exceeds 1e10, so the ceiling binds from iteration 58 on
+# At KAPPA alone the ceiling binds from iteration 58 on (KAPPA**57 > 1e10),
+# and each KAPPA_FAST step brings it two iterations closer
 RHO_CAP = 1e10
 KAPPA = 1.5  # geometric penalty growth per iteration
+# Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, sec. 3.4.1): the
+# penalty grows by KAPPA_FAST instead while the last primal residual exceeds
+# BALANCE times the change of L, ||L_t - L_{t-1}||_F / ||x||_F.  On 8-bit
+# frames (background, 19200x200, k=1) L stands still while the rounding
+# residual waits for 1/rho to fall below half a gray level: 16 -> 11
+# iterations.  It never fires on the fffp_2000 and ialm_400 benchmark problems,
+# and the recovery map moves by no cell.  Measured on the background
+# workload and the map: BALANCE 50 with KAPPA**2 took 13
+# iterations, 100 with KAPPA**3 12, 30 or 50 with KAPPA**3 11, 50 with
+# KAPPA**4 10; BALANCE 10 (Boyd's) lost up to 64% recovery on two map cells
+# at 20% corruption and 48-66% on ialm with dense noise, and 20 with KAPPA**2
+# moved ialm and a map cell by 9.8%
+BALANCE = 50.0
+KAPPA_FAST = KAPPA**3
 
 FLOAT32_TOL = 1e-5  # float32 buffers from this tol up: the module docstring's precision rule
 
@@ -174,15 +189,17 @@ class SolverConfig:
                (:func:`init_factors`) and the range finder of solve_ialm's
                singular-value step
 
-    The penalty schedule is fixed: it starts at ``1/max|x|`` for the factored
-    solvers (the first sparse threshold 1/rho reaches the largest entry) and
-    at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, with sigma_1 from
-    the factorization of ``x`` that its first singular-value step thresholds,
-    and grows by ``KAPPA`` per iteration, capped at ``RHO_CAP`` times its
-    start.  So the schedule scales with the data: a power-of-two rescaling of
-    ``x`` rescales the outputs of solve_fffp and solve_ialm (solve_uffp's
-    ``lam`` is absolute, in the data's units, and its surrogate is not
-    homogeneous).
+    The penalty schedule is not a field: it starts at ``1/max|x|`` for the
+    factored solvers (the first sparse threshold 1/rho reaches the largest
+    entry) and at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, with
+    sigma_1 from the factorization of ``x`` that its first singular-value
+    step thresholds, and grows by ``KAPPA`` per iteration, or by
+    ``KAPPA_FAST`` while the last relative residual exceeds ``BALANCE`` times
+    the relative change of the low-rank part (residual balancing), capped at
+    ``RHO_CAP`` times its start.  Both sides of that test are relative, so
+    the schedule scales with the data: a power-of-two rescaling of ``x``
+    rescales the outputs of solve_fffp and solve_ialm (solve_uffp's ``lam``
+    is absolute, in the data's units, and its surrogate is not homogeneous).
     """
 
     k: int | None
@@ -229,14 +246,22 @@ class SolveReport:
     can differ from :func:`relative_residual` in the last bits;
     final_residual is its last entry.  Float32 buffers sum each block's
     squares in float32 (the blocks' sums add up in float64), so there the
-    two agree only to about 1e-5 relative.  sparse_l1 is the l1 norm of the
-    final s, summed in float64.
+    two agree only to about 1e-5 relative.  per_iter_change holds, parallel
+    to it, ``||L_t - L_{t-1}||_F / ||x||_F``, the change of the low-rank part
+    in each iteration (``L_0 = 0``), which the penalty schedule reads.  It
+    is computed from the factors (see ``_change``): its square is exact to
+    about 1e-15 when the core is about as large as ``x``, so the change is
+    exact to 1e-6 relative from about 1e-5 up, and below that the
+    subtraction cancels.  sparse_l1 is the l1 norm of the final s, summed
+    in float64; past the float64 range it reads inf, and final_objective
+    then reads inf, or leaves the l1 term out at a zero weight, never nan.
     """
 
     iterations: int
     svd_count: int
     rho0: float
     per_iter_residual: list[float]
+    per_iter_change: list[float]
     final_rank: int
     sparsity_ratio: float
     sparse_l1: float
@@ -403,6 +428,22 @@ def _in_data_units(s, e, dtype):
     return np.ldexp(s, e, out=s) if e else s
 
 
+def _change(u, c, v, prev):
+    """``||u @ c @ v.T - u0 @ c0 @ v0.T||_F`` for the iterate ``prev = (u0, c0,
+    v0)``, or ``||c||_F`` for None (L = 0), from the factors at O((d + n)k^2):
+    with orthonormal factors the square is ``||c||^2 + ||c0||^2 - 2 tr(c.T
+    (u.T u0) c0 (v0.T v))``, clamped at 0.  That subtraction loses about
+    1e-16 of ``||c||^2``, so a change below about 1e-8 of ``||c||`` reads as
+    noise.  The rule's threshold on the change, the last residual / BALANCE,
+    exceeds tol / BALANCE (2e-5 of ``||x||`` at the default tol)."""
+    square = float(np.sum(c * c))
+    if prev is not None:
+        u0, c0, v0 = prev
+        cross = float(np.sum(c * (((u.T @ u0) @ c0) @ (v0.T @ v))))
+        square += float(np.sum(c0 * c0)) - 2.0 * cross
+    return math.sqrt(max(square, 0.0))
+
+
 def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=None,
          factored=False):
     """The inexact augmented-Lagrangian loop behind all three solvers.
@@ -423,12 +464,17 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     block and iteration in a scratch as ``L = (u @ c) @ v.T``; ``u @ c`` and
     ``v`` are cast to the buffers' dtype once per iteration, so no block
     product upcasts.  The penalty starts at ``rho0``, the solver's
-    data-scaled start, and grows by ``KAPPA`` per iteration up to ``RHO_CAP *
-    rho0``.  That ceiling is finite: max|x| is at least 2**-32, so both
-    starts, ``1/max|x|`` and ``1.25/sigma_1 <= 1.25/max|x|``, lie below
-    1.25 * 2**32.  Every solve
-    starts at ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of ``x``
-    and no pass runs before iteration 1.
+    data-scaled start, and grows per iteration up to ``RHO_CAP * rho0``.
+    That ceiling is finite: max|x| is at least 2**-32, so both starts,
+    ``1/max|x|`` and ``1.25/sigma_1 <= 1.25/max|x|``, lie below 1.25 *
+    2**32.  The growth is residual balancing: once the step of iteration t
+    has returned, :func:`_change` gives ``||L_t - L_{t-1}||_F / ||x||_F``
+    from the factors, and rho grows by ``KAPPA_FAST`` when t >= 2 and
+    iteration t-1's residual exceeds ``BALANCE`` times that change, else by
+    ``KAPPA``.  The rule reads the last residual because the pass that sums
+    this iteration's also forms the next sparse step at the grown rho.  Every
+    solve starts at ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of
+    ``x``, ``L_0 = 0`` and no pass runs before iteration 1.
 
     ``weight`` is the weight of the l1 term, a constant of the solve.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
@@ -479,8 +525,9 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [d])]
     l_buf, a_buf = np.empty((2, min(rows + 1, d), n), dt)  # per-block scratch
     rho = rho0 = float(rho0)
-    residuals = []
+    residuals, changes = [], []
     svd_count = 0
+    prev = None  # the last iterate; None is L = 0, the start of every solve
 
     def shrink(b, g, tau):
         # the sparse step s_next[b] = soft_threshold(g, tau), written as
@@ -501,7 +548,12 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         left, right = (u @ c).astype(dt, copy=False), v.astype(dt, copy=False)
         svd_count += svds
-        rho_next = min(rho * KAPPA, RHO_CAP * rho0)
+        change = _change(u, c, v, prev) / float(norm_x)
+        changes.append(change)
+        prev = u, c, v
+        # the pass sums this iteration's residual, so the rule reads the last one
+        fast = t >= 2 and BALANCE * change < residuals[-1]
+        rho_next = min(rho * (KAPPA_FAST if fast else KAPPA), RHO_CAP * rho0)
         ratio = rho / rho_next
         # the factored pass forms the next iteration's s, solve_ialm's this one's
         tau = weight / (rho_next if factored else rho)
@@ -544,7 +596,8 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         if residual <= cfg.tol:
             break
 
-    sparse_l1 = math.ldexp(float(np.abs(s, out=m).sum(dtype=np.float64)), e)
+    with np.errstate(over="ignore"):  # an l1 mass past the float64 range reads inf
+        sparse_l1 = float(np.ldexp(np.abs(s, out=m).sum(dtype=np.float64), e))
     c = np.ldexp(c, e)
     final_rank, low_rank_term = summary(c)
     return FactoredLowRank(u, c, v), s, SolveReport(
@@ -552,12 +605,14 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         svd_count=svd_count,
         rho0=math.ldexp(rho0, -e),
         per_iter_residual=residuals,
+        per_iter_change=changes,
         final_rank=final_rank,
         sparsity_ratio=sparsity_ratio(s),
         sparse_l1=sparse_l1,
         final_residual=residuals[-1],
         wall_time=time.perf_counter() - t_start,
-        final_objective=weight * sparse_l1 + low_rank_term,
+        # a zero weight leaves the l1 term out, even when sparse_l1 reads inf
+        final_objective=(weight * sparse_l1 if weight else 0.0) + low_rank_term,
         converged=residual <= cfg.tol,
         buffer_dtype=dt.name,
     )
@@ -661,8 +716,10 @@ def solve_fffp(x, cfg, on_iteration=None):
     soft-thresholding of the current misfit at 1/rho, the side factors by
     orthogonal-Procrustes (polar) updates, and the core by projection
     ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
-    residual and rho grows by ``KAPPA`` (capped at ``RHO_CAP`` times its
-    start).  Stops when the relative residual reaches ``cfg.tol`` or after
+    residual and rho grows by ``KAPPA``, or by ``KAPPA_FAST`` while the last
+    residual exceeds ``BALANCE`` times the change of the low-rank part
+    (capped at ``RHO_CAP`` times its start; see :class:`SolverConfig`).
+    Stops when the relative residual reaches ``cfg.tol`` or after
     ``cfg.max_iter`` iterations.
     Each iteration makes one row-block pass of the driver over the (d, n)
     buffers, which sums the residual and forms the next iteration's sparse
@@ -762,9 +819,9 @@ def solve_ialm(x, cfg):
 
     Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
     ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
-    shared with the factored solvers (same multiplier and penalty schedule;
-    the start is Lin, Chen & Ma's 1.25/sigma_1(x)).  ``cfg.lam``
-    defaults to 1/sqrt(max(d, n)).  The convex model has no rank
+    shared with the factored solvers (same multiplier and penalty schedule,
+    residual balancing included; the start is Lin, Chen & Ma's
+    1.25/sigma_1(x)).  ``cfg.lam`` defaults to 1/sqrt(max(d, n)).  The convex model has no rank
     parameter, so ``cfg.k`` is not read (it may be None), as solve_fffp
     ignores ``cfg.lam``.  As in Lin, Chen & Ma's inexact ALM, the
     singular-value step computes only a partial SVD: the number of

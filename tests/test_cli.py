@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,26 @@ class TestDecompose:
         out = tmp_path / "dec"
         assert run("decompose", path, "--method", *method, "--out", out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, parts", [
+        (["fffp", "--k", "2"], ["U", "C", "V"]),
+        (["uffp", "--k", "2", "--lambda", "0.5"], ["U", "C", "V"]),
+        (["ialm"], ["L"])], ids=["fffp", "uffp", "ialm"])
+    def test_l1_mass_past_the_float64_range_exits_0_with_outputs(self, tmp_path, method,
+                                                               parts):
+        # finite data whose sparse part sums past 1.8e308: the report's
+        # sparse_l1 reads inf, and every output is written
+        x = make_problem(100, 100, 2, 0.1, seed=1).x
+        x = np.ldexp(x, math.frexp(6.3e306 / np.abs(x).max())[1])
+        path = tmp_path / "x.ffpm"
+        write_matrix(path, x)
+        out = tmp_path / "dec"
+        assert run("decompose", path, "--method", *method, "--out", out) == 0
+        for name in parts + ["S"]:
+            assert np.isfinite(read_matrix(out / ("%s.ffpm" % name))).all(), name
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["converged"] and report["sparse_l1"] == math.inf
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("method, tol, want", [
         ("fffp", "1e-3", "float32"), ("fffp", "1e-6", "float64"), ("ialm", "1e-3", "float64")])

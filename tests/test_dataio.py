@@ -301,6 +301,7 @@ class TestReportJson:
             svd_count=6,
             rho0=0.25,
             per_iter_residual=[0.5, 0.1, 0.01],
+            per_iter_change=[0.9, 0.05, 0.001],
             final_rank=2,
             sparsity_ratio=0.25,
             sparse_l1=1.5,
@@ -316,6 +317,7 @@ class TestReportJson:
         payload = json.loads(path.read_text())
         assert payload["report"]["iterations"] == 3
         assert payload["report"]["per_iter_residual"] == [0.5, 0.1, 0.01]
+        assert payload["report"]["per_iter_change"] == [0.9, 0.05, 0.001]
         assert payload["report"]["converged"] is True
         assert payload["report"]["rho0"] == 0.25
         assert payload["report"]["buffer_dtype"] == "float32"

@@ -240,12 +240,15 @@ class TestFffp:
 def out_of_place_reference(x, cfg, core_map):
     """The factored ALM iteration written out of place, one fresh array per
     step, from the solvers' start factors and default start 1/max|x|, with rho
-    capped at RHO_CAP times it.  ``core_map(core, rho)`` maps the projected
-    core ``u.T @ m @ v``.  Returns the last ``(u, c, v, s, theta, rho, t)``."""
+    grown by residual balancing (the dense change of L against the last
+    residual) and capped at RHO_CAP times it.  ``core_map(core, rho)`` maps
+    the projected core ``u.T @ m @ v``.  Returns the last ``(u, c, v, s,
+    theta, rho, t)``."""
     f = init_factors(x, cfg.k, cfg.seed)
     u, c, v = f.u, f.c, f.v
     theta, rho = np.zeros_like(x), 1.0 / np.abs(x).max()
     ceiling = solvers.RHO_CAP * rho
+    l_prev, residual = np.zeros_like(x), None
     for t in range(1, cfg.max_iter + 1):
         misfit = x - (u @ c) @ v.T + theta / rho
         s = np.sign(misfit) * np.maximum(np.abs(misfit) - 1.0 / rho, 0.0)
@@ -253,10 +256,14 @@ def out_of_place_reference(x, cfg, core_map):
         v = polar_orthogonal(m.T @ (u @ c))
         u = polar_orthogonal(m @ (v @ c.T))
         c = core_map((u.T @ m) @ v, rho)
-        r = x - (u @ c) @ v.T - s
+        l = (u @ c) @ v.T
+        fast = residual is not None and (
+            solvers.BALANCE * np.linalg.norm(l - l_prev) / np.linalg.norm(x) < residual)
+        r = x - l - s
         theta = theta + rho * r
-        rho = min(rho * solvers.KAPPA, ceiling)
-        if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
+        rho = min(rho * (solvers.KAPPA_FAST if fast else solvers.KAPPA), ceiling)
+        l_prev, residual = l, np.linalg.norm(r) / np.linalg.norm(x)
+        if residual <= cfg.tol:
             break
     return u, c, v, s, theta, rho, t
 
@@ -357,9 +364,11 @@ class TestAlmDriver:
 
     @SOLVERS
     def test_rho_reaches_the_ceiling_at_a_multiple_of_its_start(self, solve, lam, monkeypatch):
-        # KAPPA**57 exceeds RHO_CAP, so 70 iterations run into the ceiling;
-        # solve_ialm reports no states, so its rho is read off the threshold
-        # 1/rho that each singular-value step receives
+        # 70 iterations run into the ceiling, which then holds; before it each
+        # step is KAPPA, or KAPPA_FAST where the last primal residual exceeds
+        # BALANCE times this iteration's change of L, as the report records
+        # both.  solve_ialm reports no states, so its rho is read off the
+        # threshold 1/rho that each singular-value step receives
         x = make_problem(40, 30, 2, 0.1, seed=3).x
         cfg = SolverConfig(k=2, lam=lam, tol=1e-300, max_iter=70)
         taus = []
@@ -373,14 +382,36 @@ class TestAlmDriver:
             _, _, report = solve(x, cfg, on_iteration=states.append)
         assert report.iterations == 70
         ceiling = solvers.RHO_CAP * report.rho0
-        want = [report.rho0]
-        for _ in range(70):
-            want.append(min(want[-1] * solvers.KAPPA, ceiling))
+        change, residual = report.per_iter_change, report.per_iter_residual
+        want, fast = [report.rho0], []
+        for t in range(1, 71):
+            fast.append(t >= 2 and solvers.BALANCE * change[t - 1] < residual[t - 2])
+            growth = solvers.KAPPA_FAST if fast[-1] else solvers.KAPPA
+            want.append(min(want[-1] * growth, ceiling))
         if solve is solve_ialm:
             assert taus == [1.0 / rho for rho in want[:70]]
         else:
             assert [state.rho for state in states] == want[1:]
-        assert want[-1] == ceiling and want[57] == ceiling > want[56]
+        reached = want.index(ceiling)
+        assert reached < 58 and want[reached:] == [ceiling] * (71 - reached)
+        assert any(fast[:reached]) and not all(fast[1:reached])
+
+    @pytest.mark.parametrize("solve, lam", [(solve_fffp, None), (solve_uffp, 0.5),
+                                            (solve_ialm, None), (solve_ialm, 0.0)],
+                             ids=["fffp", "uffp", "ialm", "ialm_lam0"])
+    def test_l1_mass_past_the_float64_range_reads_inf(self, solve, lam):
+        # finite data whose sparse part sums past 1.8e308: the solve finishes,
+        # sparse_l1 saturates to inf and the objective is never nan
+        x = make_problem(100, 100, 2, 0.1, seed=1).x
+        x = np.ldexp(x, math.frexp(6.3e306 / np.abs(x).max())[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, s, report = solve(x, SolverConfig(k=2, lam=lam))
+        assert report.converged and np.isfinite(s).all()
+        assert report.sparse_l1 == math.inf
+        assert not math.isnan(report.final_objective)
+        if lam == 0.0:  # no l1 term, so the nuclear norm alone, which is finite
+            assert math.isfinite(report.final_objective)
 
     @pytest.mark.parametrize("solve", [solve_fffp, solve_ialm], ids=["fffp", "ialm"])
     def test_default_start_is_scale_free(self, solve):
@@ -552,6 +583,104 @@ class TestAlmDriver:
         assert report.iterations == fffp[2].iterations
 
 
+def rounded_frames(height, width, frames, seed):
+    """A static textured scene under per-frame gain, rounded to 8-bit gray
+    levels, with a 245 block sliding across, one frame per float32 column
+    (column-major, as ``load_frame_stack`` stacks them), and the true,
+    unrounded background: ``(x, l_star)``."""
+    rng = np.random.default_rng(seed)
+    scene = rng.integers(60, 160, (height, width)).astype(np.float64)
+    gain = rng.uniform(0.9, 1.1, frames)
+    block_h, block_w = max(2, height // 6), max(2, width // 12)
+    top = int(rng.integers(0, height - block_h))
+    x = np.empty((height * width, frames), np.float32)
+    l_star = np.empty((height * width, frames))
+    for j in range(frames):
+        frame = np.rint(gain[j] * scene)
+        left = (width - block_w) * j // (frames - 1)
+        frame[top:top + block_h, left:left + block_w] = 245.0
+        x[:, j] = frame.ravel(order="F")
+        l_star[:, j] = (gain[j] * scene).ravel(order="F")
+    return x, l_star
+
+
+class TestResidualBalancing:
+    """The penalty grows by KAPPA_FAST while the primal residual exceeds
+    BALANCE times the change of L, and by KAPPA otherwise."""
+
+    @staticmethod
+    def fixed_schedule(monkeypatch, solve, x, cfg):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "KAPPA_FAST", solvers.KAPPA)
+            return solve(x, cfg)
+
+    def test_plateau_of_rounded_frames(self, monkeypatch):
+        # the rounding residual of 8-bit frames holds while L stands still, and
+        # the sparse step absorbs it only once 1/rho falls below about half a
+        # gray level; the fixed schedule waits 16 iterations for that
+        x, l_star = rounded_frames(24, 32, 30, seed=1)
+        cfg = SolverConfig(k=1)
+        factors, _, report = solve_fffp(x, cfg)
+        fixed, _, fixed_report = self.fixed_schedule(monkeypatch, solve_fffp, x, cfg)
+        assert report.converged and fixed_report.converged
+        assert (report.iterations, fixed_report.iterations) == (11, 16)
+        assert recovery_error(factors.dense(), l_star) < recovery_error(fixed.dense(), l_star)
+
+    def test_clean_problem_takes_no_fast_step(self, monkeypatch):
+        prob = make_problem(400, 400, 5, 0.05, seed=7)
+        cfg = SolverConfig(k=5)
+        got = solve_fffp(prob.x, cfg)
+        want = self.fixed_schedule(monkeypatch, solve_fffp, prob.x, cfg)
+        for a, b in ((got[0].u, want[0].u), (got[0].c, want[0].c), (got[0].v, want[0].v),
+                     (got[1], want[1])):
+            assert np.array_equal(a, b)
+        assert got[2].per_iter_residual == want[2].per_iter_residual
+
+    def test_dense_noise_takes_fewer_iterations(self, monkeypatch):
+        prob = make_problem(200, 200, 3, 0.05, seed=4)
+        rms = np.sqrt(np.mean(prob.l_star**2))
+        x = prob.x + np.random.default_rng(99).normal(0.0, 0.01 * rms, prob.x.shape)
+        cfg = SolverConfig(k=3)
+        factors, _, report = solve_fffp(x, cfg)
+        fixed, _, fixed_report = self.fixed_schedule(monkeypatch, solve_fffp, x, cfg)
+        assert report.converged and fixed_report.converged
+        assert (report.iterations, fixed_report.iterations) == (17, 19)
+        assert (recovery_error(factors.dense(), prob.l_star)
+                <= recovery_error(fixed.dense(), prob.l_star))
+
+    @SOLVERS
+    def test_change_matches_the_dense_difference(self, solve, lam, monkeypatch):
+        # per_iter_change[t-1] is ||L_t - L_{t-1}||_F / ||x||_F with L_0 = 0,
+        # from the factors.  Its square is a difference of terms near
+        # ||c||^2 / ||x||^2, about 1 here, so it is exact to about 1e-15 and the
+        # change to 1e-6 relative from about 1e-5 up (2e-6 relative at 4.1e-6
+        # on solve_ialm's iterates here)
+        x = make_problem(60, 50, 3, 0.08, seed=8).x
+        cfg = SolverConfig(k=4, lam=lam, tol=1e-6)
+        lows = []
+        if solve is solve_ialm:
+            real = solvers._svt_step
+
+            def recording(*args):
+                out = real(*args)
+                lows.append((out[0] * out[1]) @ out[2].T)
+                return out
+
+            monkeypatch.setattr(solvers, "_svt_step", recording)
+            _, _, report = solve(x, cfg)
+        else:
+            _, _, report = solve(x, cfg, on_iteration=lambda state: lows.append(
+                (state.u @ state.c) @ state.v.T))
+        assert len(lows) == len(report.per_iter_change) == len(report.per_iter_residual)
+        dense = [np.linalg.norm(b - a) / np.linalg.norm(x)
+                 for a, b in zip([np.zeros_like(x)] + lows, lows)]
+        for got, want in zip(report.per_iter_change, dense):
+            assert abs(got**2 - want**2) <= 1e-14
+            if want > 1e-5:
+                assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert sum(want > 1e-5 for want in dense) >= 5
+
+
 class TestLoopInvariants:
     """Per-iteration contracts checked through the snapshot callback."""
 
@@ -568,11 +697,18 @@ class TestLoopInvariants:
         return prob, cfg, report.rho0, snaps
 
     def test_rho_schedule(self):
-        _, _, rho0, snaps = self.run_with_snapshots()
+        # residual balancing, with the dense change of L and the residual of
+        # each snapshot's own s and factors
+        prob, _, rho0, snaps = self.run_with_snapshots()
         rhos = [rho0] + [snap[6] for snap in snaps]
         ceiling = solvers.RHO_CAP * rho0
-        for prev, cur in zip(rhos, rhos[1:]):
-            assert np.isclose(cur, min(prev * solvers.KAPPA, ceiling))
+        lows = [np.zeros_like(prob.x)] + [(u @ c) @ v.T for _, _, u, c, v, _, _ in snaps]
+        residuals = [relative_residual(prob.x, l, snap[1]) for l, snap in zip(lows[1:], snaps)]
+        for t, (prev, cur) in enumerate(zip(rhos, rhos[1:]), 1):
+            change = np.linalg.norm(lows[t] - lows[t - 1]) / np.linalg.norm(prob.x)
+            fast = t >= 2 and solvers.BALANCE * change < residuals[t - 2]
+            growth = solvers.KAPPA_FAST if fast else solvers.KAPPA
+            assert np.isclose(cur, min(prev * growth, ceiling))
             assert cur > prev or prev == ceiling
 
     def test_sparse_update_minimizes_lagrangian(self):
@@ -1175,16 +1311,21 @@ class TestIalm:
         rho = 1.25 / first.s[0]
         ceiling = solvers.RHO_CAP * rho
         s, theta = np.zeros_like(x), np.zeros_like(x)
+        l_prev, residual = np.zeros_like(x), None
         for t in range(1, cfg.max_iter + 1):
             u, shrunk, v_kept, basis, rank, _ = solvers._svt_step(
                 x - s + theta / rho, 1.0 / rho, rank, basis, rng, first if t == 1 else None)
             l_ref = (u * shrunk) @ v_kept.T
+            # residual balancing: the dense change of L against the last residual
+            fast = residual is not None and (
+                solvers.BALANCE * np.linalg.norm(l_ref - l_prev) / np.linalg.norm(x) < residual)
             m = x - l_ref + theta / rho
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
             theta = theta + rho * r
-            rho = min(rho * solvers.KAPPA, ceiling)
-            if np.linalg.norm(r) / np.linalg.norm(x) <= cfg.tol:
+            rho = min(rho * (solvers.KAPPA_FAST if fast else solvers.KAPPA), ceiling)
+            l_prev, residual = l_ref, np.linalg.norm(r) / np.linalg.norm(x)
+            if residual <= cfg.tol:
                 break
         l, s_got, report = solve_ialm(x, cfg)
         assert report.converged and report.iterations == t

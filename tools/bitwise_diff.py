@@ -26,6 +26,11 @@ Each tree's ``src`` is imported in its own subprocess (through
   homogeneous, so neither is the scaled problem's solve.  A call here that
   raises is recorded as its exception's type and message, so a tree on
   which it fails still runs the whole corpus;
+* ``solve_fffp`` with k=1 at the default tol and at tol 1e-6 on 30 rounded
+  24x32 frames of a scene under per-frame gain with a bright block sliding
+  across (``lib/frames``), the background workload at its smallest size: the
+  rounding residual stands while the low-rank part does not move, which is
+  where the penalty takes its faster growth step;
 * ``read_pgm`` on graymap headers (``lib/pgm/*``): comments between fields,
   before the magic and running to the end of the file, tab and CR LF
   separators, a maxval below 255, a ``#`` inside a field, and headers it
@@ -186,6 +191,27 @@ def _library(out):
             _put_solve(out, "%s/%s" % (tag, name), _put_factored, solve_uffp, scaled,
                        SolverConfig(k=k, lam=weight))
         _put_solve(out, tag + "/ialm", _put_dense, solve_ialm, scaled, SolverConfig(k=k))
+    x = _rounded_frames(24, 32, 30, seed=1)
+    for name, cfg in (("fffp", SolverConfig(k=1)), ("fffp_tol1e-6", SolverConfig(k=1, tol=1e-6))):
+        _put_factored(out, "lib/frames/" + name, *solve_fffp(x, cfg))
+
+
+def _rounded_frames(height, width, frames, seed):
+    """A static textured scene under per-frame gain, rounded to 8-bit gray
+    levels, with a 245 block sliding across, one frame per float32 column:
+    the background workload at its smallest size."""
+    rng = np.random.default_rng(seed)
+    scene = rng.integers(60, 160, (height, width)).astype(np.float64)
+    gain = rng.uniform(0.9, 1.1, frames)
+    block_h, block_w = max(2, height // 6), max(2, width // 12)
+    top = int(rng.integers(0, height - block_h))
+    x = np.empty((height * width, frames), np.float32)
+    for j in range(frames):
+        frame = np.rint(gain[j] * scene)
+        left = (width - block_w) * j // (frames - 1)
+        frame[top:top + block_h, left:left + block_w] = 245.0
+        x[:, j] = frame.ravel(order="F")
+    return x
 
 
 def _put_frame(out, key, frame):
