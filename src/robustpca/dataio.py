@@ -7,13 +7,17 @@ Two matrix formats are supported, chosen by file extension:
 * anything else -- the FFPM binary container: magic ``FFPM``, one version
   byte (1), rows and cols as little-endian unsigned 64-bit integers, then
   rows*cols little-endian IEEE float64 entries in row-major order.
-  Round trips are bit-exact.
+  Round trips are bit-exact.  A write streams the matrix's own buffer
+  after the header, and a read checks the header and the file's size
+  before it fills one float64 array from the file, so neither holds a
+  second full-size copy of the matrix.
 
 Images are binary 8-bit grayscale portable graymaps (P5) only; frames are
 vectorized column-major, one column per frame.
 """
 
 import json
+import os
 import re
 import struct
 import warnings
@@ -39,6 +43,7 @@ __all__ = [
 FFPM_MAGIC = b"FFPM"
 FFPM_VERSION = 1
 _FFPM_HEADER = struct.Struct("<QQ")
+_FFPM_PAYLOAD = len(FFPM_MAGIC) + 1 + _FFPM_HEADER.size  # offset of the first entry
 _MAX_ENTRIES = 2**60  # rows*cols beyond this cannot be addressed as bytes
 # one graymap header field: whitespace and comments (to the end of the line),
 # then the field's bytes, up to the next whitespace byte; empty at the end
@@ -78,8 +83,10 @@ def write_matrix(path, m):
         lines = [",".join("%.17g" % value for value in row) for row in m]
         path.write_text("\n".join(lines) + "\n")
     else:
-        header = FFPM_MAGIC + bytes([FFPM_VERSION]) + _FFPM_HEADER.pack(*m.shape)
-        path.write_bytes(header + np.ascontiguousarray(m, dtype="<f8").tobytes())
+        entries = np.ascontiguousarray(m, dtype="<f8")  # m itself on a little-endian host
+        with path.open("wb") as f:
+            f.write(FFPM_MAGIC + bytes([FFPM_VERSION]) + _FFPM_HEADER.pack(*m.shape))
+            f.write(entries.data)
 
 
 def read_matrix(path):
@@ -91,29 +98,32 @@ def read_matrix(path):
 
 
 def _read_ffpm(path):
-    data = Path(path).read_bytes()
-    if len(data) < len(FFPM_MAGIC) or data[: len(FFPM_MAGIC)] != FFPM_MAGIC:
-        raise FormatError("bad magic, expected %r" % FFPM_MAGIC, offset=0)
-    if len(data) < 5:
-        raise FormatError("truncated before version byte", offset=len(data))
-    if data[4] != FFPM_VERSION:
-        raise FormatError("unsupported version %d" % data[4], offset=4)
-    if len(data) < 5 + _FFPM_HEADER.size:
-        raise FormatError("truncated dimension header", offset=len(data))
-    rows, cols = _FFPM_HEADER.unpack_from(data, 5)
-    if rows == 0 or cols == 0:
-        raise FormatError("dimensions must be positive, got %dx%d" % (rows, cols), offset=5)
-    if rows * cols > _MAX_ENTRIES:
-        raise FormatError("dimension overflow: %dx%d" % (rows, cols), offset=5)
-    payload = data[5 + _FFPM_HEADER.size :]
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise FormatError(
-            "payload holds %d bytes, expected %d" % (len(payload), expected),
-            offset=5 + _FFPM_HEADER.size,
-        )
-    entries = np.frombuffer(payload, dtype="<f8")
-    return entries.reshape(rows, cols).astype(np.float64)
+    with Path(path).open("rb") as f:
+        data = f.read(_FFPM_PAYLOAD)
+        if len(data) < len(FFPM_MAGIC) or data[: len(FFPM_MAGIC)] != FFPM_MAGIC:
+            raise FormatError("bad magic, expected %r" % FFPM_MAGIC, offset=0)
+        if len(data) < 5:
+            raise FormatError("truncated before version byte", offset=len(data))
+        if data[4] != FFPM_VERSION:
+            raise FormatError("unsupported version %d" % data[4], offset=4)
+        if len(data) < _FFPM_PAYLOAD:
+            raise FormatError("truncated dimension header", offset=len(data))
+        rows, cols = _FFPM_HEADER.unpack_from(data, 5)
+        if rows == 0 or cols == 0:
+            raise FormatError("dimensions must be positive, got %dx%d" % (rows, cols), offset=5)
+        if rows * cols > _MAX_ENTRIES:
+            raise FormatError("dimension overflow: %dx%d" % (rows, cols), offset=5)
+        # the file's size is checked before the array is made, since the
+        # header may claim any size; the read then fills that one array
+        payload = os.fstat(f.fileno()).st_size - _FFPM_PAYLOAD
+        expected = rows * cols * 8
+        if payload == expected:
+            entries = np.empty((rows, cols), dtype="<f8")
+            payload = f.readinto(entries)
+        if payload != expected:
+            raise FormatError("payload holds %d bytes, expected %d" % (payload, expected),
+                              offset=_FFPM_PAYLOAD)
+    return entries.astype(np.float64, copy=False)  # a copy only on a big-endian host
 
 
 def _read_csv(path):

@@ -310,30 +310,36 @@ class IterationState(NamedTuple):
 class SweepEntry(NamedTuple):
     """One lambda_sweep run: the weight tried and everything it produced.
 
-    The fields are ``(lam, factors, sparse, report)``.  ``sparse`` holds the
-    run's sparse part as stored: the dense (d, n) array, or, when fewer
-    than half its entries are nonzero (``report.sparsity_ratio < 0.5``), the
-    pair ``(index, values)`` of its C-order flat indices (int64) and nonzero
-    values, at 8 bytes plus one value per nonzero instead of one value per
-    entry.  The property ``s`` gives the dense (d, n) array either way, with
-    every bit and the dtype of solve_uffp's at that weight: the stored array
-    of a dense entry, and a fresh array, built on each access, of a compact
-    one.  So read ``s`` once and keep it.
+    The fields are ``(lam, factors, sparse, report, units)``.  ``sparse``
+    holds the run's sparse part as the solve left it, in the dtype of its
+    buffers and the units of the working matrix ``x * 2**-e``, with
+    ``units = (e, dtype)``: the dense (d, n) buffer, or, when fewer than
+    half its entries are nonzero (``report.sparsity_ratio < 0.5``), the pair
+    ``(index, values)`` of its C-order flat indices (int32, or int64 when
+    d * n reaches 2**31) and nonzero values.  At the default tol float64
+    data solves in float32 buffers, so a compact entry takes 8 bytes per
+    nonzero and a dense one 4 per entry.  The property ``s`` gives the dense
+    (d, n) array either way, with every bit and the dtype of solve_uffp's at
+    that weight, by solve_uffp's own conversion: the stored buffer when it
+    needs none (float64 data in float64 buffers, or float32 data, at e = 0),
+    and otherwise a fresh array, built on each access; the stored arrays are
+    never written.  So read ``s`` once and keep it.
     """
 
     lam: float
     factors: FactoredLowRank
     sparse: np.ndarray | tuple[np.ndarray, np.ndarray]
     report: SolveReport
+    units: tuple[int, type]
 
     @property
     def s(self):
         if isinstance(self.sparse, np.ndarray):
-            return self.sparse
+            return _in_data_units(self.sparse, *self.units)
         index, values = self.sparse
         # the solve writes its zeros as +0.0, so this is the same array bit for bit
-        s = np.zeros((self.factors.u.shape[0], self.factors.v.shape[0]), values.dtype)
-        s.put(index, values)
+        s = np.zeros((self.factors.u.shape[0], self.factors.v.shape[0]), self.units[1])
+        s.put(index, _in_data_units(values, *self.units))
         return s
 
 
@@ -423,9 +429,9 @@ def _as_rows(x, dtype=np.float64):
 
 def _in_data_units(s, e, dtype):
     """The sparse part ``s`` of a working matrix ``x * 2**-e`` as ``dtype``, in
-    the data's units: ``s * 2**e``, scaled in place once it has ``dtype``."""
-    s = s.astype(dtype, copy=False)
-    return np.ldexp(s, e, out=s) if e else s
+    the data's units, ``s * 2**e``: ``s`` itself when that changes nothing,
+    else a new array.  ``s`` is never written."""
+    return np.ldexp(s, e, dtype=dtype) if e else s.astype(dtype, copy=False)
 
 
 def _change(u, c, v, prev):
@@ -547,6 +553,11 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise DivergenceError("non-finite iterate at iteration %d" % t) from exc
         left, right = (u @ c).astype(dt, copy=False), v.astype(dt, copy=False)
+        # at width 1 matmul takes numpy's scalar loop, about 3x slower than the
+        # broadcast product, which forms each entry as the same single product;
+        # only a zero's sign can differ, and every zero the pass writes to s
+        # and m is +0.0 either way
+        product = np.multiply if left.shape[1] == 1 else np.matmul
         svd_count += svds
         change = _change(u, c, v, prev) / float(norm_x)
         changes.append(change)
@@ -560,7 +571,7 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         squares = 0.0
         for b in blocks:
             h = b.stop - b.start
-            l_b = np.matmul(left[b], right.T, out=l_buf[:h])
+            l_b = product(left[b], right.T, out=l_buf[:h])
             if factored:
                 # r = (x - L) - s, summed in relative_residual's order, so a
                 # residual lost to cancellation reads the same in both; r is
@@ -618,7 +629,7 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     )
 
 
-def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, dtype, on_iteration=None):
+def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration=None):
     """Run the factored step in :func:`_alm` on the working matrix ``x`` from
     :func:`_as_rows`, with its max|x| ``top``, from the penalty ``1/top`` and
     the factors ``start`` (``init_factors(x, cfg.k, cfg.seed)``, only read),
@@ -631,7 +642,7 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, dtype, on_it
     whose value stays positive, so the iterate's width never grows; a
     width-0 iterate takes no factorization.  Returns ``(factors, s,
     report)``: the factors padded back to width k by :func:`_pad_factors`,
-    and the sparse part in the data's units as ``dtype``.
+    and the working matrix's sparse buffer.
     """
     u, c, v = start.u, start.c, start.v
 
@@ -662,29 +673,39 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, dtype, on_it
 
     factors, s, report = _alm(x, e, norm_x, cfg, 1.0, 1.0 / top, t_start, step, summary,
                               on_iteration, factored=True)
-    return _pad_factors(factors, start), _in_data_units(s, e, dtype), report
+    return _pad_factors(factors, start), s, report
 
 
 def _solve(x, cfg, weights, on_iteration=None):
     """The factored solves of ``x``, one per surrogate weight in ``weights``
     (in the data's units; 0 is solve_fffp): a generator of their ``(factors,
-    s, report)``, in order.
+    s, report, units)``, in order.
 
     The entry gate, the precision rule and the start factors run once, on
     the first ``next``; each weight then runs :func:`_solve_factored` from
     those factors, and its result is yielded as that call returns it, so the
-    generator holds no solve's outputs.  ``s`` is float32 for float32 ``x``
-    and float64 otherwise.  The first report's wall time counts the gate and
-    the start; each later one counts from the ``next`` that resumed it.
+    generator holds no solve's outputs.  ``s`` is the solve's sparse buffer,
+    in the working matrix's units, and ``units = (e, dtype)`` converts it:
+    ``_in_data_units(s, *units)`` is the sparse part in the data's units,
+    float32 for float32 ``x`` and float64 otherwise.  The first report's
+    wall time counts the gate and the start; each later one counts from the
+    ``next`` that resumed it.
     """
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
     x, e, norm_x, top = _as_rows(x, np.float32 if cfg.tol >= FLOAT32_TOL else dtype)
     start = init_factors(x, cfg.k, cfg.seed)
     for lam_ld in weights:
-        yield _solve_factored(x, e, norm_x, top, start, t_start, cfg, float(lam_ld), dtype,
-                              on_iteration)
+        yield (*_solve_factored(x, e, norm_x, top, start, t_start, cfg, float(lam_ld),
+                                on_iteration), (e, dtype))
         t_start = time.perf_counter()
+
+
+def _solve_one(x, cfg, lam_ld, on_iteration):
+    """The one factored solve of ``x`` at surrogate weight ``lam_ld``:
+    ``(factors, s, report)`` with ``s`` in the data's units."""
+    factors, s, report, units = next(_solve(x, cfg, [lam_ld], on_iteration))
+    return factors, _in_data_units(s, *units), report
 
 
 def _pad_factors(factors, start):
@@ -729,7 +750,7 @@ def solve_fffp(x, cfg, on_iteration=None):
 
     Returns ``(factors, s, report)``.
     """
-    return next(_solve(x, cfg, [0.0], on_iteration))
+    return _solve_one(x, cfg, 0.0, on_iteration)
 
 
 def solve_uffp(x, cfg, on_iteration=None):
@@ -749,7 +770,7 @@ def solve_uffp(x, cfg, on_iteration=None):
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
-    return next(_solve(x, cfg, [cfg.lam], on_iteration))
+    return _solve_one(x, cfg, cfg.lam, on_iteration)
 
 
 def _ritz_triplets(m, rank, start, rng):
@@ -932,13 +953,14 @@ def lambda_sweep(x, cfg):
 
     The grid is solved in order, every run from the same factors, built
     once (the init is seeded, so this matches building it per run bit for bit).
-    After each run the sweep keeps its sparse part compact, as flat indices
-    and values, when fewer than half its entries are nonzero, and dense
-    otherwise (see :class:`SweepEntry`): the ratio its report holds decides,
+    After each run the sweep keeps its sparse part as the solve left it, in
+    the dtype of its buffers: compact, as flat indices and values, when
+    fewer than half its entries are nonzero, and as the buffer itself
+    otherwise (see :class:`SweepEntry`); the ratio its report holds decides,
     so no extra pass runs.  On sparse corruption the healthy runs are
-    compact, so their sparse parts take about as much memory as one copy of
-    ``x`` in all rather than one copy each; collapsed runs and dense noise
-    stay dense.
+    compact: at the default tol, 11 runs 5% dense take 8 bytes per nonzero,
+    about half as much memory as one float64 copy of ``x`` in all, rather
+    than one copy each.  Collapsed runs and dense noise stay dense.
     The solves share solve_uffp's entry (``_solve``): one gate, one working
     copy of ``x`` if it needs one, and one start serve the whole sweep, so
     each entry is ``solve_uffp`` with that weight, bit for bit, ``s`` and
@@ -946,11 +968,12 @@ def lambda_sweep(x, cfg):
     """
     grid = default_lambda_grid(x)
     entries = []
-    for factors, s, report in _solve(x, cfg, grid):
-        if report.sparsity_ratio < 0.5:  # where the pair costs less than the array
-            index = np.flatnonzero(s)
+    for factors, s, report, units in _solve(x, cfg, grid):
+        if report.sparsity_ratio < 0.5:  # where the pair costs less than the buffer
+            index = np.flatnonzero(s).astype(np.int32 if s.size < 2**31 else np.int64,
+                                             copy=False)
             s = index, s.ravel()[index]
-        entries.append(SweepEntry(float(grid[len(entries)]), factors, s, report))
+        entries.append(SweepEntry(float(grid[len(entries)]), factors, s, report, units))
 
     reports = [e.report for e in entries]
     candidates = [i for i, r in enumerate(reports) if r.converged and r.final_rank > 0]

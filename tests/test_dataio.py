@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,53 @@ class TestBinaryMatrix:
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError, match="payload"):
             read_matrix(path)
+
+    def test_payload_longer_than_the_header_says(self, tmp_path):
+        # the size comes from the file, not from reading to its end
+        path = tmp_path / "long.ffpm"
+        write_matrix(path, np.ones((4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(FormatError, match="payload holds 129 bytes, expected 128") as err:
+            read_matrix(path)
+        assert err.value.offset == 21
+
+    def test_payload_is_sized_before_it_is_allocated(self, tmp_path):
+        # a header may claim 2**40 entries, 8 TB; the file's 8 bytes refuse it
+        path = tmp_path / "claims.ffpm"
+        path.write_bytes(FFPM_MAGIC + bytes([1]) + struct.pack("<QQ", 2**20, 2**20) + bytes(8))
+        with pytest.raises(FormatError, match="payload holds 8 bytes") as err:
+            read_matrix(path)
+        assert err.value.offset == 21
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_fills_one_array(self, tmp_path):
+        # the header and the file's size are checked first, then the entries
+        # are read into the array that is returned: no bytes object, no slice
+        # of it and no converted copy beside it
+        m = np.random.default_rng(4).standard_normal((300, 200))
+        path = tmp_path / "m.ffpm"
+        write_matrix(path, m)
+        back, peak = self.traced_peak(read_matrix, path)
+        assert back.dtype == np.float64 and back.tobytes() == m.tobytes()
+        assert back.flags.aligned and back.flags.c_contiguous and back.flags.writeable
+        assert peak <= 1.1 * m.nbytes
+
+    def test_write_adds_no_full_size_copy(self, tmp_path):
+        # the entries go to the file from the matrix's own buffer; the finite
+        # check's boolean mask, an eighth of the matrix, is the largest temporary
+        m = np.random.default_rng(5).standard_normal((300, 200))
+        path = tmp_path / "m.ffpm"
+        _, peak = self.traced_peak(write_matrix, path, m)
+        assert peak <= 0.25 * m.nbytes
+        assert np.array_equal(read_matrix(path), m)
 
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.ffpm"

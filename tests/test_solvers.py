@@ -941,7 +941,9 @@ class TestUffp:
         assert compact == [e.report.sparsity_ratio < 0.5 for e in entries]
         assert compact == [True] * 11 + [False] * 2
         index, values = entries[4].sparse
-        assert index.dtype == np.int64 and values.size == index.size
+        # int32 indices, since d * n < 2**31, and values in the float64 buffers' dtype
+        assert index.dtype == np.int32 and values.dtype == np.float64
+        assert values.size == index.size
         for i in (4, 12):  # one compact entry, one dense
             _, s, _ = solve_uffp(prob.x, replace(cfg, lam=entries[i].lam))
             got = entries[i].s
@@ -952,11 +954,14 @@ class TestUffp:
         assert entries[4].s is not entries[4].s  # a compact entry expands per access
 
     def test_sweep_memory_with_compact_sparse_parts(self):
-        # in units of x: 13 dense sparse parts would peak at 16.4 and hold 15.6
-        # on return; with the 11 healthy ones (4.8-5.1% dense) compact and the
-        # 2 collapsed ones dense, the sweep peaks at 6.5 and holds 5.7.  The
-        # default tol solves in float32 buffers, on a float32 copy of x
-        # (float64 buffers peaked at 7.9)
+        # in units of x: 13 dense float64 sparse parts would peak at 16.4 and
+        # hold 15.6 on return.  The default tol solves in float32 buffers, on
+        # a float32 copy of x, and each entry keeps its part as the solve left
+        # it: the 11 healthy ones (4.8-5.1% dense) compact, as int32 indices
+        # and float32 values, and the 2 collapsed ones as their float32
+        # buffers.  The sweep peaks at 5.4 and holds 4.1, 1.6 of it the 13
+        # factor sets.  Stored as float64 with int64 indices they peaked at
+        # 6.5 and held 5.7 (float64 buffers peaked at 7.9)
         x = make_problem(400, 400, 5, 0.05, seed=3).x
         unit = x.itemsize * x.size
         tracemalloc.start()
@@ -965,14 +970,14 @@ class TestUffp:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * unit
-        assert held <= 7 * unit
+        assert peak <= 6 * unit
+        assert held <= 5 * unit
         assert sum(isinstance(e.sparse, tuple) for e in entries) == 11
 
     def test_sweep_memory_on_float32_data(self):
         # in units of the float64 x, as above: float32 data keeps its sparse
         # parts in float32, as solve_uffp returns them, and solves on x
-        # itself, so the sweep peaks at 5.2 and holds 3.5 on return.  Upcast
+        # itself, so the sweep peaks at 4.9 and holds 3.2 on return.  Upcast
         # to float64, they peaked at 6.5 and held 4.8
         x = make_problem(400, 400, 5, 0.05, seed=3).x
         unit = x.itemsize * x.size
@@ -986,6 +991,36 @@ class TestUffp:
         assert peak <= 6 * unit
         assert held <= 4 * unit
         assert {e.s.dtype for e in entries} == {np.dtype(np.float32)}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale, dtype, tol", [
+        (1.0, np.float64, 1e-3), (2.0**520, np.float64, 1e-3), (2.0**520, np.float64, 1e-6),
+        (2.0**-600, np.float64, 1e-3), (2.0**-600, np.float64, 1e-6), (1.0, np.float32, 1e-3),
+    ], ids=["float64", "x2^520", "x2^520_tol1e-6", "x2^-600", "x2^-600_tol1e-6", "float32"])
+    def test_sweep_entries_keep_the_solve_precision(self, scale, dtype, tol):
+        # each entry stores its sparse part in the buffers' dtype and the
+        # working matrix's units, and converts it on each access as solve_uffp
+        # converts its own: at 2**520 every entry collapses and stays dense, so
+        # in float64 buffers a conversion in place would scale it twice
+        x = (make_problem(60, 50, 2, 0.05, seed=1).x * scale).astype(dtype)
+        cfg = SolverConfig(k=4, tol=tol)
+        entries, _ = lambda_sweep(x, cfg)
+        buffers = np.float32 if tol >= solvers.FLOAT32_TOL else np.float64
+        compact = [isinstance(e.sparse, tuple) for e in entries]
+        if scale == 1.0:
+            assert any(compact) and not all(compact)
+        for e in entries:
+            if isinstance(e.sparse, tuple):
+                index, values = e.sparse
+                assert index.dtype == np.int32 and values.dtype == buffers
+            else:
+                assert e.sparse.dtype == buffers
+            want = solve_uffp(x, replace(cfg, lam=e.lam))[1]
+            for _ in range(2):
+                got = e.s
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scale", [1 + 1e-12, 1 + 1e-6])
     @pytest.mark.parametrize("shape, k", [((200, 200), 25), ((300, 120), 10)],
@@ -1467,6 +1502,9 @@ BLOCK_CASES = {
     "ialm_full": lambda x: solve_ialm(x, SolverConfig(k=3)),
     "sweep": lambda x: _sweep(x, SolverConfig(k=6, tol=1e-6)),
     "sweep_tol_f32": lambda x: _sweep(x, SolverConfig(k=6)),
+    # width 1 forms its blocks by the broadcast product, not matmul
+    "fffp_k1": lambda x: solve_fffp(x, SolverConfig(k=1, tol=1e-6)),
+    "fffp_k1_tol_f32": lambda x: solve_fffp(x, SolverConfig(k=1)),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import ab_pairs  # noqa: E402
+import per_instance  # noqa: E402
 import trees  # noqa: E402
 
 # A toy tool whose collect step reports which robustpca it imported.  This
@@ -154,3 +155,21 @@ class TestAbPairs:
                            "--pairs", "1", "--seconds", "1"])
         assert exc.value.code == 2
         assert not (tmp_path / "order.log").exists()
+
+
+class TestPerInstance:
+    def test_peak_memory_beyond_its_bound_is_flagged(self):
+        # collect's tuples: iterations, recovery error, peak MB, gate problems
+        # and the sweep's selected (index, rank)
+        key = ("sweep_cli_400", 1, 0)
+        limits = {figure: trees.bound(figure) for figure in per_instance.FIGURES}
+        old = {key: (160, 2e-4, 8.5, [], (3, 5))}
+        verdicts = {}
+        for peak in (8.0, 9.2, 9.4):
+            lines, bad = per_instance.compare(old, {key: (160, 2e-4, peak, [], (3, 5))},
+                                              limits, ("sweep_cli_400",))
+            verdicts[peak] = bad
+            assert lines[0].startswith("sweep_cli_400 seed 1 instance 0: peak_mem_mb 8.5 -> ")
+        assert lines[0].endswith("(+0.106)  BEYOND BOUND")  # the bound is 10%
+        assert verdicts == {8.0: False, 9.2: False, 9.4: True}
+        assert "peak_mem_mb differ in 1 (largest increase +0.106)" in lines[-1]

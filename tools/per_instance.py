@@ -6,14 +6,17 @@ Each tree's ``src`` and its ``perfbench/workloads.py`` are imported in their
 own subprocess (read only, through ``tools/trees.py``), which builds every
 instance of seeds 1-5 of the named workloads (all four if none is named) at
 full size, runs one operation on each and applies the workload's
-correctness gate.  This is what the ``perfbench`` medians cannot show: a
-run-level median covers however many operations fit in its time.
+correctness gate, under ``tracemalloc`` as ``perfbench/run.py`` measures
+``peak_mem_mb`` on its warm-up: the traced peak of the instance's
+preparation, operation and gate, in MB.  This is what the ``perfbench``
+medians cannot show: a run-level median covers however many operations fit
+in its time, and its peak memory samples only the first instance.
 
-For every instance whose iteration count or recovery error differs, the
-script prints both values and the relative change.  A change that makes the
-figure worse by more than its ``BENCHMARK.json`` bound (read from the checkout
-that holds this script) is flagged ``BEYOND BOUND``, and every gate failure is
-printed with its tree and the gate's message.  For ``sweep_cli_400`` it
+For every instance whose iteration count, recovery error or peak memory
+differs, the script prints both values and the relative change.  A change
+that makes the figure worse by more than its ``BENCHMARK.json`` bound (read
+from the checkout that holds this script) is flagged ``BEYOND BOUND``, and
+every gate failure is printed with its tree and the gate's message.  For ``sweep_cli_400`` it
 also reads each instance's ``report.json`` and prints every instance whose
 selected grid index or selected rank differs; the selected rank is what the
 gate for non-bitwise changes holds fixed, so a rank change is ``RANK
@@ -28,12 +31,13 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 
 import trees
 
 SEEDS = (1, 2, 3, 4, 5)
 WORKLOADS = ("fffp_2000", "sweep_cli_400", "background_cli", "ialm_400")
-FIGURES = ("iterations", "recovery_error")
+FIGURES = ("iterations", "recovery_error", "peak_mem_mb")  # each better lower
 SWEEP = "sweep_cli_400"
 
 
@@ -51,8 +55,8 @@ def selection(workload):
 
 def collect(*names):
     """Run every instance of the workloads ``names`` at full size:
-    ``{(workload, seed, instance): (iterations, recovery_error, problems,
-    selection)}``, where ``selection`` is :func:`selection` for
+    ``{(workload, seed, instance): (iterations, recovery_error, peak_mem_mb,
+    problems, selection)}``, where ``selection`` is :func:`selection` for
     ``sweep_cli_400`` and ``(None, None)`` otherwise."""
     import workloads
 
@@ -63,12 +67,17 @@ def collect(*names):
                 workload = workloads.WORKLOADS[name](seed, "full", work)
                 workload.generate()
                 for index in range(len(workload.cases)):
-                    workload.prepare()
                     # the CLI workloads print their summaries
                     with contextlib.redirect_stdout(io.StringIO()):
-                        outcome = workload.check(workload.op())
+                        tracemalloc.start()
+                        try:
+                            workload.prepare()
+                            outcome = workload.check(workload.op())
+                            peak = tracemalloc.get_traced_memory()[1] / 1e6
+                        finally:
+                            tracemalloc.stop()
                     picked = selection(workload) if name == SWEEP else (None, None)
-                    out[name, seed, index] = (outcome.iterations, outcome.recovery_error,
+                    out[name, seed, index] = (outcome.iterations, outcome.recovery_error, peak,
                                               list(outcome.problems), picked)
     return out
 
@@ -91,18 +100,18 @@ def compare(old, new, limits, names=WORKLOADS):
                 lines.append("%s: %s %r -> %r" % (label, figure, a, b))
                 continue
             change = (b - a) / a if a else float("inf")
-            beyond = change > limits[figure]  # both figures are better lower
+            beyond = change > limits[figure]
             bad |= beyond
             lines.append("%s: %s %.6g -> %.6g (%+.3g)%s" % (
                 label, figure, a, b, change, "  BEYOND BOUND" if beyond else ""))
-        (index_a, rank_a), (index_b, rank_b) = old[key][3], new[key][3]
+        (index_a, rank_a), (index_b, rank_b) = old[key][4], new[key][4]
         if (index_a, rank_a) != (index_b, rank_b):
             moved = rank_a != rank_b
             bad |= moved
             lines.append("%s: selected index %r -> %r, rank %r -> %r%s" % (
                 label, index_a, index_b, rank_a, rank_b, "  RANK CHANGED" if moved else ""))
         for side, result in (("old", old[key]), ("new", new[key])):
-            for problem in result[2]:
+            for problem in result[3]:
                 lines.append("%s: gate failed in %s tree: %s" % (label, side, problem))
                 bad = True
     for name in names:
@@ -115,7 +124,7 @@ def compare(old, new, limits, names=WORKLOADS):
             parts.append("%s differ in %d (largest increase %+.3g)" % (figure, len(pairs), worst))
         if name == SWEEP:
             for i, part in ((0, "selected index"), (1, "selected rank")):
-                moved = sum(old[key][3][i] != new[key][3][i] for key in keys)
+                moved = sum(old[key][4][i] != new[key][4][i] for key in keys)
                 parts.append("%s differs in %d" % (part, moved))
         lines.append("%s: %d instances; %s" % (name, len(keys), "; ".join(parts)))
     return lines, bad
