@@ -1,9 +1,14 @@
 """Dense linear-algebra primitives and the shrinkage operators the solvers are built from.
 
 Everything here is a pure function of its inputs, and arguments are never
-modified.  Only :func:`thin_svd` applies a sign convention to its factors
+modified.
+
+The SVD rule: only :func:`thin_svd` applies a sign convention to its factors
 (and :func:`svt`, which calls it); every other SVD with singular vectors,
-here and in the solvers, is the bare ``_svd``.  Repeated calls are
+here and in the solvers, is the bare ``_svd``.  Its callers read only what a
+sign flip of paired columns leaves unchanged bit for bit: products of paired
+columns, such as ``u @ v.T`` and ``(u * s) @ v.T``, and the Q of a
+Householder QR that takes the columns as its start.  Repeated calls are
 bit-reproducible because the LAPACK calls underneath are deterministic, not
 because of a sign convention.
 """
@@ -83,8 +88,8 @@ def thin_svd(a):
 
 
 def _svd(a):
-    """The thin SVD of the checked matrix ``a`` as a ThinSvd, bare: the
-    factors are LAPACK's, with no sign convention, and ``v`` is the
+    """The thin SVD of the checked matrix ``a`` as a ThinSvd, bare (the module
+    docstring's SVD rule): the factors are LAPACK's, and ``v`` is the
     transposed view of the ``vt`` that ``np.linalg.svd`` returns."""
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -109,12 +114,8 @@ def _fix_signs(u, v):
 # randomized range finder (Halko, Martinsson & Tropp 2011)
 RANGE_OVERSAMPLE = 10  # test-matrix columns beyond the wanted rank
 RANGE_POWER_STEPS = 4  # power iterations from a Gaussian start, each re-orthonormalized by QR
-# Power iterations from a warm start, a basis an earlier call returned.  The low
-# rank parts of a 200x180 rank-4 solve_ialm under seeds 3 and 4 differed by
-# 1.1e-7 relative with 1 warm step, 4.1e-9 with 2, 3.1e-10 with 3 and 5.6e-11
-# with 4, against 9.1e-9 for 4 steps from the kept singular vectors alone (9
-# iterations each).  At 400x400 rank 5, solve_ialm with 2 warm steps took 0.045 s
-# against 0.068 s with 4 steps from the kept vectors (medians of 12 runs).
+# power iterations from a warm start, a basis an earlier call returned
+# (measured in CHANGES.md, "State each solver rule once")
 WARM_POWER_STEPS = 2
 
 
@@ -157,10 +158,8 @@ def _product(a, b):
 
 # The Gram route of polar_orthogonal runs when the smallest eigenvalue of
 # a.T @ a is above this share of the largest, so cond(a) < 1e3; the rounding
-# of that eigenvalue is amplified by up to the inverse share.  On three
-# 400x400 weight sweeps at k = 25 (940 calls, 4 of them below the share,
-# the smallest share taken 1.08e-6) the Gram route's result was within
-# 6.7e-12 of the SVD route's and orthonormal to 1.3e-11 (Frobenius norms).
+# of that eigenvalue is amplified by up to the inverse share (measured in
+# CHANGES.md, "State each solver rule once")
 POLAR_GRAM_SHARE = 1e-6
 
 
@@ -179,9 +178,8 @@ def polar_orthogonal(a):
     ``a`` instead.  For a rank-deficient ``a`` the maximizer is not unique,
     and that route returns the one LAPACK's singular vectors for the zero
     values give: they are deterministic, so identical inputs still give
-    bit-identical outputs.  The SVD is taken without :func:`thin_svd`'s
-    sign convention, whose paired flips cancel in ``u @ v.T`` bit for bit.
-    ``a`` is checked once; a non-finite entry raises ValueError.
+    bit-identical outputs.  Its SVD is bare (the module docstring's SVD
+    rule).  ``a`` is checked once; a non-finite entry raises ValueError.
     """
     a = _as_matrix(a, "a")
     m, p = a.shape
@@ -223,8 +221,7 @@ def ld_shrink(d, tau):
 
     as :func:`_ld_values` computes it.  ``tau = 0`` performs no shrinkage,
     so the input is returned unchanged (no factorization is computed).  The
-    SVD is taken bare, without :func:`thin_svd`'s sign convention, whose
-    paired flips cancel in ``(u * shrunk) @ v.T`` bit for bit.
+    SVD is bare (the module docstring's SVD rule).
 
     Returns
     -------

@@ -1,47 +1,26 @@
 """Low-rank plus sparse decomposition solvers.
 
-Three augmented-Lagrangian solvers run in one driver, ``_alm``, which owns
-the multiplier, the penalty schedule, every pass over the (d, n) buffers,
-the stop test and the report; each solver supplies only its low-rank step:
-
-* ``solve_fffp`` -- factored model ``x = u @ c @ v.T + s`` with the rank
-  fixed by the factor width ``k``; minimizes the l1 norm of ``s``.
-* ``solve_uffp`` -- same factored model with ``k`` only an upper bound;
-  adds ``lam`` times the log-det rank surrogate of the core ``c`` so the
-  recovered rank can drop below ``k``.
-* ``solve_ialm`` -- convex baseline (nuclear norm plus weighted l1),
-  alternating singular-value and elementwise soft-thresholding.
-
-All solves are deterministic: identical inputs give bit-identical outputs.
-A single solve is sequential; distinct solves may run concurrently.  Besides
-``x``, solve_fffp and solve_uffp hold three (d, n) buffers (the sparse
-part, double-buffered, and one workspace) and solve_ialm two, and each
-derives the multiplier from them.  Every iteration makes one row-block pass
-over them; the low-rank part is kept as factors, formed a row block at a
-time.  ``x`` is read in C order, so a Fortran-ordered or strided input is
-copied once.
-
-Every solve runs on the working matrix ``x * 2**-e`` (see ``_as_rows``):
-``e`` is 0, and nothing is copied or changed, when max|x| lies in [2**-32,
-2**32], and otherwise brings max|x| into [1, 2).  The rescale is exact, and
-the outputs are scaled back exactly, so data of any finite scale solves
-without its norm or its squares overflowing or underflowing.
+Three augmented-Lagrangian solvers share one driver, ``_alm``, which owns
+the multiplier, the penalty schedule, the (d, n) buffers and their passes,
+the stop test and the report; each supplies only its low-rank step:
+``solve_fffp`` at the fixed rank ``k``, ``solve_uffp`` with ``k`` an upper
+bound and a log-det rank surrogate, and ``solve_ialm``, the convex
+baseline.  Solves are deterministic (identical inputs give bit-identical
+outputs) and sequential; distinct solves may run concurrently.  Each runs
+on the working matrix of ``_as_rows`` and returns the data's units.
 
 The precision rule: solve_fffp, solve_uffp and each solve of lambda_sweep
 run in float32 buffers for float32 ``x``, and for any other ``x`` whenever
-``cfg.tol >= FLOAT32_TOL``, which the default tol is (``_solve`` applies
-the rule): the buffers, the block scratch and every product with them are
-then float32, which halves the bytes each pass moves.  Below that tol they
-solve in float64.  The residual of float32 buffers stalls near 1e-7, so
-float32 data, which always solves in float32, wants a tol of about 1e-6 or
-more; a smaller one runs to max_iter and reports converged=False.
-solve_ialm always solves in float64: a float32 ``x`` is converted, so its
-solve is that of ``x.astype(np.float64)`` bit for bit.  The sparse part is
-returned as float32 for float32 ``x`` and as float64 otherwise; the
-factors, the core and every small factorization stay float64.
-``SolveReport.buffer_dtype`` names the buffers' dtype.  A C-ordered input
-of the buffers' dtype inside the band is not copied; any other input is
-copied once, with its cast and rescale in the same pass.
+``cfg.tol >= FLOAT32_TOL``, as at the default tol (``_solve`` applies the
+rule): the buffers, the block scratch and every product with them are then
+float32, which halves the bytes each pass moves.  Below that tol they solve
+in float64.  The residual of float32 buffers stalls near 1e-7, so float32
+data, which always solves in float32, wants a tol of about 1e-6 or more; a
+smaller one runs to max_iter and reports converged=False.  solve_ialm
+always solves in float64, a float32 ``x`` as ``x.astype(np.float64)`` bit
+for bit.  The sparse part is returned as float32 for float32 ``x`` and as
+float64 otherwise; the factors, the core and every small factorization stay
+float64, and ``SolveReport.buffer_dtype`` names the buffers' dtype.
 """
 
 import math
@@ -82,25 +61,10 @@ __all__ = [
 
 RANK_REL_TOL = 1e-6  # singular values below this fraction of the largest count as zero
 
-# ceiling on the penalty weight, as a multiple of its data-scaled start (Lin,
-# Chen & Ma cap theirs at 1e7 times it), so the schedule scales with the data;
-# unbounded geometric growth would overflow after a few hundred iterations.
-# At KAPPA alone the ceiling binds from iteration 58 on (KAPPA**57 > 1e10),
-# and each KAPPA_FAST step brings it two iterations closer
+# the penalty schedule, stated in _alm; the values of BALANCE and KAPPA_FAST
+# against others: CHANGES.md, "State each solver rule once"
 RHO_CAP = 1e10
-KAPPA = 1.5  # geometric penalty growth per iteration
-# Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, sec. 3.4.1): the
-# penalty grows by KAPPA_FAST instead while the last primal residual exceeds
-# BALANCE times the change of L, ||L_t - L_{t-1}||_F / ||x||_F.  On 8-bit
-# frames (background, 19200x200, k=1) L stands still while the rounding
-# residual waits for 1/rho to fall below half a gray level: 16 -> 11
-# iterations.  It never fires on the fffp_2000 and ialm_400 benchmark problems,
-# and the recovery map moves by no cell.  Measured on the background
-# workload and the map: BALANCE 50 with KAPPA**2 took 13
-# iterations, 100 with KAPPA**3 12, 30 or 50 with KAPPA**3 11, 50 with
-# KAPPA**4 10; BALANCE 10 (Boyd's) lost up to 64% recovery on two map cells
-# at 20% corruption and 48-66% on ialm with dense noise, and 20 with KAPPA**2
-# moved ialm and a map cell by 9.8%
+KAPPA = 1.5
 BALANCE = 50.0
 KAPPA_FAST = KAPPA**3
 
@@ -109,26 +73,13 @@ FLOAT32_TOL = 1e-5  # float32 buffers from this tol up: the module docstring's p
 # partial singular-value thresholding of solve_ialm (Lin, Chen & Ma 2010)
 SVT_START_RANK = 10  # predicted rank of the first iteration
 SVT_RANK_GROWTH = 0.05  # share of min(d, n) added to the rank when every value is kept
-# From this share of min(d, n) on, a range-finder width takes the full thin SVD
-# instead.  Medians of 7-15 calls on a 2-core x86-64 (OpenBLAS), partial step
-# with WARM_POWER_STEPS against the full SVD, in ms:
-#   share      0.10  0.15  0.20  0.25  0.30 | full SVD
-#   400x400     8.1  16.3  26.3  41.0  54.1 |  40.1
-#   800x800    54.8   105   147   143   185 |   259
-#   1000x400   14.9  26.5  39.8  64.3  81.2 |  87.1
-#   400x1000   14.4  32.1  47.4  69.0  86.9 |  97.1
-# So a warm step is faster up to 0.20 and at parity at 400x400 from 0.25 (a
-# cold step, 4 power steps, takes about 1.6x as long); a widened retry costs
-# a second step.  The share stays at its 4-step crossover for now.
+# from this share of min(d, n) on, the full thin SVD replaces the range finder
+# (timed against it in CHANGES.md, "State each solver rule once")
 SVT_FULL_SHARE = 0.15
 
 ORTHO_TOL = 1e-8  # Frobenius-norm bound on a.T @ a - I for an orthonormal factor
 
-# Entries per row block of _alm's passes; a block holds ROW_BLOCK_ENTRIES // n
-# rows, and at least two (see _alm).  Per solve_fffp at 2000x2000, k=5, default
-# tol, so float32 buffers (medians of 9 alternating runs, 2-core x86-64,
-# OpenBLAS): 2**14, 2**16 and 2**18 entries took 0.31, 0.29 and 0.35 s, one
-# whole-matrix block 0.44 s; 2**16 is 32 rows, 256 KB per float32 block.
+# entries per row block of _alm's passes (timed in CHANGES.md, "State each solver rule once")
 ROW_BLOCK_ENTRIES = 2**16
 
 
@@ -149,8 +100,7 @@ class FactoredLowRank:
     c : (k, k) core carrying the whole spectrum of the low-rank part
     v : (n, k) with orthonormal columns
 
-    Treat the arrays as read-only; the dataclass is frozen but ndarrays
-    cannot be.
+    Treat the arrays as read-only: freezing the dataclass cannot freeze them.
     """
 
     u: np.ndarray
@@ -169,37 +119,21 @@ class FactoredLowRank:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables shared by all solvers.  Every field is checked when the
-    config is made (ValueError), but for the upper bound of ``k``, which needs
-    the data's shape.
+    """Tunables shared by all solvers, each checked when the config is made
+    (ValueError naming the field) but for ``k <= min(d, n)``, which
+    :func:`init_factors` checks.  The penalty schedule is not a field.
 
-    k        : factor width; upper bound on the recovered rank, at least 1
-               when given.  Only the factored solvers read it, through
-               :func:`init_factors`, which checks ``k <= min(d, n)`` and
-               refuses None; solve_ialm has no rank parameter and ignores
-               it, so it may be None there.
-    lam      : finite balance weight. Required by solve_uffp (0 is allowed
-               and degenerates to solve_fffp); solve_ialm defaults a
-               missing value to 1/sqrt(max(d, n)); solve_fffp ignores it.
-    tol      : relative-residual stopping threshold, in (0, 1); it also sets
-               the factored solves' precision (see the module docstring)
-    max_iter : iteration cap
-    seed     : nonnegative seed of the Gaussian draws: the test matrix of the
-               factored solvers' randomized truncated-SVD start
-               (:func:`init_factors`) and the range finder of solve_ialm's
-               singular-value step
-
-    The penalty schedule is not a field: it starts at ``1/max|x|`` for the
-    factored solvers (the first sparse threshold 1/rho reaches the largest
-    entry) and at Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, with
-    sigma_1 from the factorization of ``x`` that its first singular-value
-    step thresholds, and grows by ``KAPPA`` per iteration, or by
-    ``KAPPA_FAST`` while the last relative residual exceeds ``BALANCE`` times
-    the relative change of the low-rank part (residual balancing), capped at
-    ``RHO_CAP`` times its start.  Both sides of that test are relative, so
-    the schedule scales with the data: a power-of-two rescaling of ``x``
-    rescales the outputs of solve_fffp and solve_ialm (solve_uffp's ``lam``
-    is absolute, in the data's units, and its surrogate is not homogeneous).
+    k        : integer factor width, the recovered rank's upper bound, at
+               least 1; only the factored solvers read it, so it may be None
+               for solve_ialm
+    lam      : finite nonnegative weight, in the data's units. Required by
+               solve_uffp (0 degenerates to solve_fffp); solve_ialm defaults
+               it to 1/sqrt(max(d, n)); solve_fffp ignores it.
+    tol      : relative-residual stop, in (0, 1); it also sets the factored
+               solves' precision (the module docstring's rule)
+    max_iter : integer iteration cap, at least 1
+    seed     : nonnegative integer seed of the Gaussian draws of
+               :func:`init_factors` and of solve_ialm's range finder
     """
 
     k: int | None
@@ -209,6 +143,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "max_iter", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) or name == "k" and value is None):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
         if not 0 < self.tol < 1:
@@ -225,36 +163,21 @@ class SolverConfig:
 class SolveReport:
     """Terminal and per-iteration statistics for one solve.
 
-    svd_count is the raw number of factorizations the iteration steps take:
-    thin SVDs and Gram eigendecompositions (one per factor-orthogonalization
-    and core update of the factored solvers, whichever route
-    :func:`~robustpca.linalg.polar_orthogonal` takes; one per singular-value
-    thresholding of the baseline).  A step of a solve_uffp iterate that has
-    collapsed to width 0 takes none.  The
-    factored solvers' initial factors are not counted.  The baseline takes
-    no SVD outside its steps: its sigma_1 comes from the first step's
-    factorization, computed before the loop and counted once, as step 1's.
-    A widened retry of the baseline's partial thresholding counts as a
-    further SVD, so its svd_count can exceed its iteration count.  rho0 is
-    the penalty weight of the first iteration, the solver's data-scaled
-    start (see :class:`SolverConfig`); it, sparse_l1 and final_objective
-    are in the data's units, whatever the working scale (see ``_as_rows``).
-    buffer_dtype names the dtype of the solve's (d, n) buffers, "float32"
-    or "float64" (the module docstring's precision rule).
-    per_iter_residual holds ``||x - L - s||_F / ||x||_F`` after each
-    iteration, with the squares summed over the driver's row blocks, so it
-    can differ from :func:`relative_residual` in the last bits;
-    final_residual is its last entry.  Float32 buffers sum each block's
-    squares in float32 (the blocks' sums add up in float64), so there the
-    two agree only to about 1e-5 relative.  per_iter_change holds, parallel
-    to it, ``||L_t - L_{t-1}||_F / ||x||_F``, the change of the low-rank part
-    in each iteration (``L_0 = 0``), which the penalty schedule reads.  It
-    is computed from the factors (see ``_change``): its square is exact to
-    about 1e-15 when the core is about as large as ``x``, so the change is
-    exact to 1e-6 relative from about 1e-5 up, and below that the
-    subtraction cancels.  sparse_l1 is the l1 norm of the final s, summed
-    in float64; past the float64 range it reads inf, and final_objective
-    then reads inf, or leaves the l1 term out at a zero weight, never nan.
+    svd_count counts the steps' thin SVDs and Gram eigendecompositions: one
+    per factor-orthogonalization and core update of the factored solvers
+    (none at width 0, none for the start), one per singular-value
+    thresholding of the baseline, a widened retry and the first, taken
+    before the loop, included.  rho0 is the first penalty weight
+    (see ``_alm``); it, sparse_l1 and final_objective are in the data's
+    units.  buffer_dtype is "float32" or "float64" (the module docstring's
+    precision rule).  per_iter_residual holds ``||x - L - s||_F / ||x||_F``
+    after each iteration, its squares summed per row block, so it agrees with
+    :func:`relative_residual` to the last bits, or to about 1e-5 relative in
+    float32 buffers; final_residual is its last entry.  per_iter_change holds
+    ``||L_t - L_{t-1}||_F / ||x||_F`` (``L_0 = 0``; see ``_change``).
+    sparse_l1 is the l1 norm of the final s, summed in float64; past the
+    float64 range it reads inf, and final_objective then reads inf, or
+    leaves the l1 term out at a zero weight, never nan.
     """
 
     iterations: int
@@ -275,26 +198,15 @@ class SolveReport:
 class IterationState(NamedTuple):
     """End-of-iteration snapshot passed to ``on_iteration`` callbacks.
 
-    ``s`` is the sparse part that the residual of ``u @ c @ v.T`` was
-    measured with; at ``t = 1`` it is the zero start.  It is one of the
-    solver's two live sparse buffers: the same pass has already written the
-    next iteration's sparse part into the other, and the next pass
-    overwrites this one, so copy it if you keep it.
-    ``theta``, ``u``, ``c`` and ``v`` are fresh arrays; the low-rank part
-    ``u @ c @ v.T`` is never held whole.  ``u`` and ``v`` have orthonormal
-    columns, as many as ``c`` has rows: k for solve_fffp, the kept rank r
-    <= k for solve_uffp with ``lam > 0`` (``c`` is then ``diag`` of its
-    positive shrunk values, and r never grows from one iteration to the
-    next; the returned factors are padded back to k), and the kept count of
-    singular values for solve_ialm.  ``rho`` is the value after the
-    end-of-iteration growth step, and ``theta`` is the multiplier for it,
-    formed on demand as ``rho * (m - x + s_next)`` from the solver's
-    workspace ``m`` and that next sparse part ``s_next``.  ``s`` and
-    ``theta`` have the dtype of the solver's buffers (the module docstring's
-    precision rule); ``u``, ``c`` and ``v`` are float64.  Every
-    field is in the units of the working matrix ``x * 2**-e`` (see
-    ``_as_rows``), which are the data's unless max|x| lies outside [2**-32,
-    2**32].
+    ``s`` is the sparse part the residual of ``u @ c @ v.T`` was measured
+    with (zero at ``t = 1``): a live buffer the next pass overwrites, so copy
+    it to keep it.  The other arrays are fresh.  ``u`` and ``v`` have as
+    many orthonormal columns as ``c`` has rows: k for solve_fffp, the kept
+    rank r <= k for solve_uffp with ``lam > 0`` (``c`` diagonal, r never
+    growing), the kept count of singular values for solve_ialm.  ``rho`` is
+    the penalty after the iteration's growth step and ``theta`` the
+    multiplier for it.  ``s`` and ``theta`` have the buffers' dtype, ``u``,
+    ``c`` and ``v`` float64, all in the working matrix's units (``_as_rows``).
     """
 
     t: int
@@ -310,20 +222,17 @@ class IterationState(NamedTuple):
 class SweepEntry(NamedTuple):
     """One lambda_sweep run: the weight tried and everything it produced.
 
-    The fields are ``(lam, factors, sparse, report, units)``.  ``sparse``
-    holds the run's sparse part as the solve left it, in the dtype of its
-    buffers and the units of the working matrix ``x * 2**-e``, with
-    ``units = (e, dtype)``: the dense (d, n) buffer, or, when fewer than
-    half its entries are nonzero (``report.sparsity_ratio < 0.5``), the pair
-    ``(index, values)`` of its C-order flat indices (int32, or int64 when
-    d * n reaches 2**31) and nonzero values.  At the default tol float64
-    data solves in float32 buffers, so a compact entry takes 8 bytes per
-    nonzero and a dense one 4 per entry.  The property ``s`` gives the dense
-    (d, n) array either way, with every bit and the dtype of solve_uffp's at
-    that weight, by solve_uffp's own conversion: the stored buffer when it
-    needs none (float64 data in float64 buffers, or float32 data, at e = 0),
-    and otherwise a fresh array, built on each access; the stored arrays are
-    never written.  So read ``s`` once and keep it.
+    ``sparse`` is the run's sparse part as the solve left it, in its buffers'
+    dtype and the units of the working matrix ``x * 2**-e``, ``units = (e,
+    dtype)``: the dense (d, n) buffer, or, when ``report.sparsity_ratio <
+    0.5`` (no extra pass decides), the pair ``(index, values)`` of its
+    C-order flat indices (int32, int64 from d * n = 2**31) and nonzeros.
+    In float32 buffers, as at the default tol, a compact entry takes 8 bytes
+    per nonzero and a dense one 4 per entry: 11 healthy runs on 5% sparse
+    corruption take about half a float64 copy of ``x`` in all.  ``s`` is the
+    dense array, every bit and the dtype of solve_uffp's at that weight: the
+    stored buffer when it needs no conversion, else a fresh array built on
+    each access, so read it once.  The stored arrays are never written.
     """
 
     lam: float
@@ -355,18 +264,13 @@ def init_factors(x, k, seed=0):
     """Starting factors (u, c, v) of the factored solvers: a seeded
     randomized truncated SVD of ``x``.
 
-    A randomized range finder (Halko, Martinsson & Tropp 2011) draws a
-    Gaussian test matrix with ``k + RANGE_OVERSAMPLE`` columns (at most
-    ``min(d, n)``) from ``seed``, runs ``RANGE_POWER_STEPS`` power steps
-    re-orthonormalized by QR, and takes the top-k singular triplets of
-    ``x`` projected onto that basis.  The singular values go on the
-    diagonal of ``c``.  The small SVD is taken bare, and the sign convention
-    of :func:`thin_svd` is applied once, to the lifted columns of ``u`` and
-    their paired ``v``.  The cost is O(d * n * k); no (d, n) matrix is
-    factorized.  Deterministic for fixed inputs and seed.  A float32 ``x``
-    is not upcast: its products run in float32, and the factors are
-    float64 either way.  Raises ValueError unless ``1 <= k <= min(d, n)``
-    (a None ``k`` included); no solver checks ``k`` anywhere else.
+    A range finder (Halko, Martinsson & Tropp 2011) of width ``k +
+    RANGE_OVERSAMPLE`` (at most ``min(d, n)``) drawn from ``seed`` gives the
+    top-k singular triplets at O(d * n * k), values on the diagonal of ``c``
+    and thin_svd's sign convention applied once (the linalg module
+    docstring's SVD rule).  Deterministic for fixed inputs and seed; a
+    float32 ``x`` is not upcast, and the factors are float64.  Raises
+    ValueError unless ``1 <= k <= min(d, n)``, a None ``k`` included.
     """
     x = _as_matrix(x, "x", keep_float32=True)
     d, n = x.shape
@@ -401,19 +305,17 @@ def _as_rows(x, dtype=np.float64):
     """The entry gate of every solve: ``(x, e, norm_x, top)``.
 
     ``x`` becomes the working matrix ``x * 2**-e``: C-ordered, so that its
-    row blocks are contiguous, with finite entries, and of ``dtype`` (float32
-    or float64).  ``e`` is 0 when max|x| lies in [2**-32, 2**32], so that a
-    C-ordered input of ``dtype`` is neither copied nor changed; otherwise
-    ``e`` brings max|x| into [1, 2).  Any copy is made in one pass, with the
-    cast and the rescale folded in; the rescale runs in float64, so it is
-    exact, and a float32 ``dtype`` rounds once, where entries below 2**-126
-    of max|x| lose bits.  So ``norm_x``, the
-    working matrix's Frobenius norm, neither overflows nor underflows, even
-    when summed in float32.  ``top`` is the working matrix's max|x|, taken
-    from the data's without a second scan: rounding to ``dtype`` is monotone
-    and symmetric, so it maps the largest magnitude to the largest.  Raises
-    ValueError for the zero matrix, which has no scale to solve at, so no
-    solve or grid starts and nothing is drawn.
+    row blocks are contiguous, finite, and of ``dtype``.  ``e`` is 0 when
+    max|x| lies in [2**-32, 2**32], so a C-ordered input of ``dtype`` is
+    neither copied nor changed; otherwise ``e`` brings max|x| into [1, 2).
+    Any other input is copied once, cast and rescaled in the same pass.  The
+    rescale runs in float64, so it is exact (a float32 ``dtype`` rounds
+    once, and entries below 2**-126 of max|x| lose bits), and the outputs
+    are scaled back by ``2**e`` exactly; so data of any finite scale solves
+    with no overflow or underflow of ``norm_x``, the working matrix's
+    Frobenius norm, or its squares, even in float32.  ``top`` is the working
+    matrix's max|x|, from the data's without a second scan (rounding is
+    monotone and symmetric).  Raises ValueError for the zero matrix.
     """
     x = _as_matrix(x, "x", keep_float32=True)
     top = float(max(x.max(), -x.min()))
@@ -436,12 +338,12 @@ def _in_data_units(s, e, dtype):
 
 def _change(u, c, v, prev):
     """``||u @ c @ v.T - u0 @ c0 @ v0.T||_F`` for the iterate ``prev = (u0, c0,
-    v0)``, or ``||c||_F`` for None (L = 0), from the factors at O((d + n)k^2):
-    with orthonormal factors the square is ``||c||^2 + ||c0||^2 - 2 tr(c.T
-    (u.T u0) c0 (v0.T v))``, clamped at 0.  That subtraction loses about
-    1e-16 of ``||c||^2``, so a change below about 1e-8 of ``||c||`` reads as
-    noise.  The rule's threshold on the change, the last residual / BALANCE,
-    exceeds tol / BALANCE (2e-5 of ``||x||`` at the default tol)."""
+    v0)``, or ``||c||_F`` for None (L = 0), at O((d + n)k^2): with
+    orthonormal factors the square is ``||c||^2 + ||c0||^2 - 2 tr(c.T (u.T
+    u0) c0 (v0.T v))``, clamped at 0, exact to about 1e-15 when ``||c||`` is
+    about ``||x||``: the change is exact to 1e-6 relative from 1e-5 of
+    ``||x||`` up, and below about 1e-8 noise, far below the last residual /
+    BALANCE (> tol / BALANCE) that ``_alm``'s test compares it with."""
     square = float(np.sum(c * c))
     if prev is not None:
         u0, c0, v0 = prev
@@ -454,71 +356,61 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
          factored=False):
     """The inexact augmented-Lagrangian loop behind all three solvers.
 
-    ``x``, its exponent ``e`` and its Frobenius norm ``norm_x`` come from
-    :func:`_as_rows`, so ``x`` is the C-ordered working matrix, max|x| lies
-    in [2**-32, 2**32] and ``norm_x`` is positive.  The loop runs in the
-    working matrix's units; the report and the returned core are in the
-    data's (``e`` scales them back).  The loop keeps the
-    sparse part ``s`` and the workspace ``m`` as (d, n) buffers of the dtype
-    of ``x`` (float32 or float64) and makes every pass over them: one per
-    iteration, in contiguous row blocks of about ``ROW_BLOCK_ENTRIES``
-    entries.  Between
-    iterations ``m = x + theta/rho - s'``, where ``s'`` is the sparse part
-    the next step reads, so the multiplier ``theta = rho * (m - x + s')`` is
-    never stored.  The low-rank part travels as ``u @ c @ v.T``, with
-    orthonormal ``u`` and ``v`` and a small core ``c``, and is formed once per
-    block and iteration in a scratch as ``L = (u @ c) @ v.T``; ``u @ c`` and
-    ``v`` are cast to the buffers' dtype once per iteration, so no block
-    product upcasts.  The penalty starts at ``rho0``, the solver's
-    data-scaled start, and grows per iteration up to ``RHO_CAP * rho0``.
-    That ceiling is finite: max|x| is at least 2**-32, so both starts,
-    ``1/max|x|`` and ``1.25/sigma_1 <= 1.25/max|x|``, lie below 1.25 *
-    2**32.  The growth is residual balancing: once the step of iteration t
-    has returned, :func:`_change` gives ``||L_t - L_{t-1}||_F / ||x||_F``
-    from the factors, and rho grows by ``KAPPA_FAST`` when t >= 2 and
-    iteration t-1's residual exceeds ``BALANCE`` times that change, else by
-    ``KAPPA``.  The rule reads the last residual because the pass that sums
-    this iteration's also forms the next sparse step at the grown rho.  Every
-    solve starts at ``s = 0`` and ``theta = 0``, so ``m`` starts as a copy of
-    ``x``, ``L_0 = 0`` and no pass runs before iteration 1.
-
-    ``weight`` is the weight of the l1 term, a constant of the solve.
+    ``x``, ``e`` and ``norm_x`` come from :func:`_as_rows`; the loop runs in
+    the working matrix's units.  ``weight`` is the l1 term's weight.
     ``step(m, rho)`` reads but does not write ``m`` and returns the new
-    iterate ``(u, c, v, svds)``: the low-rank part ``u @ c @ v.T`` and the
-    step's factorization count.  solve_fffp's core is a full k x k matrix;
-    solve_uffp's (``lam > 0``) is ``diag`` of its kept shrunk values, and
-    solve_ialm's ``diag(sigma - tau)`` of its kept singular values, so the
-    width of the iterate may change between iterations.
-    The pass then runs the sparse step ``s = soft_threshold(x + theta/rho -
-    L, weight/rho)`` and the residual and multiplier step (sum ``||x - L -
-    s||^2``; ``theta += rho * (x - L - s)``; rho grows to ``rho_next``)
-    block by block, in one of two orders.  Both write the sparse step
-    through one helper, ``shrink``, as ``g - c`` with the clip ``c =
-    clip(g, -tau, tau)``, and build ``m`` from ``c``:
+    iterate ``(u, c, v, svds)``: ``L = u @ c @ v.T`` with orthonormal ``u``
+    and ``v``, and its factorization count.  The core is k x k for
+    solve_fffp, and ``diag`` of the kept values, of changing width, for
+    solve_uffp (``lam > 0``) and solve_ialm.
 
-    * ``factored`` (the factored solvers): the residual of this iteration,
-      then the next iteration's sparse step at ``weight/rho_next`` into a
-      second buffer, so ``s`` is double-buffered and a stop still returns
-      the ``s`` that matches ``L``.  Per block, ``a = x - L``, ``r = a - s``,
-      ``g = a + (rho/rho_next) * (m - L)`` (``x + theta/rho_next - L``),
-      ``s' = g - c`` and ``m = L + c``.
-    * not ``factored`` (solve_ialm): the sparse step of this iteration at
-      ``weight/rho``, then the residual.  Per block, ``g = (m + s) - L``
-      (``x + theta/rho - L``), ``s = g - c``, ``r = (x - L) - s`` and ``m =
-      (x - s) + (rho/rho_next) * c``: the updated multiplier's ``theta/rho``
-      is ``g - s``, which is the clip.  ``s`` is one buffer.
+    The penalty schedule.  rho starts at ``rho0``: ``1/max|x|`` for the
+    factored solvers, so the first sparse threshold 1/rho reaches the largest
+    entry, and Lin, Chen & Ma's ``1.25/sigma_1(x)`` for solve_ialm, sigma_1
+    from the factorization its first step thresholds.  After the step of
+    iteration t, :func:`_change` gives ``||L_t - L_{t-1}||_F / ||x||_F``
+    (``L_0 = 0``), and rho grows by ``KAPPA_FAST`` when t >= 2 and iteration
+    t-1's residual exceeds ``BALANCE`` times that change (residual balancing:
+    He, Yang & Wang 2000; Boyd et al. 2011, sec. 3.4.1), else by ``KAPPA``;
+    it reads the last residual because the pass that sums this one also
+    forms the next sparse step at the grown rho.  rho is capped at ``RHO_CAP
+    * rho0`` (Lin, Chen & Ma cap theirs at 1e7 times their start), since
+    unbounded growth would overflow: at KAPPA alone the cap binds from
+    iteration 58 on, and each KAPPA_FAST step brings it two iterations
+    closer.  The cap is finite, as max|x| >= 2**-32 puts both starts below
+    1.25 * 2**32.  Both sides of the test are relative, so a power-of-two
+    rescaling of ``x`` rescales the outputs of solve_fffp and solve_ialm
+    (solve_uffp's ``lam`` is absolute and its surrogate not homogeneous).
 
-    After each pass, for every solver: a non-finite residual raises
-    DivergenceError; so do ``u`` or ``v`` that lost orthonormality (beyond
-    ``ORTHO_TOL``); then ``on_iteration``, if given, receives the
-    :class:`IterationState`, whose ``theta`` is formed from ``m`` and the
-    sparse buffer the next step reads (``s`` itself for solve_ialm).  The
-    loop stops at ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c)`` gives the
-    final rank and the low-rank term of the objective from the last core, in
-    the data's units; the objective is ``weight`` times the l1 norm of ``s``
-    plus that term.  Wall time counts from ``t_start``.  Returns
-    ``(FactoredLowRank(u, c, v), s, report)`` for the last iterate, with
-    ``c`` in the data's units and ``s`` the working matrix's sparse buffer.
+    The buffers and the pass.  Besides ``x``, the loop holds (d, n) buffers
+    of its dtype: the sparse part ``s``, double-buffered for the factored
+    solvers, and the workspace ``m = x + theta/rho - s'``, ``s'`` the sparse
+    part the next step reads, so the multiplier ``theta = rho * (m - x +
+    s')`` is never stored.  Every solve starts at ``s = 0`` and ``theta =
+    0``, so ``m`` starts as a copy of ``x`` and no pass runs before iteration
+    1.  Each iteration makes one pass, in contiguous row blocks of
+    ``ROW_BLOCK_ENTRIES // n`` rows, at least two; L is formed per block in
+    a scratch as ``(u @ c) @ v.T``, from factors cast to the buffers' dtype
+    once per iteration.  The pass writes the sparse step ``soft_threshold(g,
+    tau)``, ``g = x + theta/rho - L``, as ``g - c`` with ``c = clip(g, -tau,
+    tau)`` (``shrink``), builds ``m`` from ``c`` and sums ``||x - L - s||^2``:
+
+    * ``factored``: the residual, then the next sparse step at
+      ``weight/rho_next`` into the second buffer, so a stop still returns
+      the ``s`` that matches ``L``.  Per block, ``a = x - L``, ``r = a -
+      s``, ``g = a + (rho/rho_next) * (m - L)``, ``s' = g - c``, ``m = L + c``.
+    * not ``factored`` (solve_ialm): this sparse step at ``weight/rho``,
+      then the residual.  Per block, ``g = (m + s) - L``, ``s = g - c``, ``r
+      = (x - L) - s`` and ``m = (x - s) + (rho/rho_next) * c``, since the
+      updated ``theta/rho`` is ``g - s``, the clip.
+
+    After each pass a non-finite residual, or ``u`` or ``v`` not orthonormal
+    to ``ORTHO_TOL``, raises DivergenceError; then ``on_iteration``, if
+    given, receives the :class:`IterationState`.  The loop stops at
+    ``cfg.tol`` or ``cfg.max_iter``.  ``summary(c)`` gives the final rank
+    and the objective's low-rank term from the last core.  Wall time counts
+    from ``t_start``.  Returns ``(FactoredLowRank(u, c, v), s, report)``,
+    ``c`` and the report in the data's units and ``s`` the sparse buffer.
     """
     d, n = x.shape
     dt = x.dtype
@@ -536,8 +428,6 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
     prev = None  # the last iterate; None is L = 0, the start of every solve
 
     def shrink(b, g, tau):
-        # the sparse step s_next[b] = soft_threshold(g, tau), written as
-        # g - clip(g, -tau, tau); returns the clip, held in the block scratch
         clipped = np.clip(g, -tau, tau, out=a_buf[:b.stop - b.start])
         np.subtract(g, clipped, out=s_next[b])
         return clipped
@@ -555,27 +445,23 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
         left, right = (u @ c).astype(dt, copy=False), v.astype(dt, copy=False)
         # at width 1 matmul takes numpy's scalar loop, about 3x slower than the
         # broadcast product, which forms each entry as the same single product;
-        # only a zero's sign can differ, and every zero the pass writes to s
-        # and m is +0.0 either way
+        # only a zero's sign can differ, and every zero the pass writes is +0.0
         product = np.multiply if left.shape[1] == 1 else np.matmul
         svd_count += svds
         change = _change(u, c, v, prev) / float(norm_x)
         changes.append(change)
         prev = u, c, v
-        # the pass sums this iteration's residual, so the rule reads the last one
         fast = t >= 2 and BALANCE * change < residuals[-1]
         rho_next = min(rho * (KAPPA_FAST if fast else KAPPA), RHO_CAP * rho0)
         ratio = rho / rho_next
-        # the factored pass forms the next iteration's s, solve_ialm's this one's
         tau = weight / (rho_next if factored else rho)
         squares = 0.0
         for b in blocks:
             h = b.stop - b.start
             l_b = product(left[b], right.T, out=l_buf[:h])
             if factored:
-                # r = (x - L) - s, summed in relative_residual's order, so a
-                # residual lost to cancellation reads the same in both; r is
-                # formed in the block of s_next that the sparse step overwrites
+                # r in relative_residual's order, so a residual lost to cancellation
+                # reads the same in both, in the s_next block the sparse step overwrites
                 a = np.subtract(x[b], l_b, out=a_buf[:h])
                 r = np.subtract(a, s[b], out=s_next[b])
                 squares += float(r.ravel() @ r.ravel())
@@ -584,8 +470,6 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
                 g += a
                 np.add(l_b, shrink(b, g, tau), out=m[b])
             else:
-                # g = (x + theta/rho) - L and s = soft(g); then r as above, and
-                # m = (x - s) + ratio * (g - s), where g - s is the clip
                 g = np.add(m[b], s[b], out=m[b])
                 g -= l_b
                 clipped = shrink(b, g, tau)
@@ -630,26 +514,18 @@ def _alm(x, e, norm_x, cfg, weight, rho0, t_start, step, summary, on_iteration=N
 
 
 def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration=None):
-    """Run the factored step in :func:`_alm` on the working matrix ``x`` from
-    :func:`_as_rows`, with its max|x| ``top``, from the penalty ``1/top`` and
-    the factors ``start`` (``init_factors(x, cfg.k, cfg.seed)``, only read),
-    with surrogate weight ``lam_ld`` (0 for solve_fffp) in the data's units.
-
-    With ``lam_ld > 0`` each step rotates the factors into the singular
-    basis of the core, shrinks its values at the data's scale, as
-    ``_ld_values(sigma * 2**e, tau * 2**e) * 2**-e``, so that ``lam_ld``
-    means the same at any working scale, and keeps only the directions
-    whose value stays positive, so the iterate's width never grows; a
-    width-0 iterate takes no factorization.  Returns ``(factors, s,
-    report)``: the factors padded back to width k by :func:`_pad_factors`,
-    and the working matrix's sparse buffer.
+    """:func:`_alm` with the factored step on the working matrix ``x`` (max|x|
+    ``top``) from the factors ``start``, only read, at surrogate weight
+    ``lam_ld`` (0 for solve_fffp) in the data's units: each step then rotates
+    the factors into the core's singular basis, shrinks its values at the
+    data's scale, ``_ld_values(sigma * 2**e, tau * 2**e) * 2**-e``, and keeps
+    the positive ones.  Returns ``(factors, s, report)``, factors padded to k.
     """
     u, c, v = start.u, start.c, start.v
 
     def step(m, rho):
-        # m = x + theta/rho - s, read by two products in its dtype: (uc.T @ m).T,
-        # which is m.T @ uc to the bit and at 2000x2000 about 2 ms instead of
-        # 5-16 ms, and m @ v, which serves both the u and the core update
+        # two products read m in its dtype: (uc.T @ m).T, m.T @ uc to the bit but
+        # 2 ms instead of 5-16 at 2000x2000, and m @ v, for both u and the core
         nonlocal u, c, v
         if c.shape[0] == 0:  # collapsed: L = 0, and it stays 0
             return u, c, v, 0
@@ -678,18 +554,11 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration
 
 def _solve(x, cfg, weights, on_iteration=None):
     """The factored solves of ``x``, one per surrogate weight in ``weights``
-    (in the data's units; 0 is solve_fffp): a generator of their ``(factors,
-    s, report, units)``, in order.
-
-    The entry gate, the precision rule and the start factors run once, on
-    the first ``next``; each weight then runs :func:`_solve_factored` from
-    those factors, and its result is yielded as that call returns it, so the
-    generator holds no solve's outputs.  ``s`` is the solve's sparse buffer,
-    in the working matrix's units, and ``units = (e, dtype)`` converts it:
-    ``_in_data_units(s, *units)`` is the sparse part in the data's units,
-    float32 for float32 ``x`` and float64 otherwise.  The first report's
-    wall time counts the gate and the start; each later one counts from the
-    ``next`` that resumed it.
+    (data units; 0 is solve_fffp): a generator of their ``(factors, s,
+    report, units)``, holding no solve's outputs.  The entry gate, the
+    precision rule and the start run once, on the first ``next``, and are
+    timed in the first report.  ``_in_data_units(s, *units)`` converts the
+    sparse buffer ``s`` to the data's units and the returned dtype.
     """
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
@@ -709,14 +578,10 @@ def _solve_one(x, cfg, lam_ld, on_iteration):
 
 
 def _pad_factors(factors, start):
-    """``factors`` widened to the width k of the start factors ``start``.
-
-    ``u`` (width r) keeps its columns and gains the columns r..k-1 of the Q
-    of the Householder QR of ``[u, start.u[:, r:]]``, and ``v`` likewise:
-    they are orthonormal and orthogonal to ``u`` to rounding, whatever the
-    overlap of the two spans.  The core gains zero rows and columns, so the
-    low-rank part is unchanged.  Factors of width k are returned as they are.
-    """
+    """``factors`` widened to the width k of ``start``: ``u`` (width r) gains
+    the columns r..k-1 of the Q of the Householder QR of ``[u, start.u[:,
+    r:]]``, orthonormal to rounding whatever the spans' overlap, ``v``
+    likewise, and the core zero rows and columns, so L is unchanged."""
     k, r = start.c.shape[0], factors.c.shape[0]
     if r == k:
         return factors
@@ -733,22 +598,14 @@ def _pad_factors(factors, start):
 def solve_fffp(x, cfg, on_iteration=None):
     """Fixed-rank factored decomposition of ``x`` into ``u @ c @ v.T + s``.
 
-    Per iteration: the sparse part is refreshed by elementwise
-    soft-thresholding of the current misfit at 1/rho, the side factors by
-    orthogonal-Procrustes (polar) updates, and the core by projection
-    ``c = u.T @ (x - s + theta/rho) @ v``; the multiplier then absorbs the
-    residual and rho grows by ``KAPPA``, or by ``KAPPA_FAST`` while the last
-    residual exceeds ``BALANCE`` times the change of the low-rank part
-    (capped at ``RHO_CAP`` times its start; see :class:`SolverConfig`).
-    Stops when the relative residual reaches ``cfg.tol`` or after
-    ``cfg.max_iter`` iterations.
-    Each iteration makes one row-block pass of the driver over the (d, n)
-    buffers, which sums the residual and forms the next iteration's sparse
-    part and workspace, plus two products with the workspace; the first
-    iteration reads ``s = 0``.  The precision and the copy of ``x``, if any,
-    follow the module docstring.
-
-    Returns ``(factors, s, report)``.
+    Per iteration: soft-thresholding of the misfit at 1/rho refreshes the
+    sparse part, polar updates the side factors, and the projection ``c =
+    u.T @ (x - s + theta/rho) @ v`` the core; then the multiplier and rho
+    (``_alm``).  Stops at ``cfg.tol`` or ``cfg.max_iter``; precision follows
+    the module docstring.  ``on_iteration`` receives each IterationState.
+    Returns ``(factors, s, report)``: a :class:`FactoredLowRank`, the sparse
+    part in the data's units and a :class:`SolveReport`.  Raises ValueError
+    for an invalid ``x`` or ``k`` and DivergenceError for a non-finite iterate.
     """
     return _solve_one(x, cfg, 0.0, on_iteration)
 
@@ -756,17 +613,13 @@ def solve_fffp(x, cfg, on_iteration=None):
 def solve_uffp(x, cfg, on_iteration=None):
     """Rank-discovering variant of :func:`solve_fffp`.
 
-    Identical loop except the core update is shrunk by the log-det map of
-    :func:`~robustpca.linalg.ld_shrink` at threshold ``cfg.lam / rho``, so
-    superfluous directions inside the width-k factorization are driven to
-    exactly zero.  The step then drops them: it carries only the directions
-    it keeps, so after the first shrink an iteration costs O(r * d * n) at
-    kept rank r instead of O(k * d * n).  The returned ``u`` and ``v`` are
-    padded to k orthonormal columns, and ``c`` to k x k with zeros.
-    ``cfg.lam`` must be set, in the data's units; ``lam = 0`` reproduces
-    solve_fffp bit for bit.
-
-    Returns ``(factors, s, report)``.
+    The core update is shrunk by the log-det map of
+    :func:`~robustpca.linalg.ld_shrink` at ``cfg.lam / rho``, which drives
+    superfluous directions to exactly zero; the step drops them, so an
+    iteration costs O(r * d * n) at kept rank r.  The returned ``u``, ``v``
+    and ``c`` are padded to width k.  ``cfg.lam`` must be set, in the data's
+    units; ``lam = 0`` reproduces solve_fffp bit for bit.  Returns as
+    solve_fffp does.
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
@@ -776,17 +629,10 @@ def solve_uffp(x, cfg, on_iteration=None):
 def _ritz_triplets(m, rank, start, rng):
     """Singular triplets of ``m`` for :func:`_svt_step`'s ``rank``, as a ThinSvd.
 
-    A range finder of width ``rank + RANGE_OVERSAMPLE`` (at most min(d, n))
-    gives the Ritz triplets of ``m``: the exact ones of ``m`` projected onto
-    the basis.  It starts from the first ``width`` columns of ``start`` (or
-    None) and pads them with Gaussian columns from ``rng``.  A width of at
-    least ``SVT_FULL_SHARE * min(d, n)`` takes the full thin SVD instead,
-    which is exact, draws nothing and, at that width, is no slower.  Both
-    SVDs are bare, with no sign convention.  The callers read the values,
-    products of paired columns, and ``v`` as the next range finder's start;
-    a sign flip of paired columns cancels in the products and leaves the Q
-    of that range finder's Householder QR unchanged, so it would not move a
-    bit.
+    The Ritz triplets of a range finder of width ``rank + RANGE_OVERSAMPLE``
+    started from ``start``'s first columns (or None) and padded from ``rng``,
+    or the full thin SVD, which draws nothing, from ``SVT_FULL_SHARE *
+    min(d, n)`` on.  Both SVDs are bare (the linalg module docstring's rule).
     """
     full = min(m.shape)
     width = min(rank + RANGE_OVERSAMPLE, full)
@@ -800,24 +646,15 @@ def _ritz_triplets(m, rank, start, rng):
 def _svt_step(m, tau, rank, start, rng, first=None):
     """Singular-value thresholding of ``m`` at ``tau``, returned as factors.
 
-    Only the top singular triplets are computed.  ``rank`` is the
-    predicted number of singular values above tau, and ``start`` is the
-    right Ritz basis the previous step returned (or None); the steps thus
-    continue one subspace iteration, with ``WARM_POWER_STEPS`` power steps
-    each.  :func:`_ritz_triplets` computes the triplets at the width that
-    ``rank`` asks for; ``first``, if given, is that result for ``m`` and
-    this ``rank``, computed already.  If every Ritz value exceeds tau, some
-    value above tau may lie outside the basis, so the rank grows and the
-    step is redone, started from the basis it just computed.  The full thin
-    SVD, once the width reaches its share, is final.
-
-    Returns ``(u, shrunk, v, basis, rank, svds)``: the left singular
-    vectors of the kept values, unscaled, those values minus tau
-    (nonincreasing), their right singular vectors, the whole right Ritz
-    basis of the last factorization (the full ``v`` of a full SVD) for the
-    next step's ``start``, the predicted rank of the next step (Lin, Chen &
-    Ma's rule) and the number of thin SVDs computed.  The thresholded matrix
-    is ``(u * shrunk) @ v.T``; it is not formed.
+    ``rank`` predicts the count of singular values above tau, and ``start``
+    is the previous step's right Ritz basis (or None), so the steps continue
+    one subspace iteration; ``first``, if given, is :func:`_ritz_triplets`'s
+    result for this call.  If every Ritz value exceeds tau, one above tau may
+    lie outside the basis, so the step is redone wider from its own basis;
+    the full thin SVD is final.  Returns ``(u, shrunk, v, basis, rank,
+    svds)``: the kept singular vectors and values minus tau, the whole right
+    Ritz basis, the next predicted rank (Lin, Chen & Ma's rule) and the count
+    of thin SVDs; ``(u * shrunk) @ v.T`` is not formed.
     """
     full = min(m.shape)
     growth = max(1, round(SVT_RANK_GROWTH * full))
@@ -838,36 +675,16 @@ def _svt_step(m, tau, rank, start, rng, first=None):
 def solve_ialm(x, cfg):
     """Convex baseline: nuclear norm plus ``lam`` times the l1 norm.
 
-    Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with
-    ``s = soft_threshold(x - l + theta/rho, lam/rho)`` in the ALM driver
-    shared with the factored solvers (same multiplier and penalty schedule,
-    residual balancing included; the start is Lin, Chen & Ma's
-    1.25/sigma_1(x)).  ``cfg.lam`` defaults to 1/sqrt(max(d, n)).  The convex model has no rank
-    parameter, so ``cfg.k`` is not read (it may be None), as solve_fffp
-    ignores ``cfg.lam``.  As in Lin, Chen & Ma's inexact ALM, the
-    singular-value step computes only a partial SVD: the number of
-    singular values above the threshold is predicted from the previous
-    iteration (starting at ``SVT_START_RANK``), a seeded randomized range
-    finder warm-started from the previous step's whole Ritz basis finds the
-    top triplets with ``WARM_POWER_STEPS`` power steps, and the step is
-    redone wider when every computed value survives the threshold.  Once
-    the predicted width reaches ``SVT_FULL_SHARE`` times min(d, n) the full
-    thin SVD is used instead, so small inputs and high-rank iterates take
-    the exact path.  The first step thresholds ``x`` itself, so its
-    factorization, computed before the loop (after :func:`_as_rows` has
-    refused a zero-norm ``x``), also gives the start's sigma_1; no other SVD
-    of ``x`` is taken.  ``cfg.seed`` seeds the Gaussian columns; the solve
-    is deterministic.  Each iteration thresholds the driver's workspace
-    ``x - s + theta/rho`` as it stands and makes one row-block pass of the
-    driver, which runs the sparse step and then the residual block by block;
-    the workspace for the grown rho is formed from the sparse step's clip,
-    the updated ``theta/rho``.  The thresholded low-rank part is kept as
-    factors in the loop and formed once at the end; a non-C-ordered ``x``
-    is copied once.  The solve runs in float64 at any tol (the module
-    docstring's precision rule); the partial thresholding's accuracy was
-    measured in float64 only.
-
-    Returns ``(l, s, report)``.
+    Alternates ``l = svt(x - s + theta/rho, 1/rho)`` with ``s =
+    soft_threshold(x - l + theta/rho, lam/rho)`` in ``_alm``.  ``cfg.lam``
+    defaults to 1/sqrt(max(d, n)); ``cfg.k`` is not read.  As in Lin, Chen &
+    Ma's inexact ALM, the singular-value step is a partial SVD at a predicted
+    rank (:func:`_svt_step`); the first step's factorization of ``x`` also
+    gives the penalty's start, and no other SVD of ``x`` is taken.  The solve
+    is deterministic (``cfg.seed`` seeds the range finder) and runs in
+    float64 at any tol, where the partial step's accuracy was measured (the
+    module docstring's precision rule).  Returns ``(l, s, report)``: dense
+    float64 parts in the data's units and a :class:`SolveReport`.
     """
     t_start = time.perf_counter()
     x, e, norm_x, _ = _as_rows(x)
@@ -902,27 +719,15 @@ _GRID_EXPONENTS = (
 def default_lambda_grid(x):
     """Candidate grid for the rank-surrogate weight, anchored at the spectral norm.
 
-    The useful weight tracks the data's dominant singular value: well
-    below it the shrinkage never removes a direction, an order of
-    magnitude above it the core collapses entirely and the sparse part
-    swallows ``x``.  The transition between "keeps every direction" and
-    "keeps only the real ones" can span less than half a decade, so the
-    grid steps in quarter decades through the region where that window
-    sits in practice and coarsens toward the collapse end.  The grid
-    scales with the data, but the selection does not: the surrogate
-    log(1 + sigma) is not homogeneous, so data of very small scale selects
-    toward the top of the grid.
-
-    The anchor sigma_1 is the top Ritz value of :func:`_ritz_triplets` at
-    rank 1: a seeded range finder of width ``1 + RANGE_OVERSAMPLE`` (seed
-    0), at O(d * n) cost, or the exact thin SVD when ``min(d, n)`` is at most
-    73.  So no large (d, n) matrix is factorized.  On ``make_problem(n, n, 5,
-    0.05, seed=7)`` the anchor differs from ``||x||_2`` by 1.4e-8 relative at
-    n = 74, 3.4e-10 at 200, 2.8e-12 at 400 and 0 at 2000.  The anchor is
-    taken on the float64 working matrix of :func:`_as_rows`, whatever the
-    dtype of ``x``, and the grid is scaled back to the data's units, so a
-    power-of-two rescaling of ``x`` that keeps its entries normal rescales
-    the grid bit for bit.  The zero matrix is refused by that gate.
+    Well below sigma_1 the shrinkage removes no direction, and an order of
+    magnitude above it the core collapses; the window that keeps only the
+    real directions can span less than half a decade, so the grid steps in
+    quarter decades there and coarsens toward collapse.  The selection is
+    not scale-free: log(1 + sigma) is not homogeneous.  The anchor is the
+    top Ritz value of :func:`_ritz_triplets` at rank 1 (seed 0), O(d * n),
+    on the float64 working matrix of :func:`_as_rows`, so a power-of-two
+    rescaling of ``x`` that keeps its entries normal rescales the grid bit
+    for bit.  Raises ValueError for the zero matrix.
     """
     x, e, _, _ = _as_rows(x)
     top = float(_ritz_triplets(x, 1, None, np.random.default_rng(0)).s[0])
@@ -932,39 +737,20 @@ def default_lambda_grid(x):
 def lambda_sweep(x, cfg):
     """Run solve_uffp's iteration over a grid of weights and pick one run.
 
-    Returns ``(entries, selected)`` where ``entries`` is one
-    :class:`SweepEntry` per value of :func:`default_lambda_grid` (ascending)
-    and ``selected`` indexes the preferred entry.
+    Returns ``(entries, selected)``: one :class:`SweepEntry` per value of
+    :func:`default_lambda_grid` (ascending) and the preferred entry's index.
 
-    Selection has to reject two failure modes that both pass the residual
-    test: full collapse (the core shrinks to rank zero and the sparse part
-    swallows ``x``) and partial collapse (a real direction is lost and its
-    mass dumped into the sparse part).  Healthy runs across a sweep agree
-    closely on the sparse part they extract; collapsed runs inflate its l1
-    mass and its nonzero fraction well beyond that consensus.  The rule:
-    among converged runs with nonzero rank, keep those whose sparse-part
-    l1 mass is within 1.5x the sweep median and whose nonzero fraction is
-    within twice the median plus a small slack; of the kept runs, find the
-    lowest rank reached and take the smallest weight that reaches it.
-    That lowest clean rank is where the superfluous directions are gone,
-    and its smallest weight is the least-biased run on that plateau
-    (shrinkage bias on the surviving directions grows with the weight).
-    If every run failed, the smallest final residual wins.
-
-    The grid is solved in order, every run from the same factors, built
-    once (the init is seeded, so this matches building it per run bit for bit).
-    After each run the sweep keeps its sparse part as the solve left it, in
-    the dtype of its buffers: compact, as flat indices and values, when
-    fewer than half its entries are nonzero, and as the buffer itself
-    otherwise (see :class:`SweepEntry`); the ratio its report holds decides,
-    so no extra pass runs.  On sparse corruption the healthy runs are
-    compact: at the default tol, 11 runs 5% dense take 8 bytes per nonzero,
-    about half as much memory as one float64 copy of ``x`` in all, rather
-    than one copy each.  Collapsed runs and dense noise stay dense.
-    The solves share solve_uffp's entry (``_solve``): one gate, one working
-    copy of ``x`` if it needs one, and one start serve the whole sweep, so
-    each entry is ``solve_uffp`` with that weight, bit for bit, ``s`` and
-    its dtype included, at any tol.
+    Selection rejects full collapse (rank 0, the sparse part swallows
+    ``x``) and partial collapse (a real direction dumped into the sparse
+    part), which both pass the residual test but inflate the sparse part's
+    l1 mass and nonzero fraction beyond the healthy runs' consensus.  Among
+    converged runs of nonzero rank it keeps those within 1.5x the median l1
+    mass and twice the median nonzero fraction plus 0.02, and takes the
+    smallest weight at their lowest rank, the least-biased run on that
+    plateau; if none is kept, the smallest final residual wins.  The grid is
+    solved in order through solve_uffp's entry (``_solve``), one gate and
+    start for all, so each entry is ``solve_uffp`` at its weight, bit for
+    bit, at any tol, stored as :class:`SweepEntry` states.
     """
     grid = default_lambda_grid(x)
     entries = []

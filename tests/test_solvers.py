@@ -58,10 +58,14 @@ class TestConfig:
         for fields, message in ((dict(k=2, tol=0.0), "tol must lie in"),
                                 (dict(k=0), "k must be at least 1"),
                                 (dict(k=-3), "k must be at least 1"),
-                                (dict(k=2, seed=-1), "seed must be nonnegative")):
+                                (dict(k=2, seed=-1), "seed must be nonnegative"),
+                                (dict(k=2.5), "k must be an integer"),
+                                (dict(k=2, max_iter=2.5), "max_iter must be an integer"),
+                                (dict(k=2, seed=1.5), "seed must be an integer")):
             with pytest.raises(ValueError, match=message):
                 SolverConfig(**fields)
         SolverConfig(k=None)  # solve_ialm reads no k
+        SolverConfig(k=np.int64(2), max_iter=np.int32(5), seed=np.uint8(1))
 
     def test_uffp_requires_lam(self):
         with pytest.raises(ValueError):
@@ -257,15 +261,22 @@ def out_of_place_reference(x, cfg, core_map):
         u = polar_orthogonal(m @ (v @ c.T))
         c = core_map((u.T @ m) @ v, rho)
         l = (u @ c) @ v.T
-        fast = residual is not None and (
-            solvers.BALANCE * np.linalg.norm(l - l_prev) / np.linalg.norm(x) < residual)
         r = x - l - s
         theta = theta + rho * r
-        rho = min(rho * (solvers.KAPPA_FAST if fast else solvers.KAPPA), ceiling)
+        rho, _ = next_rho(rho, ceiling, np.linalg.norm(l - l_prev) / np.linalg.norm(x), residual)
         l_prev, residual = l, np.linalg.norm(r) / np.linalg.norm(x)
         if residual <= cfg.tol:
             break
     return u, c, v, s, theta, rho, t
+
+
+def next_rho(rho, ceiling, change, last_residual):
+    """The penalty schedule of ``solvers._alm``: ``(rho_next, fast)``, where
+    rho grows by KAPPA_FAST when the last residual (None at iteration 1)
+    exceeds BALANCE times this iteration's change of L, else by KAPPA, and
+    is capped at ``ceiling``."""
+    fast = last_residual is not None and solvers.BALANCE * change < last_residual
+    return min(rho * (solvers.KAPPA_FAST if fast else solvers.KAPPA), ceiling), fast
 
 
 def poisoned_polar(call):
@@ -365,10 +376,9 @@ class TestAlmDriver:
     @SOLVERS
     def test_rho_reaches_the_ceiling_at_a_multiple_of_its_start(self, solve, lam, monkeypatch):
         # 70 iterations run into the ceiling, which then holds; before it each
-        # step is KAPPA, or KAPPA_FAST where the last primal residual exceeds
-        # BALANCE times this iteration's change of L, as the report records
-        # both.  solve_ialm reports no states, so its rho is read off the
-        # threshold 1/rho that each singular-value step receives
+        # step is next_rho's on the changes and residuals the report records.
+        # solve_ialm reports no states, so its rho is read off the threshold
+        # 1/rho that each singular-value step receives
         x = make_problem(40, 30, 2, 0.1, seed=3).x
         cfg = SolverConfig(k=2, lam=lam, tol=1e-300, max_iter=70)
         taus = []
@@ -385,9 +395,10 @@ class TestAlmDriver:
         change, residual = report.per_iter_change, report.per_iter_residual
         want, fast = [report.rho0], []
         for t in range(1, 71):
-            fast.append(t >= 2 and solvers.BALANCE * change[t - 1] < residual[t - 2])
-            growth = solvers.KAPPA_FAST if fast[-1] else solvers.KAPPA
-            want.append(min(want[-1] * growth, ceiling))
+            rho, step_fast = next_rho(want[-1], ceiling, change[t - 1],
+                                      residual[t - 2] if t >= 2 else None)
+            want.append(rho)
+            fast.append(step_fast)
         if solve is solve_ialm:
             assert taus == [1.0 / rho for rho in want[:70]]
         else:
@@ -605,8 +616,7 @@ def rounded_frames(height, width, frames, seed):
 
 
 class TestResidualBalancing:
-    """The penalty grows by KAPPA_FAST while the primal residual exceeds
-    BALANCE times the change of L, and by KAPPA otherwise."""
+    """The fast branch of the penalty schedule (see next_rho)."""
 
     @staticmethod
     def fixed_schedule(monkeypatch, solve, x, cfg):
@@ -706,9 +716,8 @@ class TestLoopInvariants:
         residuals = [relative_residual(prob.x, l, snap[1]) for l, snap in zip(lows[1:], snaps)]
         for t, (prev, cur) in enumerate(zip(rhos, rhos[1:]), 1):
             change = np.linalg.norm(lows[t] - lows[t - 1]) / np.linalg.norm(prob.x)
-            fast = t >= 2 and solvers.BALANCE * change < residuals[t - 2]
-            growth = solvers.KAPPA_FAST if fast else solvers.KAPPA
-            assert np.isclose(cur, min(prev * growth, ceiling))
+            want, _ = next_rho(prev, ceiling, change, residuals[t - 2] if t >= 2 else None)
+            assert np.isclose(cur, want)
             assert cur > prev or prev == ceiling
 
     def test_sparse_update_minimizes_lagrangian(self):
@@ -1351,14 +1360,13 @@ class TestIalm:
             u, shrunk, v_kept, basis, rank, _ = solvers._svt_step(
                 x - s + theta / rho, 1.0 / rho, rank, basis, rng, first if t == 1 else None)
             l_ref = (u * shrunk) @ v_kept.T
-            # residual balancing: the dense change of L against the last residual
-            fast = residual is not None and (
-                solvers.BALANCE * np.linalg.norm(l_ref - l_prev) / np.linalg.norm(x) < residual)
             m = x - l_ref + theta / rho
             s = np.sign(m) * np.maximum(np.abs(m) - lam / rho, 0.0)
             r = x - l_ref - s
             theta = theta + rho * r
-            rho = min(rho * (solvers.KAPPA_FAST if fast else solvers.KAPPA), ceiling)
+            # the dense change of L against the last residual
+            change = np.linalg.norm(l_ref - l_prev) / np.linalg.norm(x)
+            rho, _ = next_rho(rho, ceiling, change, residual)
             l_prev, residual = l_ref, np.linalg.norm(r) / np.linalg.norm(x)
             if residual <= cfg.tol:
                 break
