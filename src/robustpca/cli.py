@@ -7,7 +7,9 @@ scaling runs).  Every command writes a ``manifest.json`` next to its
 outputs echoing the full configuration, seed, tool version, and wall time,
 so any artifact can be regenerated from its manifest, and the environment
 that produced the numbers: the numpy version, its BLAS, the CPU count and
-affinity, and the BLAS thread variables.
+affinity, and the BLAS thread variables.  ``decompose`` and ``anomaly``
+keep no name for the matrix they read: it goes straight to the solver,
+whose entry gate may then free it (``solvers._solve``, the handoff rule).
 
 Exit codes: 0 success (and solver convergence), 1 a solve produced a
 non-finite iterate (nothing is written), 2 usage or argument error (such as
@@ -128,11 +130,13 @@ def cmd_synth(args):
     return 0
 
 
-def _solve_with_method(x, args, cfg):
-    """Dispatch one decomposition; returns ``(low_rank, s, report, extra)``, where
-    ``low_rank`` is ialm's dense l or the factors of fffp and uffp."""
+def _solve_with_method(read, args, cfg):
+    """Dispatch one decomposition of the matrix that the zero-argument
+    ``read`` returns, handed to the solver with no name here; returns
+    ``(low_rank, s, report, extra)``, where ``low_rank`` is ialm's dense l or
+    the factors of fffp and uffp."""
     if args.lambda_sweep:
-        entries, selected = lambda_sweep(x, cfg)
+        entries, selected = lambda_sweep(read(), cfg)
         chosen = entries[selected]
         sweep_table = [
             {"lam": e.lam, "rank": e.report.final_rank,
@@ -145,7 +149,7 @@ def _solve_with_method(x, args, cfg):
         return chosen.factors, chosen.s, chosen.report, extra
     # built per call, so a rebinding of the module's solver names is seen
     solve = {"fffp": solve_fffp, "uffp": solve_uffp, "ialm": solve_ialm}[args.method]
-    return (*solve(x, cfg), {})
+    return (*solve(read(), cfg), {})
 
 
 def _score(args, low_rank):
@@ -162,8 +166,7 @@ def cmd_decompose(args):
     _check_method_flags(args)
     cfg = _config_from_args(args)
     start = time.perf_counter()
-    x = read_matrix(args.input)
-    low_rank, s, report, extra = _solve_with_method(x, args, cfg)
+    low_rank, s, report, extra = _solve_with_method(lambda: read_matrix(args.input), args, cfg)
     # scored before any write, so a truth that cannot be read or does not
     # match leaves nothing under --out
     metrics = _score(args, low_rank)
@@ -185,7 +188,7 @@ def cmd_background(args):
     cfg = _config_from_args(args)
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
-    low_rank, s, report, extra = _solve_with_method(stack.matrix, args, cfg)
+    low_rank, s, report, extra = _solve_with_method(lambda: stack.matrix, args, cfg)
 
     # frames are formed one at a time, so no (d, n) array is added to the
     # input and the solve's outputs
@@ -213,9 +216,8 @@ def cmd_anomaly(args):
     elif args.top_m < 0:
         raise ValueError("--top-m must be nonnegative, got %d" % args.top_m)
     start = time.perf_counter()
-    x = read_matrix(args.input)
-    top_m = min(args.top_m, x.shape[1])
-    factors, s, report = solve_fffp(x, cfg)
+    factors, s, report = solve_fffp(read_matrix(args.input), cfg)
+    top_m = min(args.top_m, s.shape[1])
     # top-m mode thresholds at inf, then takes the m highest scores
     result = anomaly_detect(s, np.inf if args.threshold is None else args.threshold)
     scores, flagged = result.scores, result.flagged

@@ -24,6 +24,7 @@ float64, and ``SolveReport.buffer_dtype`` names the buffers' dtype.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -121,7 +122,8 @@ class FactoredLowRank:
 class SolverConfig:
     """Tunables shared by all solvers, each checked when the config is made
     (ValueError naming the field) but for ``k <= min(d, n)``, which
-    :func:`init_factors` checks.  The penalty schedule is not a field.
+    :func:`init_factors` checks.  No field takes a bool.  The penalty
+    schedule is not a field.
 
     k        : integer factor width, the recovered rank's upper bound, at
                least 1; only the factored solvers read it, so it may be None
@@ -143,10 +145,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "max_iter", "seed"):
+        for name, kind in (("k", numbers.Integral), ("lam", numbers.Real),
+                           ("tol", numbers.Real), ("max_iter", numbers.Integral),
+                           ("seed", numbers.Integral)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) or name == "k" and value is None):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if value is None and name in ("k", "lam"):
+                continue
+            # a bool is an int to Python, but no field is a flag
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError("%s must be %s, got %r" % (
+                    name, "an integer" if kind is numbers.Integral else "a real number", value))
         if self.lam is not None and not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, got %r" % self.lam)
         if not 0 < self.tol < 1:
@@ -222,24 +230,38 @@ class IterationState(NamedTuple):
 class SweepEntry(NamedTuple):
     """One lambda_sweep run: the weight tried and everything it produced.
 
-    ``sparse`` is the run's sparse part as the solve left it, in its buffers'
-    dtype and the units of the working matrix ``x * 2**-e``, ``units = (e,
-    dtype)``: the dense (d, n) buffer, or, when ``report.sparsity_ratio <
-    0.5`` (no extra pass decides), the pair ``(index, values)`` of its
-    C-order flat indices (int32, int64 from d * n = 2**31) and nonzeros.
-    In float32 buffers, as at the default tol, a compact entry takes 8 bytes
-    per nonzero and a dense one 4 per entry: 11 healthy runs on 5% sparse
-    corruption take about half a float64 copy of ``x`` in all.  ``s`` is the
-    dense array, every bit and the dtype of solve_uffp's at that weight: the
-    stored buffer when it needs no conversion, else a fresh array built on
-    each access, so read it once.  The stored arrays are never written.
+    ``kept`` holds the run's factors at the width r <= k the solve kept, and
+    ``start`` the one start that all entries share.  ``factors`` is
+    solve_uffp's at that weight, padded to k, bit for bit
+    (:func:`_pad_factors`): ``kept`` itself at r = k, else a fresh set built
+    on each access, so read it once.  On the 400x400, k=25 sweep of 5%
+    corruption, the five runs that end below k then hold about 0.4 of a
+    float64 copy of ``x`` less than padded sets would.
+
+    ``sparse`` is the run's sparse part as the solve left it, in its
+    buffers' dtype and the units of the working matrix ``x * 2**-e``,
+    ``units = (e, dtype)``: the dense (d, n) buffer, or, when
+    ``report.sparsity_ratio < 0.5`` (no extra pass decides), the pair
+    ``(index, values)`` of its C-order flat indices (int32, int64 from d * n
+    = 2**31) and nonzeros.  In float32 buffers, as at the default tol, a
+    compact entry takes 8 bytes per nonzero and a dense one 4 per entry: 11
+    healthy runs on 5% sparse corruption take about half a float64 copy of
+    ``x`` in all.  ``s`` is the dense array, every bit and the dtype of
+    solve_uffp's at that weight: the stored buffer when it needs no
+    conversion, else a fresh array built on each access, so read it once.
+    The stored arrays are never written.
     """
 
     lam: float
-    factors: FactoredLowRank
+    kept: FactoredLowRank
     sparse: np.ndarray | tuple[np.ndarray, np.ndarray]
     report: SolveReport
     units: tuple[int, type]
+    start: FactoredLowRank
+
+    @property
+    def factors(self):
+        return _pad_factors(self.kept, self.start)
 
     @property
     def s(self):
@@ -247,7 +269,7 @@ class SweepEntry(NamedTuple):
             return _in_data_units(self.sparse, *self.units)
         index, values = self.sparse
         # the solve writes its zeros as +0.0, so this is the same array bit for bit
-        s = np.zeros((self.factors.u.shape[0], self.factors.v.shape[0]), self.units[1])
+        s = np.zeros((self.kept.u.shape[0], self.kept.v.shape[0]), self.units[1])
         s.put(index, _in_data_units(values, *self.units))
         return s
 
@@ -519,7 +541,8 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration
     ``lam_ld`` (0 for solve_fffp) in the data's units: each step then rotates
     the factors into the core's singular basis, shrinks its values at the
     data's scale, ``_ld_values(sigma * 2**e, tau * 2**e) * 2**-e``, and keeps
-    the positive ones.  Returns ``(factors, s, report)``, factors padded to k.
+    the positive ones.  Returns ``(factors, s, report)``, the factors at the
+    kept width (:func:`_pad_factors` widens them to k).
     """
     u, c, v = start.u, start.c, start.v
 
@@ -547,18 +570,28 @@ def _solve_factored(x, e, norm_x, top, start, t_start, cfg, lam_ld, on_iteration
         sigma = np.linalg.svd(c, compute_uv=False)
         return _spectrum_rank(sigma), lam_ld * float(np.log1p(sigma).sum())
 
-    factors, s, report = _alm(x, e, norm_x, cfg, 1.0, 1.0 / top, t_start, step, summary,
-                              on_iteration, factored=True)
-    return _pad_factors(factors, start), s, report
+    return _alm(x, e, norm_x, cfg, 1.0, 1.0 / top, t_start, step, summary, on_iteration,
+                factored=True)
 
 
 def _solve(x, cfg, weights, on_iteration=None):
     """The factored solves of ``x``, one per surrogate weight in ``weights``
     (data units; 0 is solve_fffp): a generator of their ``(factors, s,
-    report, units)``, holding no solve's outputs.  The entry gate, the
+    report, units, start)``, holding no solve's outputs.  The entry gate, the
     precision rule and the start run once, on the first ``next``, and are
-    timed in the first report.  ``_in_data_units(s, *units)`` converts the
-    sparse buffer ``s`` to the data's units and the returned dtype.
+    timed in the first report.  The factors are at the kept width, and
+    ``_pad_factors(factors, start)`` widens them to k;
+    ``_in_data_units(s, *units)`` converts the sparse buffer ``s`` to the
+    data's units and the returned dtype.
+
+    The handoff rule.  The gate's working copy replaces ``x`` in this frame,
+    and no frame above it keeps the input: every caller in the package
+    builds the generator, then drops its own name for ``x`` before the first
+    ``next``.  So, once the gate has cast it, the input lives only as long
+    as the caller that passed it in keeps another reference (the CLI keeps
+    none), and a float64 ``x`` solved in float32 buffers frees its 8 bytes
+    per entry before the first buffer is made.  When the working copy is
+    ``x`` itself, nothing is freed.
     """
     t_start = time.perf_counter()
     dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
@@ -566,15 +599,18 @@ def _solve(x, cfg, weights, on_iteration=None):
     start = init_factors(x, cfg.k, cfg.seed)
     for lam_ld in weights:
         yield (*_solve_factored(x, e, norm_x, top, start, t_start, cfg, float(lam_ld),
-                                on_iteration), (e, dtype))
+                                on_iteration), (e, dtype), start)
         t_start = time.perf_counter()
 
 
-def _solve_one(x, cfg, lam_ld, on_iteration):
-    """The one factored solve of ``x`` at surrogate weight ``lam_ld``:
-    ``(factors, s, report)`` with ``s`` in the data's units."""
-    factors, s, report, units = next(_solve(x, cfg, [lam_ld], on_iteration))
-    return factors, _in_data_units(s, *units), report
+def _solve_one(solves):
+    """The one solve of :func:`_solve`'s generator ``solves``: ``(factors, s,
+    report)``, the factors padded to k and ``s`` in the data's units.  The
+    generator is closed first, so its working matrix goes before ``s`` is
+    converted."""
+    factors, s, report, units, start = next(solves)
+    solves.close()
+    return _pad_factors(factors, start), _in_data_units(s, *units), report
 
 
 def _pad_factors(factors, start):
@@ -602,12 +638,15 @@ def solve_fffp(x, cfg, on_iteration=None):
     sparse part, polar updates the side factors, and the projection ``c =
     u.T @ (x - s + theta/rho) @ v`` the core; then the multiplier and rho
     (``_alm``).  Stops at ``cfg.tol`` or ``cfg.max_iter``; precision follows
-    the module docstring.  ``on_iteration`` receives each IterationState.
-    Returns ``(factors, s, report)``: a :class:`FactoredLowRank`, the sparse
-    part in the data's units and a :class:`SolveReport`.  Raises ValueError
-    for an invalid ``x`` or ``k`` and DivergenceError for a non-finite iterate.
+    the module docstring, and ``x`` is handed to the entry gate (``_solve``'s
+    handoff rule).  ``on_iteration`` receives each IterationState.  Returns
+    ``(factors, s, report)``: a :class:`FactoredLowRank`, the sparse part in
+    the data's units and a :class:`SolveReport`.  Raises ValueError for an
+    invalid ``x`` or ``k`` and DivergenceError for a non-finite iterate.
     """
-    return _solve_one(x, cfg, 0.0, on_iteration)
+    solves = _solve(x, cfg, [0.0], on_iteration)
+    del x  # the handoff rule: _solve
+    return _solve_one(solves)
 
 
 def solve_uffp(x, cfg, on_iteration=None):
@@ -618,12 +657,14 @@ def solve_uffp(x, cfg, on_iteration=None):
     superfluous directions to exactly zero; the step drops them, so an
     iteration costs O(r * d * n) at kept rank r.  The returned ``u``, ``v``
     and ``c`` are padded to width k.  ``cfg.lam`` must be set, in the data's
-    units; ``lam = 0`` reproduces solve_fffp bit for bit.  Returns as
-    solve_fffp does.
+    units; ``lam = 0`` reproduces solve_fffp bit for bit.  Hands ``x`` over
+    and returns as solve_fffp does.
     """
     if cfg.lam is None:
         raise ValueError("solve_uffp requires cfg.lam (0 is allowed)")
-    return _solve_one(x, cfg, cfg.lam, on_iteration)
+    solves = _solve(x, cfg, [cfg.lam], on_iteration)
+    del x  # the handoff rule: _solve
+    return _solve_one(solves)
 
 
 def _ritz_triplets(m, rank, start, rng):
@@ -750,16 +791,19 @@ def lambda_sweep(x, cfg):
     plateau; if none is kept, the smallest final residual wins.  The grid is
     solved in order through solve_uffp's entry (``_solve``), one gate and
     start for all, so each entry is ``solve_uffp`` at its weight, bit for
-    bit, at any tol, stored as :class:`SweepEntry` states.
+    bit, at any tol, stored as :class:`SweepEntry` states.  ``x`` is handed
+    over once the grid is drawn from it (``_solve``'s handoff rule).
     """
     grid = default_lambda_grid(x)
+    solves = _solve(x, cfg, grid)
+    del x  # the handoff rule: _solve
     entries = []
-    for factors, s, report, units in _solve(x, cfg, grid):
+    for factors, s, report, units, start in solves:
         if report.sparsity_ratio < 0.5:  # where the pair costs less than the buffer
             index = np.flatnonzero(s).astype(np.int32 if s.size < 2**31 else np.int64,
                                              copy=False)
             s = index, s.ravel()[index]
-        entries.append(SweepEntry(float(grid[len(entries)]), factors, s, report, units))
+        entries.append(SweepEntry(float(grid[len(entries)]), factors, s, report, units, start))
 
     reports = [e.report for e in entries]
     candidates = [i for i, r in enumerate(reports) if r.converged and r.final_rank > 0]

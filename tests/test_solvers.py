@@ -61,11 +61,21 @@ class TestConfig:
                                 (dict(k=2, seed=-1), "seed must be nonnegative"),
                                 (dict(k=2.5), "k must be an integer"),
                                 (dict(k=2, max_iter=2.5), "max_iter must be an integer"),
-                                (dict(k=2, seed=1.5), "seed must be an integer")):
+                                (dict(k=2, seed=1.5), "seed must be an integer"),
+                                # a string is no number, and a bool no count or weight
+                                (dict(k=2, tol="0.1"), "tol must be a real number"),
+                                (dict(k=2, lam="1"), "lam must be a real number"),
+                                (dict(k=True), "k must be an integer"),
+                                (dict(k=2, lam=True), "lam must be a real number"),
+                                (dict(k=2, tol=False), "tol must be a real number"),
+                                (dict(k=2, max_iter=True), "max_iter must be an integer"),
+                                (dict(k=2, seed=False), "seed must be an integer")):
             with pytest.raises(ValueError, match=message):
                 SolverConfig(**fields)
         SolverConfig(k=None)  # solve_ialm reads no k
         SolverConfig(k=np.int64(2), max_iter=np.int32(5), seed=np.uint8(1))
+        SolverConfig(k=2, lam=1, tol=np.float32(0.01))
+        SolverConfig(k=2, lam=np.float64(0.5), tol=0.1)
 
     def test_uffp_requires_lam(self):
         with pytest.raises(ValueError):
@@ -962,44 +972,67 @@ class TestUffp:
         assert entries[12].s is entries[12].sparse
         assert entries[4].s is not entries[4].s  # a compact entry expands per access
 
-    def test_sweep_memory_with_compact_sparse_parts(self):
-        # in units of x: 13 dense float64 sparse parts would peak at 16.4 and
-        # hold 15.6 on return.  The default tol solves in float32 buffers, on
-        # a float32 copy of x, and each entry keeps its part as the solve left
-        # it: the 11 healthy ones (4.8-5.1% dense) compact, as int32 indices
-        # and float32 values, and the 2 collapsed ones as their float32
-        # buffers.  The sweep peaks at 5.4 and holds 4.1, 1.6 of it the 13
-        # factor sets.  Stored as float64 with int64 indices they peaked at
-        # 6.5 and held 5.7 (float64 buffers peaked at 7.9)
-        x = make_problem(400, 400, 5, 0.05, seed=3).x
-        unit = x.itemsize * x.size
+    @staticmethod
+    def traced_sweep(x, cfg):
+        """``(entries, held, peak)`` of ``lambda_sweep(x, cfg)`` under tracemalloc."""
+        np.median([0.0])  # the selection's first median imports numpy.ma, about 0.9 units
         tracemalloc.start()
         try:
-            entries, _ = lambda_sweep(x, SolverConfig(k=25))
+            entries, _ = lambda_sweep(x, cfg)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * unit
-        assert held <= 5 * unit
+        return entries, held, peak
+
+    def test_sweep_memory_with_compact_sparse_parts(self):
+        # in units of x, which the caller keeps: 13 dense float64 sparse parts
+        # would peak at 16.4 and hold 15.6 on return.  The default tol solves
+        # in float32 buffers, on a float32 copy of x, and each entry keeps its
+        # part as the solve left it: the 11 healthy ones (4.8-5.1% dense)
+        # compact, as int32 indices and float32 values, and the 2 collapsed
+        # ones as their float32 buffers.  Each keeps its factors at the solve's
+        # width: 25 for entries 0-7, then 10, 5, 5, 2 and 0.  The sweep peaks
+        # at 5.01 and holds 2.83.  With every factor set padded to k=25 it
+        # peaked at 5.41 and held 3.24; with float64 parts and int64 indices
+        # as well, 6.5 and 5.7 (float64 buffers peaked at 7.9)
+        x = make_problem(400, 400, 5, 0.05, seed=3).x
+        unit = x.itemsize * x.size
+        entries, held, peak = self.traced_sweep(x, SolverConfig(k=25))
+        assert peak <= 5.2 * unit
+        assert held <= 3 * unit
         assert sum(isinstance(e.sparse, tuple) for e in entries) == 11
 
     def test_sweep_memory_on_float32_data(self):
         # in units of the float64 x, as above: float32 data keeps its sparse
         # parts in float32, as solve_uffp returns them, and solves on x
-        # itself, so the sweep peaks at 4.9 and holds 3.2 on return.  Upcast
-        # to float64, they peaked at 6.5 and held 4.8
+        # itself, so the sweep peaks at 4.51 and holds 2.83 on return.  With
+        # padded factor sets it peaked at 4.91 and held 3.24; upcast to
+        # float64 as well, 6.5 and 4.8
         x = make_problem(400, 400, 5, 0.05, seed=3).x
         unit = x.itemsize * x.size
-        x = x.astype(np.float32)
-        tracemalloc.start()
-        try:
-            entries, _ = lambda_sweep(x, SolverConfig(k=25))
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * unit
-        assert held <= 4 * unit
+        entries, held, peak = self.traced_sweep(x.astype(np.float32), SolverConfig(k=25))
+        assert peak <= 4.7 * unit
+        assert held <= 3 * unit
         assert {e.s.dtype for e in entries} == {np.dtype(np.float32)}
+
+    def test_sweep_keeps_factors_at_their_kept_width(self):
+        # every entry shares the one start, keeps the width its solve kept and
+        # pads to k on access as solve_uffp pads its own, bit for bit
+        prob = make_problem(60, 60, 2, 0.05, seed=8)
+        cfg = SolverConfig(k=6)
+        entries, _ = lambda_sweep(prob.x, cfg)
+        widths = [e.kept.c.shape[0] for e in entries]
+        assert widths == [6] * 9 + [2, 2, 0, 0]
+        for e, r in zip(entries, widths):
+            assert e.start is entries[0].start
+            assert e.kept.u.shape == (60, r) and e.kept.v.shape == (60, r)
+            factors, want = e.factors, solvers._pad_factors(e.kept, e.start)
+            assert factors.u.shape == factors.v.shape == (60, cfg.k)
+            assert factors.c.shape == (cfg.k, cfg.k)
+            for got, expected in ((factors.u, want.u), (factors.c, want.c), (factors.v, want.v)):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            # full width is stored as it is; a narrower set is padded per access
+            assert (e.factors is e.kept) == (r == cfg.k)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
