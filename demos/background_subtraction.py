@@ -3,7 +3,9 @@
 Synthesizes a small graymap sequence (a textured scene with a bright block
 sliding across it), stacks the vectorized frames as matrix columns, and
 lets the rank-1 factored decomposition separate scene from motion.  The
-per-frame images land in ``demo_output/background_subtraction/``.
+solve stops at the rounding floor of the 8-bit frames, as the
+``background`` command does (``FrameStack.stop_tol``).  The per-frame
+images land in ``demo_output/background_subtraction/``.
 """
 
 from pathlib import Path
@@ -36,7 +38,8 @@ def main():
     print("stacked %d frames into a %dx%d matrix" % (
         len(stack.frame_names), *stack.matrix.shape))
 
-    factors, s, report = rp.solve_fffp(stack.matrix, rp.SolverConfig(k=1))
+    cfg = rp.SolverConfig(k=1, tol=stack.stop_tol(rp.SolverConfig.tol))
+    factors, s, report = rp.solve_fffp(stack.matrix, cfg)
     low_rank = factors.dense()
     print("rank %d background, residual %.2e after %d iterations"
           % (report.final_rank, report.final_residual, report.iterations))

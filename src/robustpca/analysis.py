@@ -81,7 +81,7 @@ _BENCH_TOL = 1e-300  # unreachable: benchmark runs are iteration-exact, never to
 
 def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
                       lam=None, repeats=3, seed=0):
-    """Median wall time of fixed-iteration solves on progressively scaled problems.
+    """Least wall time of fixed-iteration solves on progressively scaled problems.
 
     ``base_params`` holds :func:`make_problem` keyword arguments for the
     full-size problem; ``axis`` picks which dimension the ``factors``
@@ -93,8 +93,11 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
     truncated-SVD start and the iterations, both O(d*n*k).  All problems are generated before any timing; the
     ``repeats`` runs then go round-robin across the sizes, so a drift of
     the machine's speed during the benchmark shifts every size alike
-    instead of bending the curve, and the median per size damps scheduler
-    noise.
+    instead of bending the curve.  Each size reports the minimum of its
+    runs: a scheduler stall or a neighbouring process can only lengthen a
+    run, never shorten it, so the fastest run is the least disturbed one,
+    and the minimum is steadier than the median, which moves as soon as
+    half the runs are slowed.
 
     Returns a list of ``(size, seconds)`` rows, one per factor.
     """
@@ -123,7 +126,7 @@ def scaling_benchmark(base_params, axis, factors, iters, method="fffp", k=5,
             t0 = time.perf_counter()
             solve(x, cfg)
             runs.append(time.perf_counter() - t0)
-    return [(size, float(np.median(runs))) for size, runs in zip(sizes, times)]
+    return [(size, min(runs)) for size, runs in zip(sizes, times)]
 
 
 def linear_fit_r2(rows):

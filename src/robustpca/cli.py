@@ -10,6 +10,9 @@ that produced the numbers: the numpy version, its BLAS, the CPU count and
 affinity, and the BLAS thread variables.  ``decompose`` and ``anomaly``
 keep no name for the matrix they read: it goes straight to the solver,
 whose entry gate may then free it (``solvers._solve``, the handoff rule).
+``background`` solves at ``--tol`` raised to the rounding floor of its 8-bit
+frames (the rule's home is ``dataio.FrameStack.stop_tol``); ``report.json``
+records the tol it used and the manifest the ``--tol`` it was given.
 
 Exit codes: 0 success (and solver convergence), 1 a solve produced a
 non-finite iterate (nothing is written), 2 usage or argument error (such as
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +192,7 @@ def cmd_background(args):
     cfg = _config_from_args(args)
     start = time.perf_counter()
     stack = load_frame_stack(args.frames, args.downsample)
+    cfg = replace(cfg, tol=stack.stop_tol(cfg.tol))
     low_rank, s, report, extra = _solve_with_method(lambda: stack.matrix, args, cfg)
 
     # frames are formed one at a time, so no (d, n) array is added to the
@@ -266,11 +271,10 @@ def _add_method_flags(parser, **method):
                         help="sweep the uffp weight over a data-scaled grid")
 
 
-def _add_solver_flags(parser, k_default=None):
+def _add_solver_flags(parser, k_default=None, tol_help="relative-residual stop threshold"):
     parser.add_argument("--k", type=int, default=k_default,
                         help="factor width (upper bound on the recovered rank); ialm reads none")
-    parser.add_argument("--tol", type=float, default=SolverConfig.tol,
-                        help="relative-residual stop threshold")
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol, help=tol_help)
     parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
                         help="iteration cap")
     parser.add_argument("--seed", type=int, default=SolverConfig.seed,
@@ -308,7 +312,8 @@ def build_parser():
     bg.add_argument("--downsample", type=int, default=1,
                     help="keep every f-th pixel along each axis")
     bg.add_argument("--out", required=True)
-    _add_solver_flags(bg)
+    _add_solver_flags(bg, tol_help="relative-residual stop threshold, raised to the 8-bit "
+                                    "rounding floor sqrt(d*n/12)/||X||_F when that is higher")
     bg.set_defaults(func=cmd_background)
 
     anom = commands.add_parser("anomaly", help="flag outlier columns by sparse-part norms")

@@ -13,10 +13,12 @@ Two matrix formats are supported, chosen by file extension:
   second full-size copy of the matrix.
 
 Images are binary 8-bit grayscale portable graymaps (P5) only; frames are
-vectorized column-major, one column per frame.
+vectorized column-major, one column per frame.  Their integer levels set
+the tol a stack is solved at (:meth:`FrameStack.stop_tol`).
 """
 
 import json
+import math
 import os
 import re
 import struct
@@ -73,6 +75,22 @@ class FrameStack:
     frame_height: int
     frame_width: int
     frame_names: list[str]
+
+    def stop_tol(self, tol):
+        """The relative-residual tol to solve ``matrix`` at: ``tol``, raised
+        to the rounding floor of 8-bit gray levels, ``sqrt(d*n/12)/||X||_F``.
+
+        Every frame is rounded to integer levels, an error of variance 1/12
+        per entry, so a residual below the floor only moves rounding noise
+        into S (Stable PCP, Zhou, Li, Wright, Candes & Ma 2010, stops at the
+        known noise level the same way).  A floor of 1 or more, as on an
+        all-zero stack, leaves ``tol`` as given, since a tol must lie in
+        (0, 1); the solver then refuses an all-zero stack itself.
+        """
+        # a dot of the float32 stack with itself: no (d, n) temporary
+        norm = float(np.linalg.norm(self.matrix))
+        floor = math.sqrt(self.matrix.size / 12.0) / norm if norm else math.inf
+        return max(tol, floor) if floor < 1.0 else tol
 
 
 def write_matrix(path, m):

@@ -25,6 +25,7 @@ float64, and ``SolveReport.buffer_dtype`` names the buffers' dtype.
 
 import math
 import numbers
+import statistics
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -808,8 +809,10 @@ def lambda_sweep(x, cfg):
     reports = [e.report for e in entries]
     candidates = [i for i, r in enumerate(reports) if r.converged and r.final_rank > 0]
     if candidates:
-        mass_gate = 1.5 * float(np.median([reports[i].sparse_l1 for i in candidates]))
-        density_gate = 2.0 * float(np.median([reports[i].sparsity_ratio for i in candidates]))
+        # statistics.median, not np.median, whose first call imports numpy.ma
+        mass_gate = 1.5 * float(statistics.median(reports[i].sparse_l1 for i in candidates))
+        density_gate = 2.0 * float(statistics.median(reports[i].sparsity_ratio
+                                                      for i in candidates))
         clean = [i for i in candidates if reports[i].sparse_l1 <= mass_gate
                  and reports[i].sparsity_ratio <= density_gate + 0.02]
         if clean:

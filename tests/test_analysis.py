@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,9 +169,19 @@ class TestScalingBenchmark:
             scaling_benchmark(self.BASE, "samples", [1.0, bad], iters=1)
         assert made == []
 
+    def test_each_size_reports_its_fastest_run(self, monkeypatch):
+        # a stall can only lengthen a run, so the least of the repeats is the
+        # steadiest reading: runs of 3, 1 and 2 s report 1 s, where the median
+        # would report 2 s
+        clock = iter([0.0, 3.0, 3.0, 4.0, 4.0, 6.0])
+        monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(analysis, "solve_fffp", lambda x, cfg: None)
+        rows = scaling_benchmark(self.BASE, "samples", [1.0], iters=1, k=2, repeats=3)
+        assert rows == [(120, 1.0)]
+
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_no_repeats_rejected(self, repeats):
-        # no run means no median: refuse instead of reporting nan seconds
+        # no run means no time to report: refuse instead
         with pytest.raises(ValueError, match="repeats"):
             scaling_benchmark(self.BASE, "samples", [1.0], iters=1, repeats=repeats)
 

@@ -411,7 +411,8 @@ class TestBackground:
         assert max(memory) <= 2.5 * 8 * d * n
         # frames streamed from the factors match frames cut from the dense L
         stack = load_frame_stack(frames_dir)
-        factors, _, _ = solve_uffp(stack.matrix, SolverConfig(k=2, lam=100.0))
+        cfg = SolverConfig(k=2, lam=100.0, tol=stack.stop_tol(SolverConfig.tol))
+        factors, _, _ = solve_uffp(stack.matrix, cfg)
         dense = factors.dense()
         for j, name in enumerate(stack.frame_names):
             path = tmp_path / name
@@ -424,6 +425,98 @@ class TestBackground:
         out = tmp_path / "sep"
         assert run("background", frames_dir, "--k", "1", "--downsample", "2", "--out", out) == 0
         assert read_pgm(out / "background_frame_000.pgm").shape == (2, 2)
+
+
+def rounded_frames(dir_path, height, width, frames, seed):
+    """Write 8-bit frames built as ``test_solvers.rounded_frames`` builds
+    them (a textured scene under per-frame gain, rounded to gray levels, with
+    a 245 block sliding across) and return the true, unrounded background,
+    one column-major frame per column."""
+    rng = np.random.default_rng(seed)
+    scene = rng.integers(60, 160, (height, width)).astype(np.float64)
+    gain = rng.uniform(0.9, 1.1, frames)
+    block_h, block_w = max(2, height // 6), max(2, width // 12)
+    top = int(rng.integers(0, height - block_h))
+    written = []
+    for j in range(frames):
+        frame = np.rint(gain[j] * scene)
+        left = (width - block_w) * j // (frames - 1)
+        frame[top:top + block_h, left:left + block_w] = 245.0
+        written.append(frame)
+    write_frames(dir_path, written)
+    return np.stack([(g * scene).ravel(order="F") for g in gain], axis=1)
+
+
+class TestRoundingFloor:
+    """``background`` solves at ``--tol`` raised to the rounding floor of its
+    8-bit frames (``FrameStack.stop_tol``)."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, tmp_path_factory):
+        frames_dir = tmp_path_factory.mktemp("rounded")
+        l_star = rounded_frames(frames_dir, 24, 32, 30, seed=1)
+        return frames_dir, l_star
+
+    @staticmethod
+    def config(out):
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        return report, manifest["config"]
+
+    @pytest.mark.parametrize("method", ["fffp", "ialm"])
+    def test_tol_is_the_floor(self, frames, tmp_path, method):
+        frames_dir, _ = frames
+        x = load_frame_stack(frames_dir).matrix.astype(np.float64)
+        floor = math.sqrt(x.size / 12.0) / np.linalg.norm(x)
+        assert 1e-3 < floor < 1.0
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--method", method, "--k", "1", "--out", out) == 0
+        report, given = self.config(out)
+        assert report["config"]["tol"] == pytest.approx(floor, rel=1e-6)
+        assert report["report"]["converged"]
+        assert given["tol"] == SolverConfig.tol  # the manifest keeps the flag as given
+
+    def test_fewer_iterations_than_at_the_default_tol(self, frames, tmp_path):
+        # 10 against 11 on this small stack; 6 against 11 on 200 frames of 120x160
+        frames_dir, _ = frames
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--k", "1", "--out", out) == 0
+        report, _ = self.config(out)
+        _, _, default = solvers.solve_fffp(load_frame_stack(frames_dir).matrix, SolverConfig(k=1))
+        assert report["report"]["iterations"] < default.iterations
+
+    def test_tol_above_the_floor_is_used_as_given(self, frames, tmp_path):
+        frames_dir, _ = frames
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--k", "1", "--tol", "0.02", "--out", out) == 0
+        report, given = self.config(out)
+        assert report["config"]["tol"] == given["tol"] == 0.02
+
+    def test_background_within_one_gray_level(self, frames, tmp_path):
+        frames_dir, l_star = frames
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--k", "1", "--out", out) == 0
+        background = np.stack([read_pgm(out / ("background_frame_%03d.pgm" % j)).ravel(order="F")
+                               for j in range(l_star.shape[1])], axis=1)
+        assert np.abs(background - l_star).max() <= 1.0
+
+    def test_all_zero_stack_exits_2(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        write_frames(frames_dir, [np.zeros((4, 5))] * 3)
+        assert run("background", frames_dir, "--k", "1", "--out", tmp_path / "o") == 2
+
+    def test_floor_of_one_or_more_keeps_the_tol(self, tmp_path):
+        # one pixel of value 1 in 4x5x3 entries: the floor is sqrt(60/12) > 1,
+        # beyond any tol a solver takes, so the solve runs at --tol
+        frames = [np.zeros((4, 5)) for _ in range(3)]
+        frames[1][2, 3] = 1
+        frames_dir = tmp_path / "frames"
+        write_frames(frames_dir, frames)
+        assert load_frame_stack(frames_dir).stop_tol(SolverConfig.tol) == SolverConfig.tol
+        out = tmp_path / "sep"
+        assert run("background", frames_dir, "--k", "1", "--out", out) == 0
+        report, _ = self.config(out)
+        assert report["config"]["tol"] == SolverConfig.tol
 
 
 class TestAnomaly:

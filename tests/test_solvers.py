@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -975,7 +979,6 @@ class TestUffp:
     @staticmethod
     def traced_sweep(x, cfg):
         """``(entries, held, peak)`` of ``lambda_sweep(x, cfg)`` under tracemalloc."""
-        np.median([0.0])  # the selection's first median imports numpy.ma, about 0.9 units
         tracemalloc.start()
         try:
             entries, _ = lambda_sweep(x, cfg)
@@ -1014,6 +1017,21 @@ class TestUffp:
         assert peak <= 4.7 * unit
         assert held <= 3 * unit
         assert {e.s.dtype for e in entries} == {np.dtype(np.float32)}
+
+    def test_first_sweep_imports_no_numpy_ma(self):
+        # np.median's first call in a process imports numpy.ma, which then
+        # stays resident (about 1.1 MB); the selection's medians need none
+        code = ("import sys\n"
+                "from robustpca import SolverConfig, lambda_sweep, make_problem\n"
+                "lambda_sweep(make_problem(60, 60, 2, 0.05, seed=8).x, SolverConfig(k=6))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(solvers.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_sweep_keeps_factors_at_their_kept_width(self):
         # every entry shares the one start, keeps the width its solve kept and

@@ -173,3 +173,21 @@ class TestPerInstance:
         assert lines[0].endswith("(+0.106)  BEYOND BOUND")  # the bound is 10%
         assert verdicts == {8.0: False, 9.2: False, 9.4: True}
         assert "peak_mem_mb differ in 1 (largest increase +0.106)" in lines[-1]
+
+    def test_peak_memory_within_the_old_spread_is_not_reported(self):
+        # the old tree's two runs of seed 1 differ by 0.02 MB, which sets the
+        # workload's noise floor: a new peak 0.01 MB higher is noise, one
+        # 0.03 MB higher is printed
+        keys = [("background_cli", seed, 0) for seed in (1, 2)]
+        limits = {figure: trees.bound(figure) for figure in per_instance.FIGURES}
+        old = {key: (11, 2.5e-3, 92.30, [], (None, None)) for key in keys}
+        again = dict(old)
+        again[keys[0]] = (11, 2.5e-3, 92.32, [], (None, None))
+        for peak, shown in ((92.31, 0), (92.33, 1)):
+            new = {key: (6, 2.5e-3, peak, [], (None, None)) for key in keys}
+            lines, bad = per_instance.compare(old, new, limits, ("background_cli",), again)
+            assert not bad
+            assert sum("peak_mem_mb 92.3 ->" in line for line in lines) == 2 * shown
+            assert lines[-1].endswith("peak_mem_mb differ in %d (largest increase %+.3g); "
+                                      "peak_mem_mb noise floor 0.02 MB"
+                                      % (2 * shown, (peak - 92.30) / 92.30 if shown else 0.0))
